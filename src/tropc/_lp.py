@@ -1,8 +1,10 @@
 """Exact linear programming over the rationals.
 
-A small two-phase tableau simplex with Bland's rule, used to answer upper
-convex hull queries (heights and vertex tests) exactly.  Problem sizes here
-are tiny (tens of columns, a handful of rows), so clarity wins over speed.
+A small two-phase tableau simplex with Bland's rule.  It is on no
+production path: the hull facts of ``tropc.essential`` come from its facet
+enumeration, and this simplex backs the independent reference hull path
+(``tests/lp_reference.py``) that the differential test compares against.
+Problem sizes are tiny, so clarity wins over speed.
 """
 from __future__ import annotations
 

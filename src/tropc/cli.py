@@ -28,14 +28,17 @@ from .univariate import (common_root, factor_full, factor_tangible_full,
 SCHEMA = "tropc/1"
 
 
-def _read_arg(text: str) -> str:
-    if text == "-":
-        return sys.stdin.read().strip()
-    return text
+def _read_arg(text: str, opts) -> str:
+    """The argument, or stdin for "-"; stdin is read once per run."""
+    if text != "-":
+        return text
+    if opts.stdin is None:
+        opts.stdin = sys.stdin.read().strip()
+    return opts.stdin
 
 
 def _load_poly(text: str, opts) -> TropicalPolynomial:
-    f = parse_poly(_read_arg(text))
+    f = parse_poly(_read_arg(text, opts))
     if not f.is_empty() and f.total_degree() > opts.max_degree:
         raise MaxDegreeExceeded(
             f"degree {f.total_degree()} exceeds --max-degree "
@@ -45,8 +48,8 @@ def _load_poly(text: str, opts) -> TropicalPolynomial:
     return f
 
 
-def _parse_point(text: str) -> List[TropicalNumber]:
-    parts = _read_arg(text).split(",")
+def _parse_point(text: str, opts) -> List[TropicalNumber]:
+    parts = _read_arg(text, opts).split(",")
     out = []
     consumed = 0
     for part in parts:
@@ -82,7 +85,7 @@ def _emit(opts, text_lines, json_obj):
 
 def _cmd_eval(opts) -> int:
     f = _load_poly(opts.poly, opts)
-    point = _parse_point(opts.point)
+    point = _parse_point(opts.point, opts)
     value = f.evaluate(point)
     _emit(opts, [format_number(value)],
           {"value": value.to_json(), "is_root": value.is_ghost_or_bottom()})
@@ -209,7 +212,7 @@ def _cmd_comset(opts) -> int:
 
 
 def _cmd_curve2d(opts) -> int:
-    f = parse_poly(_read_arg(opts.poly), arity=2)
+    f = parse_poly(_read_arg(opts.poly, opts), arity=2)
     if not f.is_empty() and f.total_degree() > opts.max_degree:
         raise MaxDegreeExceeded("degree exceeds --max-degree")
     if opts.reduced:
@@ -291,14 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="computer algebra for the extended tropical semiring")
     top.add_argument("--json", action="store_true",
                      help="emit JSON instead of text")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled checks (outputs are "
-                          "deterministic either way)")
     top.add_argument("--max-degree", type=int, default=64,
                      help="refuse polynomials above this total degree")
     top.add_argument("--reduced", action="store_true",
                      help="fully close polynomials after parsing")
     top.add_argument("--version", action="version", version=__version__)
+    top.set_defaults(stdin=None)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a polynomial at a point")

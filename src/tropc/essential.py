@@ -7,20 +7,22 @@ inessential when it lies strictly below.  The essential part is a canonical
 representative of functional equivalence, and the full closure adds every
 hull lattice point as a ghost term.
 
-Univariate hulls are computed by a direct sweep; higher arities go through
-exact rational linear programming.
+Univariate hulls are computed by a direct sweep; higher arities read every
+hull fact off the exact facets of the Newton polytope and of the lifted
+points, both enumerated on integer points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations, product as iter_product
+from math import gcd, lcm
+from operator import mul
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ._lp import lp_feasible, lp_max
 from .core import TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
-                     MonomialInput, NotFull)
+                     InternalInconsistency, MonomialInput, NotFull)
 from .polynomial import Exponent, TropicalPolynomial, constant
 
 ESSENTIAL = "essential"
@@ -28,7 +30,7 @@ QUASI = "quasi-essential"
 INESSENTIAL = "inessential"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EssentialComplex:
     arity: int
     lifted_points: Dict[Exponent, Fraction]
@@ -107,143 +109,137 @@ def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
 
 
 # ---------------------------------------------------------------------------
-# multivariate hull via exact LP
+# multivariate hull: facet enumeration on integer points
 
 
-def _hull_height_lp(exps: List[Exponent], heights: List[Fraction],
-                    v: Exponent) -> Optional[Fraction]:
-    n = len(v)
-    A = [[Fraction(1)] * len(exps)]
-    b = [Fraction(1)]
-    for k in range(n):
-        A.append([Fraction(e[k]) for e in exps])
-        b.append(Fraction(v[k]))
-    return lp_max(A, b, heights)
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
 
 
-def _is_quasi_lp(exps, heights, j) -> bool:
-    """Can the lifted point j be weakly dominated by the others?"""
-    others = [i for i in range(len(exps)) if i != j]
-    n = len(exps[j])
-    cols = len(others) + 1  # convex weights plus a slack
-    A = [[Fraction(1)] * (cols - 1) + [Fraction(0)]]
-    b = [Fraction(1)]
-    for k in range(n):
-        A.append([Fraction(exps[i][k]) for i in others] + [Fraction(0)])
-        b.append(Fraction(exps[j][k]))
-    A.append([heights[i] for i in others] + [Fraction(-1)])
-    b.append(heights[j])
-    return lp_feasible(A, b)
+def _reduce(basis: List[Tuple[int, List[int]]], row: List[int]) -> List[int]:
+    """Eliminate the pivot coordinates of an echelon basis from row."""
+    for c, b in basis:
+        if row[c]:
+            row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
+    return row
+
+
+def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
+    """Integer echelon basis of the span of rows, as (pivot, row) pairs;
+    the span projects one-to-one onto the pivot coordinates."""
+    basis: List[Tuple[int, List[int]]] = []
+    for row in rows:
+        row = _reduce(basis, list(row))
+        if any(row):
+            g = gcd(*row)
+            basis.append((next(i for i, x in enumerate(row) if x),
+                          [x // g for x in row]))
+    return basis
+
+
+def _facets(points: List[Tuple[int, ...]]) -> list:
+    """Facets of the convex hull of integer points in Z^k.
+
+    Each facet is (outward normal, offset, indices of the points on it),
+    with normal . x <= offset at every point; points on one hyperplane give
+    it once, oriented to a positive last component.  A k-subset spans a
+    hyperplane when its rows (x, 1) are independent, and the maximal minors
+    of those rows give its normal and offset.  The minors grow one row at a
+    time along the tree of subsets, which prunes dependent prefixes;
+    subsets inside a facet already found are skipped.
+    """
+    k = len(points[0])
+    rows = [p + (1,) for p in points]
+    found: Dict[FrozenSet[int], Tuple[Tuple[int, ...], int]] = {}
+
+    def grow(start: int, chosen: Tuple[int, ...], minors: Dict[tuple, int]):
+        t = len(chosen)
+        cols = list(combinations(range(k + 1), t + 1))
+        linear = []  # a minor with one more row r is linear in r
+        for c in cols:
+            coef = [0] * (k + 1)
+            for a, j in enumerate(c):
+                coef[j] = (-1) ** (t + a) * minors[c[:a] + c[a + 1:]]
+            linear.append(coef)
+        for i in range(start, len(rows) - k + t + 1):
+            sub = chosen + (i,)
+            if t + 1 == k and any(c.issuperset(sub) for c in found):
+                continue
+            more = [_dot(coef, rows[i]) for coef in linear]
+            if not any(more):
+                continue
+            if t + 1 < k:
+                grow(i + 1, sub, dict(zip(cols, more)))
+            else:
+                add(more)
+
+    def add(minors: List[int]):
+        # cofactors of the k rows; the minor without column j is at k - j
+        normal = [(-1) ** j * minors[k - j] for j in range(k + 1)]
+        side = (_dot(normal, r) for r in rows)
+        if next((s for s in side if s), -normal[k - 1]) > 0:
+            normal = [-a for a in normal]
+        if any(_dot(normal, r) > 0 for r in rows):
+            return
+        found[frozenset(i for i, r in enumerate(rows)
+                        if not _dot(normal, r))] = (tuple(normal[:k]),
+                                                    -normal[k])
+
+    grow(0, (), {(): 1})
+    return [(n, b, c) for c, (n, b) in found.items()]
 
 
 def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
+    """Exponents go to pivot coordinates of their affine hull (dimension
+    k), heights to integers over a common denominator.  A point is on the
+    hull iff an upper facet touches it, a hull vertex iff the normals of the
+    upper and Newton facets through it have rank k + 1, and a Newton vertex
+    iff its Newton normals have rank k."""
     exps = sorted(f.terms)
     heights = [f.terms[e].value for e in exps]
     lifted = dict(zip(exps, heights))
+    base = exps[0]
+    affine = _echelon([[a - b for a, b in zip(e, base)] for e in exps])
+    pivots = [c for c, _ in affine]
+    k = len(pivots)
+    xs = [tuple(e[c] for c in pivots) for e in exps]
+    scale = lcm(*(h.denominator for h in heights))
+    points = [x + (h.numerator * (scale // h.denominator),)
+              for x, h in zip(xs, heights)]
+    newton = _facets(xs) if k else []
+    upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
+
     classification = {}
-    for j, e in enumerate(exps):
-        h = _hull_height_lp(exps, heights, e)
-        if h > heights[j]:
+    interior = []
+    for i, e in enumerate(exps):
+        walls = [n + (0,) for n, _, c in newton if i in c]
+        roofs = [n for n, _, c in upper if i in c]
+        if not roofs:
             classification[e] = INESSENTIAL
-        elif _is_quasi_lp(exps, heights, j):
+        elif len(_echelon(roofs + walls)) <= k:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-    lo = f.lower_degree()
-    hi = f.total_degree()
-    box = [range(min(e[k] for e in exps), max(e[k] for e in exps) + 1)
-           for k in range(f.arity)]
+            if len(_echelon(walls)) < k:
+                interior.append(e)
+
+    box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
+           for c in range(f.arity)]
     lattice = {}
     for v in iter_product(*box):
-        if not lo <= sum(v) <= hi:
+        if any(_reduce(affine, [a - b for a, b in zip(v, base)])):
             continue
-        h = _hull_height_lp(exps, heights, v)
-        if h is not None:
-            lattice[v] = h
-    interior = [e for e, cls in classification.items()
-                if cls == ESSENTIAL and not _newton_vertex(exps, e)]
+        x = tuple(v[c] for c in pivots)
+        if any(_dot(n, x) > b for n, b, _ in newton):
+            continue
+        # _dot stops at the end of x, before the height component
+        lattice[v] = min(Fraction(b - _dot(n, x), n[-1] * scale)
+                         for n, b, _ in upper)
+    subdivision = None
+    if f.arity == 2:
+        subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
     return EssentialComplex(f.arity, lifted, classification, lattice,
-                            None, interior)
-
-
-def _newton_vertex(exps: List[Exponent], e: Exponent) -> bool:
-    """Is e a vertex of the Newton polytope (convex hull of all exponents)?"""
-    others = [x for x in exps if x != e]
-    if not others:
-        return True
-    n = len(e)
-    A = [[Fraction(1)] * len(others)]
-    b = [Fraction(1)]
-    for k in range(n):
-        A.append([Fraction(x[k]) for x in others])
-        b.append(Fraction(e[k]))
-    return not lp_feasible(A, b)
-
-
-def _subdivision_2d(exps: List[Exponent], heights: List[Fraction]
-                    ) -> List[List[Exponent]]:
-    """Top-dimensional cells of the subdivision dual to the upper hull."""
-    m = len(exps)
-    if m < 2:
-        return [list(exps)]
-
-    def cross(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    collinear = all(cross(exps[0], exps[1], exps[k]) == 0 for k in range(2, m))
-    if m == 2 or collinear:
-        # support lies on a line: parametrize and reuse the 1d sweep
-        dx = [e - b for e, b in zip(max(exps), min(exps))]
-        from math import gcd
-        g = gcd(abs(dx[0]), abs(dx[1])) or 1
-        d = (dx[0] // g, dx[1] // g)
-        base = min(exps)
-
-        def param(e):
-            return (e[0] - base[0]) * d[0] + (e[1] - base[1]) * d[1]
-
-        pts = sorted((Fraction(param(e)), h) for e, h in zip(exps, heights))
-        hull = _upper_hull_vertices_1d(pts)
-        cells = []
-        by_param = {param(e): e for e in exps}
-        for (x1, _), (x2, _) in zip(hull, hull[1:]):
-            cell = [by_param[t] for t in sorted(by_param)
-                    if x1 <= t <= x2 and Fraction(heights[exps.index(by_param[t])])
-                    == _interp(hull, Fraction(t))]
-            cells.append(cell)
-        return cells if cells else [list(exps)]
-
-    found = {}
-    for a in range(m):
-        for b_ in range(a + 1, m):
-            for c_ in range(b_ + 1, m):
-                p, q, r = exps[a], exps[b_], exps[c_]
-                det = cross(p, q, r)
-                if det == 0:
-                    continue
-                # plane z = c1 x + c2 y + d through the three lifted points
-                hp, hq, hr = heights[a], heights[b_], heights[c_]
-                c1 = ((hq - hp) * (r[1] - p[1]) - (hr - hp) * (q[1] - p[1]))
-                c1 = Fraction(c1, det)
-                c2 = ((hr - hp) * (q[0] - p[0]) - (hq - hp) * (r[0] - p[0]))
-                c2 = Fraction(c2, det)
-                d = hp - c1 * p[0] - c2 * p[1]
-                ok = True
-                eq = []
-                for k in range(m):
-                    val = c1 * exps[k][0] + c2 * exps[k][1] + d
-                    if val < heights[k]:
-                        ok = False
-                        break
-                    if val == heights[k]:
-                        eq.append(exps[k])
-                if ok:
-                    key = frozenset(eq)
-                    found[key] = sorted(eq)
-    maximal = [cell for key, cell in found.items()
-               if not any(key < other for other in found)]
-    maximal.sort()
-    return maximal
+                            subdivision, interior)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +248,8 @@ def _subdivision_2d(exps: List[Exponent], heights: List[Fraction]
 
 def classify_monomials(f: TropicalPolynomial,
                        with_subdivision: bool = False) -> EssentialComplex:
+    """The hull complex of f, shared through a cache.  The subdivision is
+    given for arities 1 and 2; ``with_subdivision`` changes nothing."""
     if f.is_empty():
         raise EmptyPolynomial("no monomials to classify")
     key = _canonical_key(f)
@@ -261,12 +259,6 @@ def classify_monomials(f: TropicalPolynomial,
         if len(_COMPLEX_CACHE) >= _CACHE_LIMIT:
             _COMPLEX_CACHE.clear()
         _COMPLEX_CACHE[key] = cx
-    # the planar subdivision is cubic in the number of terms, so it is
-    # only computed on request and then kept on the cached complex
-    if with_subdivision and f.arity == 2 and cx.subdivision is None:
-        exps = sorted(f.terms)
-        heights = [f.terms[e].value for e in exps]
-        cx.subdivision = _subdivision_2d(exps, heights)
     return cx
 
 
@@ -357,7 +349,8 @@ def slope_sequence(f: TropicalPolynomial) -> SlopeSequence:
     for i in range(hi, lo, -1):
         slopes.append(heights[i - 1] - heights[i])
         edges.append(((i, heights[i]), (i - 1, heights[i - 1])))
-    assert all(a >= b for a, b in zip(slopes, slopes[1:]))
+    if any(a < b for a, b in zip(slopes, slopes[1:])):
+        raise InternalInconsistency("slopes of a full closure ascend")
     return SlopeSequence(slopes, edges)
 
 

@@ -209,15 +209,3 @@ def variable(index: int = 0, arity: int = 1) -> TropicalPolynomial:
 
 def monomial(coeff: TropicalNumber, exp: Exponent) -> TropicalPolynomial:
     return TropicalPolynomial(len(exp), {tuple(exp): coeff})
-
-
-def poly_add(f, g):
-    return f + g
-
-
-def poly_mul(f, g):
-    return f * g
-
-
-def poly_pow(f, k):
-    return f ** k

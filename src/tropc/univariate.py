@@ -11,9 +11,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (NEG_INFINITY, TropicalNumber, ghost, tangible, trop_mul)
-from .errors import (ArityUnsupported, ConstantTangibleAmongInputs,
-                     ConstantTangibleInput, EmptyPolynomial,
-                     InternalInconsistency, NotFull, NotTangibleFull)
+from .errors import (ArityMismatch, ArityUnsupported,
+                     ConstantTangibleAmongInputs, ConstantTangibleInput,
+                     EmptyPolynomial, InternalInconsistency, NotFull,
+                     NotTangibleFull)
 from .essential import essential_part, full_closure, red_mul, slope_sequence
 from .polynomial import TropicalPolynomial, constant, variable
 
@@ -155,7 +156,7 @@ def common_root(fs: Sequence[TropicalPolynomial]
     saw_nonconstant = False
     for f in fs:
         if f.arity != arity:
-            raise ArityUnsupported("mixed arities have no common point")
+            raise ArityMismatch("mixed arities have no common point")
         if f.is_empty():
             continue
         if f.is_constant():

@@ -1,15 +1,19 @@
 """Essential parts, full closure, functional equivalence, reduced ops."""
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from tropc import (EmptyPolynomial, MonomialInput, NEG_INFINITY,
-                   TropicalPolynomial, classify_monomials, divides,
-                   equivalent, essential_part, full_closure, ghost, is_full,
-                   parse_poly, red_add, red_mul, red_pow, slope_sequence,
-                   tangible)
-from util import (critical_points_1d, eval_points, rand_poly,
+import tropc.essential
+from lp_reference import reference_complex
+from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
+                   MonomialInput, NEG_INFINITY, TropicalPolynomial,
+                   classify_monomials, divides, equivalent, essential_part,
+                   format_poly, full_closure, ghost, is_full, parse_poly,
+                   red_add, red_mul, red_pow, slope_sequence, tangible)
+from util import (critical_points_1d, eval_points, rand_fraction, rand_poly,
                   rand_tangible_full, same_function_1d)
 
 P = parse_poly
@@ -55,6 +59,89 @@ class TestClassification:
                     assert same_function_1d(f, rest)
                 elif cls == "essential":
                     assert not same_function_1d(f, rest)
+
+
+def _fields(cx: EssentialComplex):
+    """Every field of a complex as text; dicts in key order, so the text
+    tells Fractions from ints but not dict insertion orders apart."""
+    return [(f.name, repr(sorted(v.items()) if isinstance(v, dict) else v))
+            for f in dataclasses.fields(cx) for v in [getattr(cx, f.name)]]
+
+
+def _reference_case(rng: random.Random, kind: str) -> TropicalPolynomial:
+    arity = rng.choice((2, 2, 3))
+    if kind == "single":
+        return rand_poly(rng, arity, 3, 1)
+    if kind == "collinear":
+        step = tuple(rng.randint(0, 2) for _ in range(arity))
+        start = tuple(rng.randint(0, 2) for _ in range(arity))
+        count = rng.randint(2, 4) if any(step) else 1
+        return TropicalPolynomial(arity, {
+            tuple(a + j * d for a, d in zip(start, step)):
+                tangible(rand_fraction(rng)) for j in range(count)})
+    if kind == "coplanar":  # a plane inside three variables
+        u, w = (1, rng.randint(0, 1), 0), (0, rng.randint(0, 2), 1)
+        terms = {tuple(i * a + j * b for a, b in zip(u, w)):
+                 tangible(rand_fraction(rng))
+                 for i in range(3) for j in range(3) if rng.random() < 0.6}
+        return TropicalPolynomial(3, terms or {(0, 0, 0): tangible(0)})
+    f = rand_poly(rng, arity, rng.randint(1, 4 if arity == 2 else 3), 7)
+    if kind == "flat":  # heights affine in the exponent
+        c = [rand_fraction(rng, -3, 3) for _ in range(arity + 1)]
+        return TropicalPolynomial(arity, {
+            e: tangible(c[0] + sum(a * x for a, x in zip(c[1:], e)))
+            for e in f.terms})
+    if kind == "fractional":
+        return TropicalPolynomial(arity, {
+            e: tangible(rand_fraction(rng, denominators=(2, 3, 5, 6, 7)))
+            for e in f.terms})
+    return f
+
+
+class TestAgainstLpReference:
+    """The facet kernel gives every field of the exact-LP hull path."""
+
+    def assert_same(self, f):
+        got = _fields(classify_monomials(f, with_subdivision=True))
+        assert got == _fields(reference_complex(f)), format_poly(f)
+
+    def test_pinned(self):
+        for text in ("(x + y + 0)^4", "(x + y + z + 0)^3", "x*y + x + y + 0",
+                     "x^2 + x*y + y^2 + 0*x + 0*y + 0", "3v*x*y",
+                     "x^3*y + 1/2*x*y^3 + -1/3", "x*z + 1*x^2*z^2 + 0"):
+            self.assert_same(P(text))
+
+    def test_random(self):
+        rng = random.Random(53)
+        kinds = ["random", "random", "collinear", "coplanar", "flat",
+                 "fractional", "single"]
+        seen = Counter()
+        for i in range(1050):
+            f = _reference_case(rng, kinds[i % len(kinds)])
+            self.assert_same(f)
+            seen[(f.arity, len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, min(f.terms))]
+                 for e in f.terms])))] += 1
+        # every dimension of support occurs in both arities
+        assert all(seen[(a, k)] for a in (2, 3) for k in range(a + 1))
+
+
+class TestComplexIsShared:
+    def test_subdivision_independent_of_earlier_calls(self):
+        f = P("x^2*y + 2*x*y^2 + x + y + 1/2")
+        tropc.essential._COMPLEX_CACHE.clear()
+        fresh = classify_monomials(f).subdivision
+        classify_monomials(f, with_subdivision=True)
+        assert classify_monomials(f).subdivision == fresh
+        tropc.essential._COMPLEX_CACHE.clear()
+        classify_monomials(f, with_subdivision=True)
+        assert classify_monomials(f).subdivision == fresh
+        assert fresh == reference_complex(f).subdivision
+
+    def test_frozen(self):
+        cx = classify_monomials(P("x*y + x + 0"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cx.subdivision = None
 
 
 class TestEssentialPart:
@@ -156,6 +243,14 @@ class TestSlopeSequence:
     def test_monomial_raises(self):
         with pytest.raises(MonomialInput):
             slope_sequence(P("3*x^2"))
+
+    def test_ascending_slopes_raise(self, monkeypatch):
+        # a closure with ascending slopes is a broken invariant, not an
+        # assert that -O strips
+        monkeypatch.setattr(tropc.essential, "full_closure",
+                            lambda f: P("x^2 + 0*x + 5"))
+        with pytest.raises(InternalInconsistency):
+            slope_sequence(P("x^2 + 0"))
 
     def test_descending_on_random_products(self):
         rng = random.Random(43)

@@ -96,6 +96,16 @@ class TestCli:
         code, out, _ = run(capsys, "essential", "-")
         assert code == 0 and out.strip() == "x + 2"
 
+    def test_stdin_read_once_for_repeated_dash(self, capsys, monkeypatch):
+        import io
+        monkeypatch.setattr("sys.stdin", io.StringIO("x + 2\n"))
+        code, out, _ = run(capsys, "equiv", "-", "-")
+        assert code == 0 and out.strip() == "true"
+
+    def test_common_root_mixed_arities(self, capsys):
+        code, _, err = run(capsys, "common-root", "x + 1", "x*y + 1")
+        assert code == 1 and err.startswith("error: ArityMismatch")
+
     def test_full_and_reduced(self, capsys):
         code, out, _ = run(capsys, "full", "x^2 + 0")
         assert code == 0 and out.strip() == "x^2 + 0v*x + 0"
