@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .core import TropicalNumber
-from .errors import (MaxDegreeExceeded, PolySyntaxError, TropicalError)
+from .errors import PolySyntaxError, TropicalError
 from .essential import (classify_monomials, equivalent, essential_part,
                         full_closure)
 from .ideals import (IdealFG, ideal_member_syntactic, is_ghost_potent,
@@ -38,11 +38,7 @@ def _read_arg(text: str, opts) -> str:
 
 
 def _load_poly(text: str, opts) -> TropicalPolynomial:
-    f = parse_poly(_read_arg(text, opts))
-    if not f.is_empty() and f.total_degree() > opts.max_degree:
-        raise MaxDegreeExceeded(
-            f"degree {f.total_degree()} exceeds --max-degree "
-            f"{opts.max_degree}")
+    f = parse_poly(_read_arg(text, opts), max_degree=opts.max_degree)
     if opts.reduced:
         f = full_closure(f)
     return f
@@ -212,9 +208,8 @@ def _cmd_comset(opts) -> int:
 
 
 def _cmd_curve2d(opts) -> int:
-    f = parse_poly(_read_arg(opts.poly, opts), arity=2)
-    if not f.is_empty() and f.total_degree() > opts.max_degree:
-        raise MaxDegreeExceeded("degree exceeds --max-degree")
+    f = parse_poly(_read_arg(opts.poly, opts), arity=2,
+                   max_degree=opts.max_degree)
     if opts.reduced:
         f = full_closure(f)
     try:

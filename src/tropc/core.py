@@ -21,7 +21,7 @@ TAG_NEG_INF = "ninf"
 RationalLike = Union[int, str, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TropicalNumber:
     tag: str
     value: Optional[Fraction] = None
@@ -32,6 +32,11 @@ class TropicalNumber:
                 raise ValueError("-inf carries no value")
         elif self.tag in (TAG_TANGIBLE, TAG_GHOST):
             if not isinstance(self.value, Fraction):
+                if isinstance(self.value, float):
+                    # a binary float is not the rational it was written as
+                    raise TypeError(
+                        f"inexact float value {self.value!r}; pass an int, "
+                        "a str or a Fraction")
                 object.__setattr__(self, "value", Fraction(self.value))
         else:
             raise ValueError(f"unknown tag {self.tag!r}")
@@ -132,11 +137,11 @@ NEG_INFINITY = TropicalNumber(TAG_NEG_INF)
 
 
 def tangible(v: RationalLike) -> TropicalNumber:
-    return TropicalNumber(TAG_TANGIBLE, Fraction(v))
+    return TropicalNumber(TAG_TANGIBLE, v)
 
 
 def ghost(v: RationalLike) -> TropicalNumber:
-    return TropicalNumber(TAG_GHOST, Fraction(v))
+    return TropicalNumber(TAG_GHOST, v)
 
 
 TANGIBLE_ZERO = tangible(0)

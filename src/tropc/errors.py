@@ -74,7 +74,7 @@ class CertificateSearchExceeded(TropicalError):
 
 
 class MaxDegreeExceeded(TropicalError):
-    """An input exceeds the CLI degree guardrail."""
+    """An input exceeds the parser's degree bound (the CLI's --max-degree)."""
     name = "MaxDegreeExceeded"
 
 

@@ -6,6 +6,12 @@ optionally raised to a nonnegative integer power with '^'.  Numbers are
 exact rationals like 3, -5/2; a trailing 'v' marks a ghost coefficient and
 '-inf' is the bottom element.  Variables are x, y, z or x1, x2, ...
 Parenthesized products and powers are evaluated in the raw semiring.
+
+With ``max_degree`` set, a factor, power or product above that total degree
+is refused before it is computed.  Degrees add under '*' and multiply
+under '^' (the top terms of a max-plus product of non-empty polynomials do
+not cancel), so the bound is known in advance; a sub-expression above it is
+refused even where a later '-inf' factor or '^0' would shrink the result.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
-from .errors import ArityMismatch, PolySyntaxError
+from .errors import ArityMismatch, MaxDegreeExceeded, PolySyntaxError
 from .polynomial import TropicalPolynomial, constant, variable
 
 _TOKEN_RE = re.compile(
@@ -81,10 +87,23 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], arity: int):
+    def __init__(self, tokens: List[_Token], arity: int,
+                 max_degree: Optional[int] = None):
         self.tokens = tokens
         self.i = 0
         self.arity = arity
+        self.max_degree = max_degree
+
+    def check_degree(self, factors: Tuple[TropicalPolynomial, ...], k=1):
+        """Refuse the product of ``factors`` to the power ``k`` before it is
+        built when its total degree is above ``max_degree``; an empty factor
+        makes the product empty."""
+        if self.max_degree is None or any(f.is_empty() for f in factors):
+            return
+        degree = k * sum(f.total_degree() for f in factors)
+        if degree > self.max_degree:
+            raise MaxDegreeExceeded(
+                f"degree {degree} exceeds max degree {self.max_degree}")
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -115,11 +134,11 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "*":
                 self.advance()
-                acc = acc * self.parse_factor()
-            elif tok.kind in ("num", "var", "("):
-                acc = acc * self.parse_factor()
-            else:
+            elif tok.kind not in ("num", "var", "("):
                 return acc
+            factor = self.parse_factor()
+            self.check_degree((acc, factor))
+            acc = acc * factor
 
     def parse_factor(self) -> TropicalPolynomial:
         base = self.parse_primary()
@@ -131,7 +150,10 @@ class _Parser:
                     or coeff.value.denominator != 1 or coeff.value < 0):
                 raise PolySyntaxError(
                     "exponent must be a nonnegative integer", tok.pos)
-            return base ** int(coeff.value)
+            k = int(coeff.value)
+            self.check_degree((base,), k)
+            return base ** k
+        self.check_degree((base,))
         return base
 
     def parse_primary(self) -> TropicalPolynomial:
@@ -151,7 +173,10 @@ class _Parser:
             f"expected a term, found {tok.text or 'end of input'!r}", tok.pos)
 
 
-def parse_poly(text: str, arity: Optional[int] = None) -> TropicalPolynomial:
+def parse_poly(text: str, arity: Optional[int] = None,
+               max_degree: Optional[int] = None) -> TropicalPolynomial:
+    """Parse ``text``; with ``max_degree``, raise ``MaxDegreeExceeded``
+    before building any sub-expression of larger total degree."""
     tokens = _tokenize(text)
     used = [tok.payload for tok in tokens if tok.kind == "var"]
     needed = max(used) + 1 if used else 1
@@ -160,7 +185,7 @@ def parse_poly(text: str, arity: Optional[int] = None) -> TropicalPolynomial:
     elif arity < needed:
         raise ArityMismatch(
             f"text uses {needed} variables but arity {arity} was requested")
-    parser = _Parser(tokens, arity)
+    parser = _Parser(tokens, arity, max_degree)
     poly = parser.parse_expr()
     end = parser.peek()
     if end.kind != "end":

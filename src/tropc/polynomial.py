@@ -2,18 +2,59 @@
 
 Terms are kept in a dict keyed by exponent tuples.  The empty polynomial
 (the constant -inf) is allowed; degree markers are undefined for it.
+
+Products, substitution and evaluation share one exact integer kernel: the
+values an operation touches are scaled to integers over their common
+denominator, and rows ``(key, scaled value, ghost flag)`` are merged by
+``_merge``.  A ``Fraction`` is built once per output key.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from math import lcm
+from operator import add
+from typing import Dict, Iterable, List, Tuple
 
-from .core import (NEG_INFINITY, TropicalNumber, ghost, ghost_of, tangible,
-                   trop_add, trop_mul)
+from .core import (NEG_INFINITY, TAG_GHOST, TAG_NEG_INF, TAG_TANGIBLE,
+                   TropicalNumber, tangible, trop_add, trop_mul)
 from .errors import ArityMismatch, EmptyPolynomial
 
 Exponent = Tuple[int, ...]
+
+
+def _common_den(*groups: Iterable[TropicalNumber]) -> int:
+    """Least common denominator of the values (``-inf`` carries none)."""
+    return lcm(*{c.value.denominator for group in groups for c in group
+                 if c.tag != TAG_NEG_INF})
+
+
+def _scaled(numbers: Dict, den: int) -> list:
+    """Rows ``(key, value * den, ghost flag)`` of a dict of numbers, the
+    scaled value an int, or None for -inf."""
+    return [(key, None, False) if c.tag == TAG_NEG_INF else
+            (key, c.value.numerator * (den // c.value.denominator),
+             c.tag == TAG_GHOST)
+            for key, c in numbers.items()]
+
+
+def _merge(rows, den: int) -> Dict[tuple, TropicalNumber]:
+    """Sum rows ``(key, scaled value, ghost flag)`` per key in the semiring.
+
+    The sum is the maximum; it is ghost when a ghost row reaches the
+    maximum or two rows tie at it, which is what a left fold with
+    ``trop_add`` gives in any order.
+    """
+    best: Dict[tuple, list] = {}
+    for key, s, g in rows:
+        old = best.get(key)
+        if old is None or s > old[0]:
+            best[key] = [s, g]
+        elif s == old[0]:
+            old[1] = True
+    return {key: TropicalNumber(TAG_GHOST if g else TAG_TANGIBLE,
+                                Fraction(s, den))
+            for key, (s, g) in best.items()}
 
 
 def _sort_key(exp: Exponent):
@@ -94,13 +135,12 @@ class TropicalPolynomial:
 
     def __mul__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         self._check_arity(other)
-        out: Dict[Exponent, TropicalNumber] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = trop_mul(c1, c2)
-                out[exp] = trop_add(out[exp], prod) if exp in out else prod
-        return TropicalPolynomial(self.arity, out)
+        den = _common_den(self.terms.values(), other.terms.values())
+        right = _scaled(other.terms, den)
+        rows = ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
+                for e1, s1, g1 in _scaled(self.terms, den)
+                for e2, s2, g2 in right)
+        return TropicalPolynomial(self.arity, _merge(rows, den))
 
     def __pow__(self, k: int) -> "TropicalPolynomial":
         if k < 0:
@@ -124,14 +164,7 @@ class TropicalPolynomial:
         if len(point) != self.arity:
             raise ArityMismatch(
                 f"point of length {len(point)} for arity {self.arity}")
-        acc = NEG_INFINITY
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for e, c in zip(exp, point):
-                if e:
-                    val = trop_mul(val, c ** e)
-            acc = trop_add(acc, val)
-        return acc
+        return self._fix(dict(enumerate(point)), ()).get((), NEG_INFINITY)
 
     def is_root(self, point: Iterable[TropicalNumber]) -> bool:
         """A point is a root when the value lies in the ghost ideal."""
@@ -170,18 +203,27 @@ class TropicalPolynomial:
 
         The remaining variables keep their relative order.
         """
-        keep = [i for i in range(self.arity) if i not in assignment]
-        out: Dict[Exponent, TropicalNumber] = {}
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for i, a in assignment.items():
-                if exp[i]:
-                    val = trop_mul(val, a ** exp[i])
-            if val.is_neg_inf():
-                continue
-            new_exp = tuple(exp[i] for i in keep)
-            out[new_exp] = trop_add(out[new_exp], val) if new_exp in out else val
-        return TropicalPolynomial(len(keep), out)
+        keep = tuple(i for i in range(self.arity) if i not in assignment)
+        return TropicalPolynomial(len(keep), self._fix(assignment, keep))
+
+    def _fix(self, assignment: Dict[int, TropicalNumber], keep: Exponent,
+             ) -> Dict[Exponent, TropicalNumber]:
+        """Terms with the assigned variables fixed, keyed by the exponents of
+        the kept ones; a term whose positive power meets -inf is dropped."""
+        den = _common_den(self.terms.values(), assignment.values())
+        fixed = _scaled(assignment, den)
+        rows = []
+        for exp, s, g in _scaled(self.terms, den):
+            for i, a, ga in fixed:
+                e = exp[i]
+                if e:
+                    if a is None:
+                        break
+                    s += e * a
+                    g = g or ga
+            else:
+                rows.append((tuple([exp[i] for i in keep]), s, g))
+        return _merge(rows, den)
 
     # -- JSON --------------------------------------------------------------
     def to_json(self):

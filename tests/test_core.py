@@ -1,4 +1,5 @@
 """Semiring arithmetic: pinned examples and algebraic laws."""
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -77,6 +78,26 @@ class TestExamples:
         for a in (tangible(Fraction(-5, 2)), ghost(3), NEG_INFINITY):
             assert TropicalNumber.parse(str(a)) == a
             assert TropicalNumber.from_json(a.to_json()) == a
+
+
+class TestExactValues:
+    def test_float_refused(self):
+        # 0.1 is not a rational with a short denominator: refuse, not round
+        for make in (tangible, ghost):
+            with pytest.raises(TypeError):
+                make(0.1)
+        with pytest.raises(TypeError):
+            TropicalNumber("t", 0.5)
+        assert tangible("1/10").value == Fraction(1, 10)
+        assert ghost(3).value == Fraction(3)
+        assert TropicalNumber("g", 2) == ghost(2)
+
+    def test_frozen_with_slots(self):
+        a = tangible(1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.value = Fraction(2)
+        assert not hasattr(a, "__dict__")
+        assert hash(a) == hash(tangible(Fraction(1)))
 
 
 class TestLaws:

@@ -1,12 +1,14 @@
 """Text syntax round trips and the command line interface."""
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from tropc import (ArityMismatch, PolySyntaxError, TropicalPolynomial,
-                   format_poly, ghost, parse_poly, tangible)
+from tropc import (ArityMismatch, MaxDegreeExceeded, PolySyntaxError,
+                   TropicalPolynomial, format_poly, ghost, parse_poly,
+                   tangible)
 from tropc.cli import run_cli
 from util import rand_poly
 
@@ -176,6 +178,34 @@ class TestCli:
     def test_max_degree(self, capsys):
         code, _, err = run(capsys, "--max-degree", "3", "essential", "x^5")
         assert code == 1 and "MaxDegreeExceeded" in err
+
+    def test_max_degree_refused_before_expanding(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--max-degree", "8", "eval",
+                             "(x+1)^2000", "0")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == "" and "MaxDegreeExceeded" in err
+        code, _, err = run(capsys, "--max-degree", "8", "curve2d",
+                           "(x + y + 0)^9")
+        assert code == 1 and "MaxDegreeExceeded" in err
+
+    def test_max_degree_bounds_every_subexpression(self, capsys):
+        # refused although the -inf factor makes the whole product empty
+        code, _, err = run(capsys, "--max-degree", "8", "eval", "--",
+                           "-inf*(x+1)^100", "0")
+        assert code == 1 and "MaxDegreeExceeded" in err
+        assert P("-inf*(x+1)^100").is_empty()
+        with pytest.raises(MaxDegreeExceeded):
+            P("-inf*(x+1)^100", max_degree=8)
+
+    def test_max_degree_in_the_parser(self):
+        assert P("(x + 1)^4*(y + 2)^4", max_degree=8).total_degree() == 8
+        assert P("x*x*x", max_degree=3) == P("x^3")
+        assert P("x^0 + 3", max_degree=0) == P("3")
+        assert P("-inf", max_degree=0).is_empty()
+        for text in ("x^9", "x^4*y^5", "x*x*x*x", "(x^2 + 1)^5"):
+            with pytest.raises(MaxDegreeExceeded):
+                P(text, max_degree=8 if "^" in text else 3)
 
     def test_version(self, capsys):
         code, out, _ = run(capsys, "--version")
