@@ -7,9 +7,10 @@ inessential when it lies strictly below.  The essential part is a canonical
 representative of functional equivalence, and the full closure adds every
 hull lattice point as a ghost term.
 
-Univariate hulls are computed by a direct sweep; higher arities read every
-hull fact off the exact facets of the Newton polytope and of the lifted
-points, both enumerated on integer points.
+Every hull runs on integers: the heights are scaled over their common
+denominator.  Univariate hulls come from one upper-hull sweep whose edges
+are walked once; higher arities read every hull fact off the exact facets
+of the Newton polytope and of the lifted points.
 """
 from __future__ import annotations
 
@@ -40,71 +41,60 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
-def _canonical_key(f: TropicalPolynomial):
-    return (f.arity, tuple(sorted(
-        (e, c.tag, c.value) for e, c in f.terms.items())))
-
-
-_COMPLEX_CACHE: Dict[tuple, EssentialComplex] = {}
-_CACHE_LIMIT = 8192
-
-
 # ---------------------------------------------------------------------------
-# univariate hull sweep
+# univariate hull: one integer sweep
 
 
-def _upper_hull_vertices_1d(pts: List[Tuple[Fraction, Fraction]]
-                            ) -> List[Tuple[Fraction, Fraction]]:
-    """Vertices of the upper hull of (x, y) points sorted by x.
-
-    Collinear intermediate points are dropped, so the result is exactly the
-    vertex list.
-    """
-    hull: List[Tuple[Fraction, Fraction]] = []
-    for p in pts:
+def _hull_1d(f: TropicalPolynomial
+             ) -> Tuple[List[Tuple[int, int]], int, List[Tuple[int, int]]]:
+    """Lifted points ``(exponent, height * scale)`` in ascending order, the
+    scale (the common denominator of the heights) and the vertices of the
+    points' upper hull.  A middle point is dropped unless it makes a strict
+    right turn, so collinear points are not vertices."""
+    scale = lcm(*(c.value.denominator for c in f.terms.values()))
+    points = sorted((e[0], c.value.numerator * (scale // c.value.denominator))
+                    for e, c in f.terms.items())
+    hull: List[Tuple[int, int]] = []
+    for x, y in points:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point unless it makes a strict right turn
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= 0:
+            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) >= 0:
                 hull.pop()
             else:
                 break
-        hull.append(p)
-    return hull
-
-
-def _interp(hull: List[Tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
-    """Height of the upper hull over x (x within the hull's span)."""
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if x1 <= x <= x2:
-            if x1 == x2:
-                return max(y1, y2)
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return hull[0][1]  # single-point hull
+        hull.append((x, y))
+    return points, scale, hull
 
 
 def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
-    pts = sorted((Fraction(e[0]), c.value) for e, c in f.terms.items())
-    hull = _upper_hull_vertices_1d(pts)
-    vertex_xs = {p[0] for p in hull}
+    """Each hull edge ``(x1, y1)-(x2, y2)`` of width w is walked once.  Over
+    a lattice x on it the hull height times ``w * scale`` is the integer
+    ``y1 * w + (y2 - y1) * (x - x1)``: the ends of the edge are essential
+    terms, a term that ties it is quasi-essential, any other inessential."""
+    points, scale, hull = _hull_1d(f)
+    heights = dict(points)
     lifted = {e: c.value for e, c in f.terms.items()}
-    classification = {}
-    for e, c in f.terms.items():
-        x = Fraction(e[0])
-        if x in vertex_xs:
-            classification[e] = ESSENTIAL
-        elif c.value == _interp(hull, x):
-            classification[e] = QUASI
-        else:
-            classification[e] = INESSENTIAL
-    lo = int(min(p[0] for p in pts))
-    hi = int(max(p[0] for p in pts))
-    lattice = {(x,): _interp(hull, Fraction(x)) for x in range(lo, hi + 1)}
+    classification = dict.fromkeys(f.terms, INESSENTIAL)
+    first = (hull[0][0],)
+    classification[first] = ESSENTIAL
+    lattice = {first: lifted[first]}
     cells: List[List[Exponent]] = []
-    for (x1, _), (x2, _) in zip(hull, hull[1:]):
-        cells.append([(x,) for x in range(int(x1), int(x2) + 1)
-                      if (x,) in lifted and classification[(x,)] != INESSENTIAL])
-    interior = [(int(p[0]),) for p in hull[1:-1]]
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        w = x2 - x1
+        cell = [(x1,)]
+        for x in range(x1 + 1, x2):
+            t = y1 * w + (y2 - y1) * (x - x1)
+            lattice[(x,)] = Fraction(t, w * scale)
+            y = heights.get(x)
+            if y is not None and y * w == t:
+                classification[(x,)] = QUASI
+                cell.append((x,))
+        end = (x2,)
+        classification[end] = ESSENTIAL
+        lattice[end] = lifted[end]
+        cell.append(end)
+        cells.append(cell)
+    interior = [(x,) for x, _ in hull[1:-1]]
     return EssentialComplex(1, lifted, classification, lattice, cells, interior)
 
 
@@ -248,25 +238,18 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
 
 def classify_monomials(f: TropicalPolynomial,
                        with_subdivision: bool = False) -> EssentialComplex:
-    """The hull complex of f, shared through a cache.  The subdivision is
-    given for arities 1 and 2; ``with_subdivision`` changes nothing."""
+    """The hull complex of f.  The subdivision is given for arities 1 and
+    2; ``with_subdivision`` changes nothing."""
     if f.is_empty():
         raise EmptyPolynomial("no monomials to classify")
-    key = _canonical_key(f)
-    cx = _COMPLEX_CACHE.get(key)
-    if cx is None:
-        cx = _complex_1d(f) if f.arity == 1 else _complex_nd(f)
-        if len(_COMPLEX_CACHE) >= _CACHE_LIMIT:
-            _COMPLEX_CACHE.clear()
-        _COMPLEX_CACHE[key] = cx
-    return cx
+    return _complex_1d(f) if f.arity == 1 else _complex_nd(f)
 
 
 def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
     if f.is_empty():
         return f
     cx = classify_monomials(f)
-    return TropicalPolynomial(
+    return TropicalPolynomial._canonical(
         f.arity, {e: c for e, c in f.terms.items()
                   if cx.classification[e] == ESSENTIAL})
 
@@ -281,7 +264,7 @@ def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
     for v, h in cx.hull_lattice_points.items():
         if v not in terms:
             terms[v] = ghost(h)
-    return TropicalPolynomial(f.arity, terms)
+    return TropicalPolynomial._canonical(f.arity, terms)
 
 
 def is_full(f: TropicalPolynomial) -> bool:

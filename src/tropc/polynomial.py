@@ -84,6 +84,18 @@ class TropicalPolynomial:
                 clean[exp] = coeff
         self.terms = clean
 
+    @classmethod
+    def _canonical(cls, arity: int, terms: Dict[Exponent, TropicalNumber]
+                   ) -> "TropicalPolynomial":
+        """A polynomial on terms that are already clean: int exponent tuples
+        of length ``arity``, one per key, no ``-inf`` coefficient.  Skips
+        the checks of ``__post_init__``; only for kernel output and filtered
+        copies of an existing polynomial's terms."""
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly.terms = terms
+        return poly
+
     # -- basic structure ----------------------------------------------
     def is_empty(self) -> bool:
         return not self.terms
@@ -140,18 +152,25 @@ class TropicalPolynomial:
         rows = ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
                 for e1, s1, g1 in _scaled(self.terms, den)
                 for e2, s2, g2 in right)
-        return TropicalPolynomial(self.arity, _merge(rows, den))
+        return self._canonical(self.arity, _merge(rows, den))
 
     def __pow__(self, k: int) -> "TropicalPolynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = constant(tangible(0), self.arity)
+        if k == 0:
+            return constant(tangible(0), self.arity)
         base = self
-        while k:
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        while k > 1:
+            base = base * base
+            k >>= 1
             if k & 1:
                 result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        if result is self:  # f ** 1 is a copy, as every other power
+            return self._canonical(self.arity, dict(self.terms))
         return result
 
     def scale(self, c: TropicalNumber) -> "TropicalPolynomial":
@@ -204,7 +223,7 @@ class TropicalPolynomial:
         The remaining variables keep their relative order.
         """
         keep = tuple(i for i in range(self.arity) if i not in assignment)
-        return TropicalPolynomial(len(keep), self._fix(assignment, keep))
+        return self._canonical(len(keep), self._fix(assignment, keep))
 
     def _fix(self, assignment: Dict[int, TropicalNumber], keep: Exponent,
              ) -> Dict[Exponent, TropicalNumber]:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber
 from .errors import ArityUnsupported
+from .essential import _hull_1d
 from .polynomial import TropicalPolynomial
 
 # An open interval with exact rational endpoints; None means unbounded.
@@ -78,9 +79,7 @@ def _component_sort_key(c: Component1D):
 
 def _envelope_vertices(f: TropicalPolynomial) -> List[int]:
     """Exponents whose lines appear on the upper envelope, ascending."""
-    from .essential import _upper_hull_vertices_1d
-    pts = sorted((Fraction(e[0]), c.value) for e, c in f.terms.items())
-    return [int(p[0]) for p in _upper_hull_vertices_1d(pts)]
+    return [x for x, _ in _hull_1d(f)[2]]
 
 
 def _components_with_monomials(f: TropicalPolynomial

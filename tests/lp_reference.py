@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import List, Optional
 
+from hull1d_reference import _interp, _upper_hull_vertices_1d
 from tropc._lp import lp_feasible, lp_max
-from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
-                             _interp, _upper_hull_vertices_1d)
+from tropc.essential import ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex
 from tropc.polynomial import Exponent, TropicalPolynomial
 
 

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 import tropc.essential
+import tropc.sets
+from hull1d_reference import reference_complex_1d, reference_envelope_vertices
 from lp_reference import reference_complex
 from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
                    MonomialInput, NEG_INFINITY, TropicalPolynomial,
                    classify_monomials, divides, equivalent, essential_part,
                    format_poly, full_closure, ghost, is_full, parse_poly,
                    red_add, red_mul, red_pow, slope_sequence, tangible)
-from util import (critical_points_1d, eval_points, rand_fraction, rand_poly,
-                  rand_tangible_full, same_function_1d)
+from util import (critical_points_1d, eval_points, rand_coeff, rand_fraction,
+                  rand_poly, rand_tangible_full, same_function_1d)
 
 P = parse_poly
 
@@ -126,14 +128,79 @@ class TestAgainstLpReference:
         assert all(seen[(a, k)] for a in (2, 3) for k in range(a + 1))
 
 
+def _univariate_case(rng: random.Random, kind: str) -> TropicalPolynomial:
+    if kind == "single":
+        return rand_poly(rng, 1, 9, 1)
+    if kind == "two":
+        x, y = rng.sample(range(10), 2)
+        return TropicalPolynomial(1, {(x,): rand_coeff(rng),
+                                      (y,): rand_coeff(rng)})
+    if kind == "tangible-full":
+        return rand_tangible_full(rng, rng.randint(1, 6))
+    if kind == "mixed":  # denominators 2-7 in one polynomial
+        return TropicalPolynomial(1, {
+            (x,): tangible(rand_fraction(rng, denominators=range(2, 8)))
+            for x in rng.sample(range(9), rng.randint(1, 6))})
+    if kind == "gaps":  # few terms over a wide support
+        return TropicalPolynomial(1, {
+            (x,): rand_coeff(rng) for x in rng.sample(range(25),
+                                                      rng.randint(2, 5))})
+    if kind == "collinear":  # runs on the edges of a concave function
+        xs = sorted(rng.sample(range(12), rng.randint(3, 7)))
+        h = rand_fraction(rng)
+        slope = rand_fraction(rng, -2, 4)
+        terms = {}
+        for prev, x in zip(xs[:1] + xs, xs):
+            h += slope * (x - prev)
+            v = h - (rng.randint(1, 3) if rng.random() < 0.2 else 0)
+            terms[(x,)] = ghost(v) if rng.random() < 0.3 else tangible(v)
+            if rng.random() < 0.4:
+                slope -= rand_fraction(rng, 1, 4, (1, 2, 3))
+        return TropicalPolynomial(1, terms)
+    return rand_poly(rng, 1, 8, 7)  # ~40% ghost coefficients
+
+
+class TestAgainstHull1dReference:
+    """The integer sweep gives every field of the old Fraction sweep, in the
+    same order, and the same com-set envelope."""
+
+    def assert_same(self, f):
+        got, want = classify_monomials(f), reference_complex_1d(f)
+        assert _fields(got) == _fields(want), format_poly(f)
+        for name in ("lifted_points", "classification", "hull_lattice_points"):
+            assert list(getattr(got, name)) == list(getattr(want, name))
+        assert tropc.sets._envelope_vertices(f) == \
+            reference_envelope_vertices(f)
+        return got
+
+    def test_pinned(self):
+        self.assert_same(P("2*x^4 + 5*x^3 + 5*x^2 + 3*x + 0"))
+        cx = self.assert_same(P("x^3 + 0"))
+        assert cx.hull_lattice_points == {(x,): 0 for x in range(4)}
+        assert cx.subdivision == [[(0,), (3,)]]
+
+    def test_random(self):
+        rng = random.Random(59)
+        kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
+                 "single", "two"]
+        seen = Counter()
+        for i in range(1400):
+            f = _univariate_case(rng, kinds[i % len(kinds)])
+            cx = self.assert_same(f)
+            seen.update(cx.classification.values())
+            seen["ghost"] += not f.is_tangible_poly()
+            seen["fractional lattice"] += any(
+                h.denominator > 1 for v, h in cx.hull_lattice_points.items()
+                if v not in cx.lifted_points)
+        assert min(seen.values()) >= 100, seen
+
+
 class TestComplexIsShared:
     def test_subdivision_independent_of_earlier_calls(self):
         f = P("x^2*y + 2*x*y^2 + x + y + 1/2")
-        tropc.essential._COMPLEX_CACHE.clear()
         fresh = classify_monomials(f).subdivision
         classify_monomials(f, with_subdivision=True)
         assert classify_monomials(f).subdivision == fresh
-        tropc.essential._COMPLEX_CACHE.clear()
         classify_monomials(f, with_subdivision=True)
         assert classify_monomials(f).subdivision == fresh
         assert fresh == reference_complex(f).subdivision

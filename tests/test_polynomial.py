@@ -9,8 +9,8 @@ import pytest
 from fold_reference import (reference_evaluate, reference_mul,
                             reference_substitute)
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
-                   TropicalPolynomial, constant, ghost, parse_poly, tangible,
-                   variable)
+                   TropicalPolynomial, constant, essential_part, full_closure,
+                   ghost, parse_poly, tangible, variable)
 from util import eval_points, rand_poly
 
 
@@ -199,14 +199,19 @@ def _fold_case(rng, kind):
 
 
 class TestAgainstFoldReference:
-    """Products, substitution and evaluation equal the old folds."""
+    """Products, powers, substitution and evaluation equal the old folds."""
 
-    def assert_same(self, f, g, point, assignment):
+    def assert_same(self, f, g, point, assignment, k):
         assert f.evaluate(point) == reference_evaluate(f, point)
         assert f * g == reference_mul(f, g)
         assert g * f == reference_mul(g, f)
         assert f.substitute(assignment) == \
             reference_substitute(f, assignment)
+        ref = constant(tangible(0), f.arity)
+        for _ in range(k):
+            ref = reference_mul(ref, f)
+        power = f ** k
+        assert power == ref and power is not f
 
     def test_pinned_products(self):
         base, one = P("x + y + 0"), constant(tangible(0), 2)
@@ -226,7 +231,7 @@ class TestAgainstFoldReference:
         for i in range(1200):
             kind = kinds[i % len(kinds)]
             f, g, point, assignment = _fold_case(rng, kind)
-            self.assert_same(f, g, point, assignment)
+            self.assert_same(f, g, point, assignment, i // 6 % 6)
             value = f.evaluate(point)
             seen[kind, f.arity] += 1
             seen["ghost from ties"] += kind.startswith("tie") and \
@@ -239,3 +244,22 @@ class TestAgainstFoldReference:
         assert seen["ghost from ties"] == 400
         assert min(seen["-inf coordinate"], seen["ghost coordinate"],
                    seen["fractional"]) >= 100
+
+
+class TestCanonicalOutputs:
+    """Products, substitutions, essential parts and full closures skip the
+    constructor's checks; each equals a checked copy of itself."""
+
+    def test_random(self):
+        rng = random.Random(67)
+        kinds = ["random", "empty", "single", "tie2"]
+        for i in range(400):
+            f, g, _, assignment = _fold_case(rng, kinds[i % len(kinds)])
+            outs = [f * g, g * f, f.substitute(assignment)]
+            if not f.is_empty():
+                outs += [essential_part(f), full_closure(f)]
+            for p in outs:
+                assert p == TropicalPolynomial(p.arity, dict(p.terms))
+                assert all(len(e) == p.arity and
+                           all(type(a) is int and a >= 0 for a in e) and
+                           not c.is_neg_inf() for e, c in p.terms.items())
