@@ -37,8 +37,9 @@ def _read_arg(text: str, opts) -> str:
     return opts.stdin
 
 
-def _load_poly(text: str, opts) -> TropicalPolynomial:
-    f = parse_poly(_read_arg(text, opts), max_degree=opts.max_degree)
+def _load_poly(text: str, opts, arity=None) -> TropicalPolynomial:
+    f = parse_poly(_read_arg(text, opts), arity=arity,
+                   max_degree=opts.max_degree)
     if opts.reduced:
         f = full_closure(f)
     return f
@@ -208,10 +209,7 @@ def _cmd_comset(opts) -> int:
 
 
 def _cmd_curve2d(opts) -> int:
-    f = parse_poly(_read_arg(opts.poly, opts), arity=2,
-                   max_degree=opts.max_degree)
-    if opts.reduced:
-        f = full_closure(f)
+    f = _load_poly(opts.poly, opts, arity=2)
     try:
         bbox = tuple(Fraction(v) for v in opts.bbox.split(","))
     except (ValueError, ZeroDivisionError):

@@ -5,7 +5,9 @@ coefficient) is a vertex of the upper convex hull of all lifted points;
 quasi-essential when it lies on the hull without being a vertex; and
 inessential when it lies strictly below.  The essential part is a canonical
 representative of functional equivalence, and the full closure adds every
-hull lattice point as a ghost term.
+hull lattice point as a ghost term.  Full closure maps the polynomial
+semiring homomorphically onto the reduced one, so a reduced sum, product
+or power is the raw result closed once.
 
 Every hull runs on integers: the heights are scaled over their common
 denominator.  Univariate hulls come from one upper-hull sweep whose edges
@@ -21,9 +23,9 @@ from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import TropicalNumber, ghost, tangible
+from .core import ghost
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
-                     InternalInconsistency, MonomialInput, NotFull)
+                     InternalInconsistency, MonomialInput)
 from .polynomial import Exponent, TropicalPolynomial, constant
 
 ESSENTIAL = "essential"
@@ -289,19 +291,7 @@ def red_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
 
 
 def red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
-    if k < 0:
-        raise ValueError("negative power")
-    if k == 0:
-        return constant(tangible(0), f.arity)
-    result = None
-    base = full_closure(f)
-    while k:
-        if k & 1:
-            result = base if result is None else red_mul(result, base)
-        k >>= 1
-        if k:
-            base = red_mul(base, base)
-    return result
+    return full_closure(f ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +355,8 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
         return None
     quotient = constant(ff.unit * fg.unit.inv(), 1)
     for p, m in remaining:
-        for _ in range(m):
-            quotient = quotient * p
+        quotient = quotient * p ** m
     quotient = full_closure(quotient)
-    if red_mul(quotient, full_closure(g)) != full_closure(f):
+    if red_mul(quotient, g) != full_closure(f):
         return None
     return quotient

@@ -5,23 +5,26 @@ common root of the generators or points at a tangible constant generator as
 a proof of emptiness.  The univariate radical membership procedure decides
 containment of complement components and, on success, returns an exponent m
 with monomial combiners h_j such that f^m agrees with the combination
-sum h_j g_j as a function.
+sum h_j g_j as a function.  Both sides are raw results closed once, and
+full closures are canonical, so they agree as functions exactly when they
+are equal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from .core import NEG_INFINITY, TropicalNumber, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
-from .essential import (equivalent, essential_part, full_closure, red_add,
-                        red_mul, red_pow)
-from .polynomial import TropicalPolynomial, constant, monomial
-from .sets import _components_with_monomials, comset1d
+from .essential import equivalent, essential_part, full_closure, red_pow
+from .polynomial import TropicalPolynomial
+from .sets import _components_with_monomials
 from .univariate import common_root
 
 MAX_CERTIFICATE_EXPONENT = 64
@@ -94,11 +97,8 @@ class RadicalCertificate:
     combiners: List[Tuple[TropicalPolynomial, TropicalPolynomial]]
 
     def combination(self) -> TropicalPolynomial:
-        acc = None
-        for h, g in self.combiners:
-            term = red_mul(h, g)
-            acc = term if acc is None else red_add(acc, term)
-        return acc
+        """The sum of the products h * g, closed once at the end."""
+        return full_closure(reduce(add, (h * g for h, g in self.combiners)))
 
 
 def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
@@ -135,9 +135,6 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
         if choice is None:
             return None
         assignment.append(choice)
-    if not assignment:
-        # f vanishes everywhere; membership needs no combiners beyond m
-        return None
 
     m_lower = 1
     for _, i, r in assignment:
@@ -169,7 +166,7 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
             m, [(full_closure(TropicalPolynomial(1, bucket)),
                  ideal.generators[gi])
                 for gi, bucket in sorted(combiners.items())])
-        if equivalent(red_pow(f, m), cert.combination()):
+        if red_pow(f, m) == cert.combination():
             return cert
     raise CertificateSearchExceeded(
         f"no certificate up to exponent {MAX_CERTIFICATE_EXPONENT}")
@@ -180,7 +177,7 @@ def verify_radical_certificate(f: TropicalPolynomial,
                                points: Sequence[Sequence[TropicalNumber]]
                                ) -> bool:
     """Check f^m against the combination by evaluation at sample points."""
-    power = red_pow(full_closure(f), cert.m)
+    power = red_pow(f, cert.m)
     combo = cert.combination()
     return all(power.evaluate(p) == combo.evaluate(p) for p in points)
 

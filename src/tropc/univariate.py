@@ -1,7 +1,7 @@
 """Constructive roots and certified factorization of univariate polynomials.
 
-Every factorization is certified by expanding the factors back in the
-reduced semiring and comparing with the full closure of the input; a
+Every factorization is certified by multiplying the factors back, closing
+the product once and comparing with the full closure of the input; a
 mismatch raises InternalInconsistency instead of returning a bad answer.
 """
 from __future__ import annotations
@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import (NEG_INFINITY, TropicalNumber, ghost, tangible, trop_mul)
+from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotFull,
                      NotTangibleFull)
-from .essential import essential_part, full_closure, red_mul, slope_sequence
+from .essential import essential_part, full_closure
 from .polynomial import TropicalPolynomial, constant, variable
 
 
@@ -26,12 +26,12 @@ class Factorization:
     certified: bool
 
     def expand(self) -> TropicalPolynomial:
+        """The unit times every factor power, closed once at the end."""
         arity = self.factors[0][0].arity if self.factors else 1
-        out = full_closure(constant(self.unit, arity))
+        out = constant(self.unit, arity)
         for p, mult in self.factors:
-            for _ in range(mult):
-                out = red_mul(out, p)
-        return out
+            out = out * p ** mult
+        return full_closure(out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,31 +188,17 @@ def common_root(fs: Sequence[TropicalPolynomial]
 def factor_tangible_full(f: TropicalPolynomial) -> Factorization:
     """Factor a tangible-full polynomial into tangible linear factors.
 
-    The roots are read off the slope sequence; the result is certified by
-    expansion in the reduced semiring.
+    A tangible-full polynomial has no ghost vertex, so its canonical
+    factorization (``factor_full``) has only tangible linear factors and
+    powers of x.
     """
     if f.arity != 1:
         raise ArityUnsupported("factorization is univariate")
     if f.is_empty():
         raise EmptyPolynomial("nothing to factor")
-    closed = full_closure(f)
-    if not essential_part(closed).is_tangible_poly():
+    if not essential_part(f).is_tangible_poly():
         raise NotTangibleFull("ghost vertex present")
-    lo, hi = closed.degree_bounds()
-    unit = closed.terms[(hi,)]
-    factors: List[Tuple[TropicalPolynomial, int]] = []
-    if lo > 0:
-        factors.append((variable(0, 1), lo))
-    if hi > lo:
-        work = _shift_down(closed, lo) if lo else closed
-        for m in slope_sequence(work).slopes:
-            factors.append((_linear(tangible(m)), 1))
-    factors = _merge_factors(factors)
-    result = Factorization(unit, factors, False)
-    if result.expand() != closed:
-        raise InternalInconsistency("expansion does not reproduce the input")
-    result.certified = True
-    return result
+    return factor_full(f)
 
 
 def _peel_ghost_leads(f: TropicalPolynomial

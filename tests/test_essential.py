@@ -301,6 +301,10 @@ class TestReducedOps:
                 assert red_pow(f, k) == acc
         assert red_pow(P("x + 1"), 0) == P("0")
 
+    def test_red_pow_negative_raises(self):
+        with pytest.raises(ValueError):
+            red_pow(P("x + 1"), -1)
+
 
 class TestSlopeSequence:
     def test_pinned(self):

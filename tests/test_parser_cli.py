@@ -145,6 +145,16 @@ class TestCli:
         obj = json.loads(out)
         assert code == 0 and not obj["whole_plane"]
         assert len(obj["segments"]) == 3 and len(obj["rays"]) == 3
+        # --reduced draws the full closure's locus, ghost terms included
+        code, reduced, _ = run(capsys, "--reduced", "curve2d",
+                               "x^2 + y^2 + 0", "--bbox=-5,-5,5,5")
+        assert code == 0
+        _, plain, _ = run(capsys, "curve2d", "x^2 + y^2 + 0",
+                          "--bbox=-5,-5,5,5")
+        _, closed, _ = run(capsys, "curve2d",
+                           "x^2 + 0v*x*y + y^2 + 0v*x + 0v*y + 0",
+                           "--bbox=-5,-5,5,5")
+        assert reduced == closed != plain
 
     def test_nss(self, capsys):
         code, out, _ = run(capsys, "nss", "x + 1", "x + 5")

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from tropc import (ConstantTangibleAmongInputs, ConstantTangibleInput,
-                   NEG_INFINITY, TropicalPolynomial, common_root, factor_full,
+from tropc import (ArityUnsupported, ConstantTangibleAmongInputs,
+                   ConstantTangibleInput, EmptyPolynomial, NEG_INFINITY,
+                   TropicalPolynomial, common_root, factor_full,
                    factor_tangible_full, find_root, full_closure, ghost,
                    parse_poly, red_mul, roots_with_multiplicity, tangible,
                    NotTangibleFull)
@@ -76,6 +77,16 @@ class TestFactorTangibleFull:
             (P("x + -2"), 1), (P("x + -3"), 1)]
 
     def test_ghost_vertex_rejected(self):
+        with pytest.raises(NotTangibleFull):
+            factor_tangible_full(P("x^2 + 3v*x + 0"))
+
+    def test_guards_in_order(self):
+        # arity before emptiness before tangible-fullness
+        for f in (TropicalPolynomial(2, {}), P("x^2 + 3v*x*y + y^2")):
+            with pytest.raises(ArityUnsupported):
+                factor_tangible_full(f)
+        with pytest.raises(EmptyPolynomial):
+            factor_tangible_full(TropicalPolynomial(1, {}))
         with pytest.raises(NotTangibleFull):
             factor_tangible_full(P("x^2 + 3v*x + 0"))
 
