@@ -256,17 +256,31 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
                   if cx.classification[e] == ESSENTIAL})
 
 
-def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
-    """Essential part plus a ghost term at every other hull lattice point."""
-    if f.is_empty():
-        return f
-    cx = classify_monomials(f)
+def _close(f: TropicalPolynomial, cx: EssentialComplex) -> TropicalPolynomial:
+    """The full closure of f read off its hull complex."""
     terms = {e: c for e, c in f.terms.items()
              if cx.classification[e] == ESSENTIAL}
     for v, h in cx.hull_lattice_points.items():
         if v not in terms:
             terms[v] = ghost(h)
     return TropicalPolynomial._canonical(f.arity, terms)
+
+
+def _closure_and_guard(f: TropicalPolynomial
+                       ) -> Tuple[TropicalPolynomial, bool]:
+    """The full closure of a nonempty f and whether its essential part is
+    tangible, from one hull."""
+    cx = classify_monomials(f)
+    tangible_full = all(c.is_tangible() for e, c in f.terms.items()
+                        if cx.classification[e] == ESSENTIAL)
+    return _close(f, cx), tangible_full
+
+
+def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
+    """Essential part plus a ghost term at every other hull lattice point."""
+    if f.is_empty():
+        return f
+    return _close(f, classify_monomials(f))
 
 
 def is_full(f: TropicalPolynomial) -> bool:

@@ -22,7 +22,8 @@ from .core import NEG_INFINITY, TropicalNumber, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
-from .essential import equivalent, essential_part, full_closure, red_pow
+from .essential import (_closure_and_guard, equivalent, essential_part,
+                        full_closure, red_pow)
 from .polynomial import TropicalPolynomial
 from .sets import _components_with_monomials
 from .univariate import common_root
@@ -114,8 +115,8 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
         raise ArityUnsupported("radical membership is univariate")
     if f.is_empty():
         raise EmptyPolynomial("empty polynomial as radical candidate")
-    f = full_closure(f)
-    if not essential_part(f).is_tangible_poly():
+    f, tangible_full = _closure_and_guard(f)
+    if not tangible_full:
         raise NotTangibleFull("radical candidates must be tangible-full")
 
     f_comps = _components_with_monomials(f)

@@ -3,10 +3,12 @@
 Terms are kept in a dict keyed by exponent tuples.  The empty polynomial
 (the constant -inf) is allowed; degree markers are undefined for it.
 
-Products, substitution and evaluation share one exact integer kernel: the
-values an operation touches are scaled to integers over their common
-denominator, and rows ``(key, scaled value, ghost flag)`` are merged by
-``_merge``.  A ``Fraction`` is built once per output key.
+Products and substitution share one exact integer kernel: the values an
+operation touches are scaled to integers over their common denominator,
+and rows ``(key, scaled value, ghost flag)`` are merged by ``_merge``.  A
+``Fraction`` is built once per output key.  Evaluation has its own
+one-pass kernel, ``_top``: a running maximum kept as an integer fraction
+and a ghost flag, so ``is_root`` builds no value at all.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import (NEG_INFINITY, TAG_GHOST, TAG_NEG_INF, TAG_TANGIBLE,
                    TropicalNumber, tangible, trop_add, trop_mul)
@@ -178,16 +180,63 @@ class TropicalPolynomial:
             self.arity, {e: trop_mul(c, v) for e, v in self.terms.items()})
 
     # -- evaluation ------------------------------------------------------
-    def evaluate(self, point: Iterable[TropicalNumber]) -> TropicalNumber:
+    def _top(self, point: Iterable[TropicalNumber]
+             ) -> Optional[Tuple[int, int, bool]]:
+        """The maximum term value at the point in one pass over the terms:
+        ``(numerator, denominator, ghost flag)``, or None for -inf.
+
+        The coordinates are scaled to integers over their own common
+        denominator ``pden``; a term ``n/d`` whose scaled exponent sum is
+        ``s`` has the value ``(n*pden + s*d) / (d*pden)``, compared with
+        the running maximum by cross-multiplication.  The maximum is ghost
+        when a ghost term or a ghost coordinate reaches it, or two terms
+        tie at it, which is what a left fold with ``trop_add`` gives.
+        """
         point = tuple(point)
         if len(point) != self.arity:
             raise ArityMismatch(
                 f"point of length {len(point)} for arity {self.arity}")
-        return self._fix(dict(enumerate(point)), ()).get((), NEG_INFINITY)
+        pden = lcm(*[c.value.denominator for c in point
+                     if c.tag != TAG_NEG_INF])
+        coords = [(None, False) if c.tag == TAG_NEG_INF else
+                  (c.value.numerator * (pden // c.value.denominator),
+                   c.tag == TAG_GHOST)
+                  for c in point]
+        top_num = top_den = None
+        top_ghost = False
+        for exp, c in self.terms.items():
+            s, g = 0, c.tag == TAG_GHOST
+            for e, (a, ga) in zip(exp, coords):
+                if e:
+                    if a is None:
+                        break
+                    s += e * a
+                    g = g or ga
+            else:
+                v = c.value
+                d = v.denominator
+                num, den = v.numerator * pden + s * d, d * pden
+                if top_den is not None:
+                    diff = num * top_den - top_num * den
+                    if diff == 0:
+                        top_ghost = True
+                    if diff <= 0:
+                        continue
+                top_num, top_den, top_ghost = num, den, g
+        return None if top_den is None else (top_num, top_den, top_ghost)
+
+    def evaluate(self, point: Iterable[TropicalNumber]) -> TropicalNumber:
+        top = self._top(point)
+        if top is None:
+            return NEG_INFINITY
+        num, den, g = top
+        return TropicalNumber(TAG_GHOST if g else TAG_TANGIBLE,
+                              Fraction(num, den))
 
     def is_root(self, point: Iterable[TropicalNumber]) -> bool:
         """A point is a root when the value lies in the ghost ideal."""
-        return self.evaluate(point).is_ghost_or_bottom()
+        top = self._top(point)
+        return top is None or top[2]
 
     # -- decompositions ---------------------------------------------------
     def tangible_part(self) -> "TropicalPolynomial":
@@ -220,15 +269,10 @@ class TropicalPolynomial:
                    ) -> "TropicalPolynomial":
         """Fix some variables to constants, producing a polynomial in the rest.
 
-        The remaining variables keep their relative order.
+        The remaining variables keep their relative order; a term whose
+        positive power meets -inf is dropped.
         """
         keep = tuple(i for i in range(self.arity) if i not in assignment)
-        return self._canonical(len(keep), self._fix(assignment, keep))
-
-    def _fix(self, assignment: Dict[int, TropicalNumber], keep: Exponent,
-             ) -> Dict[Exponent, TropicalNumber]:
-        """Terms with the assigned variables fixed, keyed by the exponents of
-        the kept ones; a term whose positive power meets -inf is dropped."""
         den = _common_den(self.terms.values(), assignment.values())
         fixed = _scaled(assignment, den)
         rows = []
@@ -242,7 +286,7 @@ class TropicalPolynomial:
                     g = g or ga
             else:
                 rows.append((tuple([exp[i] for i in keep]), s, g))
-        return _merge(rows, den)
+        return self._canonical(len(keep), _merge(rows, den))
 
     # -- JSON --------------------------------------------------------------
     def to_json(self):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber
-from .errors import ArityUnsupported
+from .errors import ArityMismatch, ArityUnsupported
 from .essential import _hull_1d
 from .polynomial import TropicalPolynomial
 
@@ -153,7 +153,15 @@ def comset_leq(a: Sequence[Component1D], b: Sequence[Component1D]) -> bool:
 
 def zset_contains(fs: Sequence[TropicalPolynomial],
                   point: Sequence[TropicalNumber]) -> bool:
-    """Is the point a simultaneous root of all the polynomials?"""
+    """Is the point a simultaneous root of all the polynomials?
+
+    Every arity is checked against the point before any evaluation, so a
+    mismatch raises whatever the order of the polynomials."""
+    point = tuple(point)
+    for f in fs:
+        if f.arity != len(point):
+            raise ArityMismatch(
+                f"point of length {len(point)} for arity {f.arity}")
     return all(f.is_root(point) for f in fs)
 
 

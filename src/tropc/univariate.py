@@ -15,7 +15,7 @@ from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotFull,
                      NotTangibleFull)
-from .essential import essential_part, full_closure
+from .essential import _closure_and_guard, full_closure
 from .polynomial import TropicalPolynomial, constant, variable
 
 
@@ -196,9 +196,10 @@ def factor_tangible_full(f: TropicalPolynomial) -> Factorization:
         raise ArityUnsupported("factorization is univariate")
     if f.is_empty():
         raise EmptyPolynomial("nothing to factor")
-    if not essential_part(f).is_tangible_poly():
+    closed, tangible_full = _closure_and_guard(f)
+    if not tangible_full:
         raise NotTangibleFull("ghost vertex present")
-    return factor_full(f)
+    return _factor_closed(closed)
 
 
 def _peel_ghost_leads(f: TropicalPolynomial
@@ -281,7 +282,11 @@ def factor_full(f: TropicalPolynomial) -> Factorization:
         raise ArityUnsupported("factorization is univariate")
     if f.is_empty():
         raise EmptyPolynomial("nothing to factor")
-    closed = full_closure(f)
+    return _factor_closed(full_closure(f))
+
+
+def _factor_closed(closed: TropicalPolynomial) -> Factorization:
+    """``factor_full`` of a polynomial that is already fully closed."""
     work = closed
     unit = tangible(0)
     raw_factors: List[Tuple[TropicalPolynomial, int]] = []

@@ -1,6 +1,9 @@
 """Reference arithmetic for the differential test: the ``TropicalNumber``
 folds that computed products, substitution and evaluation before the
-integer merge kernel.
+integer kernels.  Products and substitution now share the merge kernel
+``_merge``; ``evaluate`` and ``is_root`` have their own one-pass kernel
+``_top``.  The differential test holds all three operations to these folds,
+and ``is_root`` to ``reference_evaluate(f, point).is_ghost_or_bottom()``.
 
 The bodies below are kept as they were, written as functions of the
 polynomial in place of methods: ``reference_mul(f, g)`` stands for

@@ -6,6 +6,7 @@ from itertools import product as iter_product
 
 import pytest
 
+import tropc.polynomial
 from fold_reference import (reference_evaluate, reference_mul,
                             reference_substitute)
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
@@ -37,8 +38,19 @@ class TestStructure:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             P("x + y") + P("x")
-        with pytest.raises(ArityMismatch):
-            P("x").evaluate([tangible(0), tangible(1)])
+        for f, point in ((P("x"), (tangible(0), tangible(1))),
+                         (P("x + y"), (tangible(0),)),
+                         (TropicalPolynomial(2, {}), ())):
+            with pytest.raises(ArityMismatch):
+                f.evaluate(point)
+            with pytest.raises(ArityMismatch):
+                f.is_root(point)
+
+
+def assert_value(f, point, value):
+    """``evaluate`` gives the value and ``is_root`` agrees with it."""
+    assert f.evaluate(point) == value
+    assert f.is_root(point) == value.is_ghost_or_bottom()
 
 
 class TestEvaluation:
@@ -53,6 +65,10 @@ class TestEvaluation:
         f = TropicalPolynomial(1, {})
         assert f.evaluate([tangible(5)]) == NEG_INFINITY
         assert f.is_root([tangible(5)])
+        for arity in (2, 3):
+            f = TropicalPolynomial(arity, {})
+            assert_value(f, (ghost(-1),) * arity, NEG_INFINITY)
+            assert_value(f, (NEG_INFINITY,) * arity, NEG_INFINITY)
 
     def test_root_detection(self):
         f = P("x + 1")
@@ -64,14 +80,48 @@ class TestEvaluation:
 
     def test_ghost_coordinate_under_exponent_zero(self):
         f = P("y + 1")
-        assert f.evaluate([ghost(5), tangible(2)]) == tangible(2)
+        assert_value(f, (ghost(5), tangible(2)), tangible(2))
+        assert_value(f, (ghost(5), tangible(0)), tangible(1))
+        assert_value(P("y + 3"), (tangible(5), ghost(4)), ghost(4))
         assert f.substitute({0: ghost(5)}) == P("x + 1")
 
     def test_neg_inf_coordinate_under_exponent_zero(self):
         f = P("x*y + y + 1")
-        assert f.evaluate([NEG_INFINITY, tangible(2)]) == tangible(2)
-        assert f.evaluate([NEG_INFINITY, NEG_INFINITY]) == tangible(1)
+        assert_value(f, (NEG_INFINITY, tangible(2)), tangible(2))
+        assert_value(f, (NEG_INFINITY, ghost(2)), ghost(2))
         assert f.substitute({0: NEG_INFINITY}) == P("x + 1")
+
+    def test_all_neg_inf_point(self):
+        point = (NEG_INFINITY, NEG_INFINITY)
+        assert_value(P("x*y + y + 1"), point, tangible(1))
+        assert_value(P("x*y + 2*y + 1v"), point, ghost(1))
+        assert_value(P("x*y + 2*y + x"), point, NEG_INFINITY)
+
+    def test_tie_across_denominators(self):
+        f = P("x^2 + 1/3*x + 1/2")
+        assert_value(f, (tangible(Fraction(1, 6)),), ghost(Fraction(1, 2)))
+        assert_value(f, (tangible(Fraction(1, 5)),), tangible(Fraction(8, 15)))
+
+    def test_ghost_term_below_the_maximum(self):
+        f = P("x^2 + 1v*x + 0")
+        assert_value(f, (tangible(3),), tangible(6))
+        assert_value(f, (tangible(-2),), tangible(0))
+        assert_value(f, (tangible(Fraction(-1, 2)),), ghost(Fraction(1, 2)))
+
+    def test_one_pass_kernel(self, monkeypatch):
+        # evaluation stays off the merge kernel; a root test builds no value
+        f = P("x^2 + 1/3*x*y + 1/2v")
+        point = (tangible(Fraction(1, 6)), ghost(1))
+
+        def refuse(*args):
+            raise AssertionError("not on the evaluation path")
+        for name in ("_merge", "_common_den", "_scaled"):
+            monkeypatch.setattr(tropc.polynomial, name, refuse)
+        assert f.evaluate(point) == ghost(Fraction(3, 2))
+        for name in ("Fraction", "TropicalNumber"):
+            monkeypatch.setattr(tropc.polynomial, name, refuse)
+        assert f.is_root(point)
+        assert not f.is_root((tangible(3), tangible(0)))
 
     def test_substitute_everything_is_evaluate(self):
         rng = random.Random(19)
@@ -141,7 +191,7 @@ class TestJson:
 
 
 # ---------------------------------------------------------------------------
-# the integer merge kernel against the TropicalNumber folds it replaced
+# the integer kernels against the TropicalNumber folds they replaced
 
 
 def _value(rng):
@@ -199,10 +249,13 @@ def _fold_case(rng, kind):
 
 
 class TestAgainstFoldReference:
-    """Products, powers, substitution and evaluation equal the old folds."""
+    """Products, powers, substitution, evaluation and root tests equal the
+    old folds."""
 
     def assert_same(self, f, g, point, assignment, k):
-        assert f.evaluate(point) == reference_evaluate(f, point)
+        value = reference_evaluate(f, point)
+        assert f.evaluate(point) == value
+        assert f.is_root(point) == value.is_ghost_or_bottom()
         assert f * g == reference_mul(f, g)
         assert g * f == reference_mul(g, f)
         assert f.substitute(assignment) == \

@@ -177,11 +177,11 @@ class TestHullBuildBudget:
     def test_factorization(self, hull_builds):
         assert hull_builds(factor_full, P(QUARTIC)) == 2           # was 6
         assert hull_builds(factor_full, P("x^2 + 3v*x + 4")) == 2  # was 3
-        assert hull_builds(factor_tangible_full, P(QUARTIC)) == 3  # was 8
+        assert hull_builds(factor_tangible_full, P(QUARTIC)) == 2  # was 8
 
     def test_radical_member(self, hull_builds):
         f = P("x^2 + 1*x + 0")
         ideal = IdealFG(1, [red_pow(f, 2)])
-        assert hull_builds(radical_member_1d, f, ideal) == 5       # was 8
+        assert hull_builds(radical_member_1d, f, ideal) == 4       # was 8
         ideal = IdealFG(1, [red_pow(P("x + 0"), 2), red_pow(P("x + 2"), 2)])
-        assert hull_builds(radical_member_1d, P("x + 0"), ideal) == 5  # was 8
+        assert hull_builds(radical_member_1d, P("x + 0"), ideal) == 4  # was 8

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropc import (ArityUnsupported, Component1D, NEG_INFINITY,
+from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
                    TropicalPolynomial, comset1d, comset_leq, comset_meet,
                    corner_locus_2d, ghost, parse_poly, red_mul, tangible,
                    zset_contains)
@@ -97,6 +97,13 @@ class TestComsetAlgebra:
         fs = [P("x + 1"), P("x + 5")]
         assert zset_contains(fs, [ghost(5)])
         assert not zset_contains(fs, [tangible(1)])
+
+    def test_zset_contains_checks_every_arity_first(self):
+        # x + 0 is not zero at 1, so a lazy check would stop before x + y
+        fs = [P("x + 0"), P("x + y")]
+        for order in (fs, fs[::-1]):
+            with pytest.raises(ArityMismatch):
+                zset_contains(order, (tangible(1),))
 
     def test_arity_guard(self):
         with pytest.raises(ArityUnsupported):
