@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .core import ghost
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
-from .polynomial import Exponent, TropicalPolynomial, constant
+from .polynomial import Exponent, TropicalPolynomial
 
 ESSENTIAL = "essential"
 QUASI = "quasi-essential"
@@ -347,12 +347,14 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
 
     Decided by comparing canonical factorizations, so univariate only.
     """
-    from .univariate import factor_full  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .univariate import Factorization, _factor_closed, factor_full
     if f.arity != 1 or g.arity != 1:
         raise ArityUnsupported("divisibility testing is univariate")
     if f.is_empty() or g.is_empty():
         raise EmptyPolynomial("divisibility with an empty polynomial")
-    ff = factor_full(f)
+    closed_f = full_closure(f)
+    ff = _factor_closed(closed_f)
     fg = factor_full(g)
     remaining: List[Tuple[TropicalPolynomial, int]] = \
         [(p, m) for p, m in ff.factors]
@@ -367,10 +369,8 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
             return None
     if fg.unit.is_neg_inf():
         return None
-    quotient = constant(ff.unit * fg.unit.inv(), 1)
-    for p, m in remaining:
-        quotient = quotient * p ** m
-    quotient = full_closure(quotient)
-    if red_mul(quotient, g) != full_closure(f):
+    quotient = Factorization(ff.unit * fg.unit.inv(), remaining,
+                             False).expand()
+    if red_mul(quotient, g) != closed_f:
         return None
     return quotient

@@ -1,20 +1,22 @@
 """Constructive roots and certified factorization of univariate polynomials.
 
-Every factorization is certified by multiplying the factors back, closing
-the product once and comparing with the full closure of the input; a
+A full closure has a term at every position between its lowest and highest
+degree, its tangible terms are exactly its vertices, and its top-down slopes
+are c[i-1] - c[i].  Factorization reads the canonical factors off those
+slopes in one walk.  It is certified by multiplying the factors back,
+without closing, and comparing with the full closure of the input; a
 mismatch raises InternalInconsistency instead of returning a bad answer.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
-                     EmptyPolynomial, InternalInconsistency, NotFull,
-                     NotTangibleFull)
+                     EmptyPolynomial, InternalInconsistency, NotTangibleFull)
 from .essential import _closure_and_guard, full_closure
 from .polynomial import TropicalPolynomial, constant, variable
 
@@ -27,32 +29,15 @@ class Factorization:
 
     def expand(self) -> TropicalPolynomial:
         """The unit times every factor power, closed once at the end."""
+        return full_closure(self._product())
+
+    def _product(self) -> TropicalPolynomial:
+        """The unit times every factor power, not closed."""
         arity = self.factors[0][0].arity if self.factors else 1
         out = constant(self.unit, arity)
         for p, mult in self.factors:
             out = out * p ** mult
-        return full_closure(out)
-
-
-# ---------------------------------------------------------------------------
-# helpers on univariate coefficient dicts
-
-
-def _coeffs(f: TropicalPolynomial) -> Dict[int, TropicalNumber]:
-    return {e[0]: c for e, c in f.terms.items()}
-
-
-def _from_coeffs(coeffs: Dict[int, TropicalNumber]) -> TropicalPolynomial:
-    return TropicalPolynomial(1, {(e,): c for e, c in coeffs.items()})
-
-
-def _shift_down(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
-    return TropicalPolynomial(1, {(e[0] - k,): c for e, c in f.terms.items()})
-
-
-def _reverse(f: TropicalPolynomial) -> TropicalPolynomial:
-    d = f.total_degree()
-    return TropicalPolynomial(1, {(d - e[0],): c for e, c in f.terms.items()})
+        return out
 
 
 def _linear(a: TropicalNumber) -> TropicalPolynomial:
@@ -131,7 +116,7 @@ def find_root(f: TropicalPolynomial) -> Tuple[TropicalNumber, ...]:
 
 
 def _find_root_1d(f: TropicalPolynomial) -> TropicalNumber:
-    coeffs = _coeffs(f)
+    coeffs = {e[0]: c for e, c in f.terms.items()}
     const = coeffs.get(0, NEG_INFINITY)
     if const.is_neg_inf() or const.is_ghost():
         # every positive-exponent monomial ghosts at a ghost point
@@ -202,81 +187,17 @@ def factor_tangible_full(f: TropicalPolynomial) -> Factorization:
     return _factor_closed(closed)
 
 
-def _peel_ghost_leads(f: TropicalPolynomial
-                      ) -> Tuple[TropicalNumber, List[Fraction],
-                                 TropicalPolynomial]:
-    """Strip factors with a ghost variable term off the top.
-
-    While the leading coefficient is ghost, the polynomial splits off a
-    factor 0^nu x + beta with beta the projected next coefficient.  Returns
-    the accumulated tangible unit, the peeled betas, and the remainder.
-    """
-    unit = tangible(0)
-    betas: List[Fraction] = []
-    coeffs = _coeffs(f)
-    while True:
-        t = max(coeffs)
-        lead = coeffs[t]
-        if t == 0 or not lead.is_ghost():
-            break
-        u = tangible(lead.value)
-        unit = unit * u
-        inv = u.inv()
-        coeffs = {e: c * inv for e, c in coeffs.items()}
-        nxt = coeffs.get(t - 1)
-        if nxt is None or nxt.is_neg_inf():
-            raise NotFull("missing coefficient below the leading term")
-        beta = tangible(nxt.value)
-        betas.append(nxt.value)
-        binv = beta.inv()
-        coeffs = {e: c * binv for e, c in coeffs.items() if e < t}
-    return unit, betas, _from_coeffs(coeffs)
-
-
-def _factor_monic_block(f: TropicalPolynomial
-                        ) -> List[Tuple[TropicalPolynomial, int]]:
-    """Factor a monic block with tangible ends and ghost interior.
-
-    Blocks with no ghost vertex split into tangible linear factors read off
-    the slopes.  Otherwise an irreducible quadratic carrying the extreme
-    slopes is peeled and the middle slopes recurse.
-    """
-    coeffs = _coeffs(f)
-    t = max(coeffs)
-    if t == 1:
-        return [(_linear(coeffs[0]), 1)]
-    h = {e: c.value for e, c in coeffs.items()}
-    diffs = {i: h[i] - h[i - 1] for i in range(1, t + 1)}
-    has_ghost_vertex = any(
-        coeffs[i].is_ghost() and diffs[i] > diffs[i + 1]
-        for i in range(1, t))
-    slopes = [h[t - k] - h[t - k + 1] for k in range(1, t + 1)]
-    if not has_ghost_vertex:
-        return [(_linear(tangible(m)), 1) for m in slopes]
-    m1, mt = slopes[0], slopes[-1]
-    quad = TropicalPolynomial(1, {(2,): tangible(0), (1,): ghost(m1),
-                                  (0,): tangible(m1 + mt)})
-    if t == 2:
-        return [(quad, 1)]
-    g_heights = {t - 2: Fraction(0)}
-    for j in range(t - 3, -1, -1):
-        g_heights[j] = h[j + 1] - h[t - 1]
-    g_terms = {}
-    for j, val in g_heights.items():
-        if j == 0 or j == t - 2:
-            g_terms[(j,)] = tangible(val)
-        else:
-            g_terms[(j,)] = ghost(val)
-    return [(quad, 1)] + _factor_monic_block(TropicalPolynomial(1, g_terms))
-
-
 def factor_full(f: TropicalPolynomial) -> Factorization:
     """Canonical certified factorization of a full univariate polynomial.
 
-    Ghost leading coefficients peel off as 0^nu x + b factors (at most one
-    survives with the minimal b, the rest turn tangible); ghost constants
-    peel symmetrically as x + b^nu factors keeping the maximal b ghost; the
-    tangible-ended remainder splits into blocks at its tangible monomials.
+    One walk over the top-down slopes of the full closure: x^lo when lo > 0;
+    the slopes above the top tangible term give one 0^nu x + b with the
+    minimal b and a tangible x + b for each other; the slopes below the
+    bottom tangible term give one x + b^nu with the maximal b and a tangible
+    x + b for each other; each block between consecutive tangible terms
+    peels x^2 + s1^nu x + (s1 + st) off its outer slopes while they differ
+    and ends in one x + s per slope left.  The unit is the leading value,
+    ghost when the closure has no tangible term.
     """
     if f.arity != 1:
         raise ArityUnsupported("factorization is univariate")
@@ -286,65 +207,41 @@ def factor_full(f: TropicalPolynomial) -> Factorization:
 
 
 def _factor_closed(closed: TropicalPolynomial) -> Factorization:
-    """``factor_full`` of a polynomial that is already fully closed."""
-    work = closed
-    unit = tangible(0)
-    raw_factors: List[Tuple[TropicalPolynomial, int]] = []
+    """``factor_full`` of a polynomial that is already fully closed.
 
-    lo = work.lower_degree()
+    Every position from lo to hi is present, and the tangible ones are
+    exactly the vertices.  The unclosed product of the factors must equal
+    ``closed``, which certifies that its closure does too.
+    """
+    lo, hi = closed.degree_bounds()
+    c = [closed.terms[(i,)] for i in range(lo, hi + 1)]
+    slopes = [a.value - b.value for a, b in zip(c, c[1:])]
+    marks = [i for i, a in enumerate(c) if a.is_tangible()]
+    top, bottom = (marks[-1], marks[0]) if marks else (0, 0)
+    raw: List[Tuple[TropicalPolynomial, int]] = []
     if lo > 0:
-        raw_factors.append((variable(0, 1), lo))
-        work = _shift_down(work, lo)
-
-    if work.is_constant():
-        unit = unit * work.constant_value()
-    else:
-        u1, lead_betas, work = _peel_ghost_leads(work)
-        unit = unit * u1
-        if lead_betas:
-            keep = min(lead_betas)
-            rest = list(lead_betas)
-            rest.remove(keep)
-            raw_factors.append((_ghost_variable_linear(keep), 1))
-            for b in rest:
-                raw_factors.append((_linear(tangible(b)), 1))
-
-        const_vals: List[Fraction] = []
-        if not work.is_constant():
-            rev = _reverse(work)
-            u2, rev_betas, rev_rest = _peel_ghost_leads(rev)
-            unit = unit * u2
-            for b in rev_betas:
-                unit = unit * tangible(b)
-                const_vals.append(-b)
-            work = _reverse(rev_rest)
-        if const_vals:
-            keep = max(const_vals)
-            rest = list(const_vals)
-            rest.remove(keep)
-            raw_factors.append((_linear(ghost(keep)), 1))
-            for v in rest:
-                raw_factors.append((_linear(tangible(v)), 1))
-
-        if work.is_constant():
-            unit = unit * work.constant_value()
-        else:
-            coeffs = _coeffs(work)
-            t = max(coeffs)
-            unit = unit * coeffs[t]
-            tangible_positions = sorted(
-                e for e, c in coeffs.items() if c.is_tangible())
-            if tangible_positions[0] != 0 or tangible_positions[-1] != t:
-                raise InternalInconsistency("block ends are not tangible")
-            for s1, s2 in zip(tangible_positions, tangible_positions[1:]):
-                inv = coeffs[s2].inv()
-                block = _from_coeffs(
-                    {i - s1: coeffs[i] * inv
-                     for i in range(s1, s2 + 1) if i in coeffs})
-                raw_factors.extend(_factor_monic_block(block))
-
-    result = Factorization(unit, _merge_factors(raw_factors), False)
-    if result.expand() != closed:
+        raw.append((variable(0, 1), lo))
+    # slopes[k] is the edge from position k + 1 down to k, so the edges
+    # above position p are slopes[p:] and those below it slopes[:p]
+    above = sorted(slopes[top:])
+    if above:
+        raw.append((_ghost_variable_linear(above[0]), 1))
+    below = sorted(slopes[:bottom], reverse=True)
+    if below:
+        raw.append((_linear(ghost(below[0])), 1))
+    plain = above[1:] + below[1:]
+    for s1, s2 in zip(marks, marks[1:]):
+        i, j = s1, s2 - 1
+        while i < j and slopes[i] != slopes[j]:
+            raw.append((TropicalPolynomial(1, {
+                (2,): tangible(0), (1,): ghost(slopes[j]),
+                (0,): tangible(slopes[i] + slopes[j])}), 1))
+            i, j = i + 1, j - 1
+        plain.extend(slopes[i:j + 1])
+    raw.extend((_linear(tangible(s)), 1) for s in plain)
+    unit = (tangible if marks else ghost)(c[-1].value)
+    result = Factorization(unit, _merge_factors(raw), False)
+    if result._product() != closed:
         raise InternalInconsistency("expansion does not reproduce the input")
     result.certified = True
     return result

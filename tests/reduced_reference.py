@@ -17,8 +17,11 @@ from tropc import (ArityUnsupported, EmptyPolynomial, InternalInconsistency,
                    NotTangibleFull, TropicalPolynomial, essential_part,
                    full_closure, red_add, red_mul, slope_sequence, tangible)
 from tropc.polynomial import constant, variable
-from tropc.univariate import (Factorization, _linear, _merge_factors,
-                              _shift_down)
+from tropc.univariate import Factorization, _linear, _merge_factors
+
+
+def _shift_down(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
+    return TropicalPolynomial(1, {(e[0] - k,): c for e, c in f.terms.items()})
 
 
 def reference_red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:

@@ -17,9 +17,9 @@ from reduced_reference import (reference_combination, reference_expand,
                                reference_factor_tangible_full,
                                reference_red_pow)
 from tropc import (Factorization, IdealFG, NotTangibleFull,
-                   TropicalPolynomial, factor_full, factor_tangible_full,
-                   full_closure, parse_poly, radical_member_1d, red_mul,
-                   red_pow, tangible)
+                   TropicalPolynomial, divides, factor_full,
+                   factor_tangible_full, full_closure, parse_poly,
+                   radical_member_1d, red_mul, red_pow, tangible)
 from util import rand_coeff, rand_fraction, rand_poly, rand_tangible_full
 
 P = parse_poly
@@ -175,9 +175,13 @@ class TestHullBuildBudget:
         assert hull_builds(red_pow, P(QUARTIC), 3) == 1            # was 3
 
     def test_factorization(self, hull_builds):
-        assert hull_builds(factor_full, P(QUARTIC)) == 2           # was 6
-        assert hull_builds(factor_full, P("x^2 + 3v*x + 4")) == 2  # was 3
-        assert hull_builds(factor_tangible_full, P(QUARTIC)) == 2  # was 8
+        assert hull_builds(factor_full, P(QUARTIC)) == 1           # was 6
+        assert hull_builds(factor_full, P("x^2 + 3v*x + 4")) == 1  # was 3
+        assert hull_builds(factor_tangible_full, P(QUARTIC)) == 1  # was 8
+
+    def test_divides(self, hull_builds):
+        f, g = P("x^2 + 3*x + 4"), P("x + 1")
+        assert hull_builds(divides, f, g) == 4                     # was 7
 
     def test_radical_member(self, hull_builds):
         f = P("x^2 + 1*x + 0")

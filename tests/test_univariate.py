@@ -1,8 +1,12 @@
 """Constructive roots and certified factorization."""
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from factor_reference import (reference_factor_full,
+                              reference_factor_tangible_full)
 from tropc import (ArityUnsupported, ConstantTangibleAmongInputs,
                    ConstantTangibleInput, EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, common_root, factor_full,
@@ -157,3 +161,103 @@ class TestFactorFull:
             fact = factor_full(f)
             assert fact.certified
             assert fact.expand() == full_closure(f)
+
+
+def outcome(fn, f):
+    """(unit, factors in order, certified), or the name of the error."""
+    try:
+        fact = fn(f)
+    except Exception as exc:  # compared by name against the reference
+        return type(exc).__name__
+    return (fact.unit, [(p, m) for p, m in fact.factors], fact.certified)
+
+
+def rand_factor_input(rng, n):
+    """A univariate input of class n % 5: gapped with about 40% ghost
+    coefficients, all ghost, all tangible, every position on a concave
+    profile with mostly ghost tags, or one block (tangible ends, ghost
+    interior) on a concave profile."""
+    kind = n % 5
+    lo = rng.randint(0, 3)
+    if kind < 3:
+        degree = rng.randint(0, 14)
+        share = (0.4, 1.0, 0.0)[kind]
+        terms = {}
+        for e in range(degree + 1):
+            if e in (0, degree) or rng.random() < 0.6:
+                v = Fraction(rng.randint(-20, 20), rng.randint(2, 7))
+                terms[(lo + e,)] = ghost(v) if rng.random() < share \
+                    else tangible(v)
+        return TropicalPolynomial(1, terms)
+    degree = rng.randint(2, 14) if kind == 3 else rng.randint(4, 12)
+    slopes = sorted((Fraction(rng.randint(-12, 12), rng.randint(2, 7))
+                     for _ in range(degree)), reverse=True)
+    height = Fraction(rng.randint(-6, 6), rng.randint(2, 7))
+    terms = {}
+    for e in range(degree, -1, -1):
+        end = e in (0, degree)
+        ghosted = rng.random() < 0.7 if kind == 3 else not end
+        terms[(lo + e,)] = ghost(height) if ghosted else tangible(height)
+        if e:
+            height += slopes[degree - e]
+    return TropicalPolynomial(1, terms)
+
+
+def input_classes(f, unit, factors):
+    """The classes the closure of f and its factorization fall in."""
+    closed = full_closure(f)
+    lo, hi = closed.degree_bounds()
+    marks = [e[0] for e, c in closed.terms.items() if c.is_tangible()]
+    classes = set()
+    if any(c.is_ghost() for c in f.terms.values()):
+        classes.add("ghost coefficients")
+    if unit.is_ghost():
+        classes.add("ghost unit")
+    if marks and hi - max(marks) >= 2:
+        classes.add("ghost lead run")
+    if marks and min(marks) - lo >= 2:
+        classes.add("ghost constant run")
+    quads = sum(m for p, m in factors if p.total_degree() == 2)
+    if len(marks) == 2 and quads >= 2:
+        classes.add("nested quadratics")
+    return classes
+
+
+class TestAgainstFactorReference:
+    """The slope walk against the old coefficient surgery in
+    ``factor_reference.py``: the same unit, factors in order and
+    certificate, or the same error."""
+
+    PINNED = ["2*x^4 + 5*x^3 + 5*x^2 + 3*x + 0", "x^2 + 3v*x + 4",
+              "2v*x + 3v", "3v*x^3", "3v"]
+
+    def test_pinned(self):
+        for text in self.PINNED:
+            f = P(text)
+            assert outcome(factor_full, f) == \
+                outcome(reference_factor_full, f), text
+            assert outcome(factor_tangible_full, f) == \
+                outcome(reference_factor_tangible_full, f), text
+        assert outcome(factor_full, P("3v"))[0] == ghost(3)
+        assert outcome(factor_tangible_full, P("x^2 + 3v*x + 4")) == \
+            "NotTangibleFull"
+
+    def test_random(self):
+        rng = random.Random(307)
+        seen = Counter()
+        for n in range(1500):
+            f = rand_factor_input(rng, n)
+            expected = outcome(reference_factor_full, f)
+            assert outcome(factor_full, f) == expected, f
+            seen.update(input_classes(f, *expected[:2]))
+            expected = outcome(reference_factor_tangible_full, f)
+            assert outcome(factor_tangible_full, f) == expected, f
+            seen["tangible-full" if isinstance(expected, tuple)
+                 else expected] += 1
+        assert seen["ghost coefficients"] >= 1000, seen
+        assert seen["ghost unit"] >= 300, seen
+        assert seen["ghost lead run"] >= 150, seen
+        assert seen["ghost constant run"] >= 150, seen
+        assert seen["nested quadratics"] >= 250, seen
+        assert seen["tangible-full"] >= 300, seen
+        assert seen["NotTangibleFull"] >= 900, seen
