@@ -343,9 +343,11 @@ def slope_sequence(f: TropicalPolynomial) -> SlopeSequence:
 
 def divides(f: TropicalPolynomial, g: TropicalPolynomial
             ) -> Optional[TropicalPolynomial]:
-    """Quotient q with red_mul(q, g) equal to the full closure of f, if any.
+    """Quotient q with red_mul(q, g) equal to the full closure of f, or None.
 
-    Decided by comparing canonical factorizations, so univariate only.
+    Found by removing the canonical factors of g from those of f, so
+    univariate only.  None is not a proof: the canonical factors of a
+    product need not be the union of its factors' canonical factors.
     """
     # local import to avoid a cycle
     from .univariate import Factorization, _factor_closed, factor_full
@@ -367,8 +369,6 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
                 break
         else:
             return None
-    if fg.unit.is_neg_inf():
-        return None
     quotient = Factorization(ff.unit * fg.unit.inv(), remaining,
                              False).expand()
     if red_mul(quotient, g) != closed_f:

@@ -143,17 +143,12 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
             m_lower = max(m_lower, -(-r // i))
     f_coeffs = {e[0]: c for e, c in f.terms.items()}
 
+    # com-sets emit tangible vertices only, so every beta below inverts;
+    # m >= ceil(r / i) when i > 0 and r = 0 when i = 0, so m * i >= r
     for m in range(m_lower, MAX_CERTIFICATE_EXPONENT + 1):
-        if any(m * i - r < 0 for _, i, r in assignment):
-            continue
         combiners: dict = {}
-        ok = True
         for gi, i, r in assignment:
-            g = ideal.generators[gi]
-            beta = g.terms[(r,)]
-            if not beta.is_tangible():
-                ok = False
-                break
+            beta = ideal.generators[gi].terms[(r,)]
             coeff = (f_coeffs[i] ** m) * beta.inv()
             exp = (m * i - r,)
             bucket = combiners.setdefault(gi, {})
@@ -161,8 +156,6 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
             # identical contributions collapse without ghosting
             if exp not in bucket or bucket[exp] < coeff:
                 bucket[exp] = coeff
-        if not ok:
-            continue
         cert = RadicalCertificate(
             m, [(full_closure(TropicalPolynomial(1, bucket)),
                  ideal.generators[gi])

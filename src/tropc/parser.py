@@ -52,8 +52,6 @@ def _tokenize(text: str) -> List[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise PolySyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup is None:
-            raise PolySyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.group("ninf"):
             tokens.append(_Token("num", m.group(), pos, NEG_INFINITY))
         elif m.group("num"):

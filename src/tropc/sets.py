@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber
 from .errors import ArityMismatch, ArityUnsupported
@@ -84,46 +84,24 @@ def _envelope_vertices(f: TropicalPolynomial) -> List[int]:
 
 def _components_with_monomials(f: TropicalPolynomial
                                ) -> List[Tuple[Component1D, int]]:
-    """Complement components together with the dominating exponent on each."""
+    """Complement components with the dominating exponent on each, in
+    ascending order: one per tangible envelope vertex, on the open interval
+    between its breakpoints.  A tangible constant is the first vertex, and
+    its interval iv = (-inf, s) up to the first breakpoint s is also the
+    ghost ray where it dominates, so both merge with -inf into
+    ``Component1D(iv, iv, True)``.
+    """
     if f.arity != 1:
         raise ArityUnsupported("com-sets are univariate")
     if f.is_empty() or f.is_ghost_poly():
         return []
-    coeffs = {e[0]: c for e, c in f.terms.items()}
-    if f.is_constant():
-        c = coeffs[0]
-        if c.is_tangible():
-            return [(Component1D((None, None), (None, None), True), 0)]
-        return []
-    if len(coeffs) == 1:
-        (e, c), = coeffs.items()
-        if c.is_tangible():
-            return [(Component1D((None, None), None, False), e)]
-        return []
-
     verts = _envelope_vertices(f)
-    heights = {e: c.value for e, c in coeffs.items()}
-    breakpoints = [
-        (heights[e1] - heights[e2]) / Fraction(e2 - e1)
-        for e1, e2 in zip(verts, verts[1:])]
-    bounds = [None] + breakpoints + [None]
-    out: List[Tuple[Component1D, int]] = []
-    const = coeffs.get(0)
-    const_tangible = const is not None and const.is_tangible()
-    for k, e in enumerate(verts):
-        if not coeffs[e].is_tangible():
-            continue
-        iv = (bounds[k], bounds[k + 1])
-        if k == 0 and const_tangible:
-            # the constant dominates as x -> -inf; the leftmost tangible
-            # interval, the ghost ray and -inf form one merged component
-            s = min((const.value - heights[i]) / Fraction(i)
-                    for i in coeffs if i > 0)
-            out.append((Component1D(iv, (None, s), True), e))
-        else:
-            out.append((Component1D(iv, None, False), e))
-    out.sort(key=lambda t: _component_sort_key(t[0]))
-    return out
+    heights = {e[0]: c.value for e, c in f.terms.items()}
+    bounds = [None] + [(heights[e1] - heights[e2]) / Fraction(e2 - e1)
+                       for e1, e2 in zip(verts, verts[1:])] + [None]
+    return [(Component1D(iv, iv if e == 0 else None, e == 0), e)
+            for e, iv in zip(verts, zip(bounds, bounds[1:]))
+            if f.terms[(e,)].is_tangible()]
 
 
 def comset1d(f: TropicalPolynomial) -> List[Component1D]:
@@ -176,6 +154,29 @@ class CornerLocus2D:
     rays: List[dict]
 
 
+def _clip(p0, d, planes, lo: Optional[Fraction] = None,
+          hi: Optional[Fraction] = None
+          ) -> Optional[Tuple[Optional[Fraction], Optional[Fraction]]]:
+    """The range of t in [lo, hi] with n . (p0 + t d) >= c for every
+    (n, c) in planes; None bounds are unbounded.  None when a plane
+    parallel to d excludes the whole line."""
+    for n, c in planes:
+        rhs = c - n[0] * p0[0] - n[1] * p0[1]
+        dot = n[0] * d[0] + n[1] * d[1]
+        if dot == 0:
+            if rhs > 0:
+                return None
+        elif dot > 0:
+            t = rhs / dot
+            if lo is None or t > lo:
+                lo = t
+        else:
+            t = rhs / dot
+            if hi is None or t < hi:
+                hi = t
+    return lo, hi
+
+
 def corner_locus_2d(f: TropicalPolynomial,
                     bbox: Tuple[Fraction, Fraction, Fraction, Fraction]
                     ) -> CornerLocus2D:
@@ -183,7 +184,9 @@ def corner_locus_2d(f: TropicalPolynomial,
 
     Each locus is the set where two monomials attain the maximum together;
     output segments carry exact rational endpoints and the pair of tying
-    monomial indices.  A polynomial vanishing identically on the plane
+    monomial indices, and each unbounded end of a locus gives a ray from
+    the box.  Regions where a ghost monomial alone dominates are roots too
+    but are not drawn.  A polynomial vanishing identically on the plane
     (all coefficients ghost, or no terms) sets whole_plane instead.
     """
     if f.arity != 2:
@@ -191,6 +194,7 @@ def corner_locus_2d(f: TropicalPolynomial,
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
     xmin, ymin, xmax, ymax = (Fraction(v) for v in bbox)
+    box = (((1, 0), xmin), ((-1, 0), -xmax), ((0, 1), ymin), ((0, -1), -ymax))
     terms = f.sorted_terms()
     exps = [e for e, _ in terms]
     heights = [c.value for _, c in terms]
@@ -208,54 +212,21 @@ def corner_locus_2d(f: TropicalPolynomial,
             else:
                 p0 = (Fraction(0), delta / Fraction(n[1]))
             d = (Fraction(-n[1]), Fraction(n[0]))
-            tlo: Optional[Fraction] = None
-            thi: Optional[Fraction] = None
-            feasible = True
-            for k in range(m):
-                if k in (i, j):
-                    continue
-                nk = (exps[i][0] - exps[k][0], exps[i][1] - exps[k][1])
-                rhs = (heights[k] - heights[i]
-                       - nk[0] * p0[0] - nk[1] * p0[1])
-                dot = nk[0] * d[0] + nk[1] * d[1]
-                if dot == 0:
-                    if rhs > 0:
-                        feasible = False
-                        break
-                elif dot > 0:
-                    t = rhs / dot
-                    if tlo is None or t > tlo:
-                        tlo = t
-                else:
-                    t = rhs / dot
-                    if thi is None or t < thi:
-                        thi = t
-            if not feasible:
+            # term i (tied with j) at least every other term k
+            tie = _clip(p0, d, (((exps[i][0] - exps[k][0],
+                                  exps[i][1] - exps[k][1]),
+                                 heights[k] - heights[i])
+                                for k in range(m) if k not in (i, j)))
+            if tie is None:
                 continue
+            tlo, thi = tie
             if tlo is not None and thi is not None and tlo >= thi:
                 continue
-            unbounded_lo = tlo is None
-            unbounded_hi = thi is None
-            # clip to the bounding box
-            ctlo, cthi = tlo, thi
-            empty = False
-            for (nb, rhs_b) in (((1, 0), xmin), ((-1, 0), -xmax),
-                                ((0, 1), ymin), ((0, -1), -ymax)):
-                rhs = rhs_b - nb[0] * p0[0] - nb[1] * p0[1]
-                dot = nb[0] * d[0] + nb[1] * d[1]
-                if dot == 0:
-                    if rhs > 0:
-                        empty = True
-                        break
-                elif dot > 0:
-                    t = rhs / dot
-                    if ctlo is None or t > ctlo:
-                        ctlo = t
-                else:
-                    t = rhs / dot
-                    if cthi is None or t < cthi:
-                        cthi = t
-            if empty or ctlo is None or cthi is None or ctlo > cthi:
+            clipped = _clip(p0, d, box, tlo, thi)
+            if clipped is None:
+                continue
+            ctlo, cthi = clipped
+            if ctlo is None or cthi is None or ctlo > cthi:
                 continue
 
             def at(t):
@@ -266,8 +237,8 @@ def corner_locus_2d(f: TropicalPolynomial,
             entry = {"indices": [list(exps[i]), list(exps[j])]}
             if ctlo < cthi:
                 segments.append({**entry, "from": at(ctlo), "to": at(cthi)})
-            if unbounded_lo:
+            if tlo is None:
                 rays.append({**entry, "from": at(ctlo), "dir": (-d[0], -d[1])})
-            if unbounded_hi:
+            if thi is None:
                 rays.append({**entry, "from": at(cthi), "dir": d})
     return CornerLocus2D(False, segments, rays)

@@ -9,6 +9,7 @@ mismatch raises InternalInconsistency instead of returning a bad answer.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -53,40 +54,6 @@ def _ghost_variable_linear(b: Fraction) -> TropicalPolynomial:
     return TropicalPolynomial(1, {(1,): ghost(0), (0,): tangible(b)})
 
 
-def _factor_sort_key(p: TropicalPolynomial):
-    d = p.total_degree()
-    const = p.terms.get((0,), NEG_INFINITY)
-    lead = p.terms[(d,)]
-    if d == 1:
-        if const.is_neg_inf():
-            cls = 0          # bare x
-        elif lead.is_ghost():
-            cls = 2          # x^nu + b
-        elif const.is_ghost():
-            cls = 3          # x + b^nu
-        else:
-            cls = 1          # x + a
-    else:
-        cls = 4
-    tail = tuple(sorted((e, c.tag, c.value) for e, c in p.terms.items()))
-    head = -const.value if not const.is_neg_inf() else Fraction(0)
-    return (cls, d, head, tail)
-
-
-def _merge_factors(factors: Sequence[Tuple[TropicalPolynomial, int]]
-                   ) -> List[Tuple[TropicalPolynomial, int]]:
-    merged: List[Tuple[TropicalPolynomial, int]] = []
-    for p, m in factors:
-        for i, (q, have) in enumerate(merged):
-            if q == p:
-                merged[i] = (q, have + m)
-                break
-        else:
-            merged.append((p, m))
-    merged.sort(key=lambda t: _factor_sort_key(t[0]))
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # roots
 
@@ -107,23 +74,25 @@ def find_root(f: TropicalPolynomial) -> Tuple[TropicalNumber, ...]:
     var = next(i for i in range(f.arity)
                if any(e[i] for e in f.terms))
     fixed = {i: tangible(0) for i in range(f.arity) if i != var}
-    g = f.substitute(fixed)
-    r = _find_root_1d(g)
+    t = _threshold(f.substitute(fixed))
+    # without a tangible constant every monomial left ghosts at ghost(0);
+    # at the threshold the constant ties the first monomial to reach it
+    r = ghost(0) if t is None else tangible(t)
     point = tuple(r if i == var else tangible(0) for i in range(f.arity))
     if not f.is_root(point):
         raise InternalInconsistency("constructed point is not a root")
     return point
 
 
-def _find_root_1d(f: TropicalPolynomial) -> TropicalNumber:
-    coeffs = {e[0]: c for e, c in f.terms.items()}
-    const = coeffs.get(0, NEG_INFINITY)
-    if const.is_neg_inf() or const.is_ghost():
-        # every positive-exponent monomial ghosts at a ghost point
-        return ghost(0)
-    a = const.value
-    r = min((a - c.value) / e for e, c in coeffs.items() if e > 0)
-    return tangible(r)
+def _threshold(f: TropicalPolynomial) -> Optional[Fraction]:
+    """The least t at which a non-constant monomial of f reaches the
+    constant along the diagonal (t, ..., t), or None unless the constant
+    is tangible.  f must have a non-constant term."""
+    const = f.constant_value()
+    if not const.is_tangible():
+        return None
+    return min((const.value - c.value) / sum(e)
+               for e, c in f.terms.items() if sum(e) > 0)
 
 
 def common_root(fs: Sequence[TropicalPolynomial]
@@ -150,12 +119,9 @@ def common_root(fs: Sequence[TropicalPolynomial]
                     "a tangible constant never vanishes")
             continue
         saw_nonconstant = True
-        const = f.constant_value()
-        if const.is_neg_inf() or const.is_ghost():
-            continue  # already ghost at every ghost point
-        need = min((const.value - c.value) / sum(e)
-                   for e, c in f.terms.items() if sum(e) > 0)
-        bound = need if bound is None else max(bound, need)
+        need = _threshold(f)
+        if need is not None:  # else already ghost at every ghost point
+            bound = need if bound is None else max(bound, need)
     if bound is None and not saw_nonconstant:
         point = (tangible(0),) * arity
     else:
@@ -197,7 +163,9 @@ def factor_full(f: TropicalPolynomial) -> Factorization:
     x + b for each other; each block between consecutive tangible terms
     peels x^2 + s1^nu x + (s1 + st) off its outer slopes while they differ
     and ends in one x + s per slope left.  The unit is the leading value,
-    ghost when the closure has no tangible term.
+    ghost when the closure has no tangible term.  Equal factors come
+    merged, in the order x^lo; x + a by descending a; 0^nu x + b;
+    x + b^nu; x^2 + b^nu x + (a + b) by descending a + b, then ascending b.
     """
     if f.arity != 1:
         raise ArityUnsupported("factorization is univariate")
@@ -210,7 +178,9 @@ def _factor_closed(closed: TropicalPolynomial) -> Factorization:
     """``factor_full`` of a polynomial that is already fully closed.
 
     Every position from lo to hi is present, and the tangible ones are
-    exactly the vertices.  The unclosed product of the factors must equal
+    exactly the vertices.  The walk counts the tangible linear slopes and
+    the quadratic slope pairs, and the counts are listed in the order of
+    ``factor_full``.  The unclosed product of the factors must equal
     ``closed``, which certifies that its closure does too.
     """
     lo, hi = closed.degree_bounds()
@@ -218,29 +188,34 @@ def _factor_closed(closed: TropicalPolynomial) -> Factorization:
     slopes = [a.value - b.value for a, b in zip(c, c[1:])]
     marks = [i for i, a in enumerate(c) if a.is_tangible()]
     top, bottom = (marks[-1], marks[0]) if marks else (0, 0)
-    raw: List[Tuple[TropicalPolynomial, int]] = []
-    if lo > 0:
-        raw.append((variable(0, 1), lo))
     # slopes[k] is the edge from position k + 1 down to k, so the edges
     # above position p are slopes[p:] and those below it slopes[:p]
     above = sorted(slopes[top:])
-    if above:
-        raw.append((_ghost_variable_linear(above[0]), 1))
     below = sorted(slopes[:bottom], reverse=True)
-    if below:
-        raw.append((_linear(ghost(below[0])), 1))
-    plain = above[1:] + below[1:]
+    plain = Counter(above[1:] + below[1:])
+    quads = Counter()
     for s1, s2 in zip(marks, marks[1:]):
         i, j = s1, s2 - 1
         while i < j and slopes[i] != slopes[j]:
-            raw.append((TropicalPolynomial(1, {
-                (2,): tangible(0), (1,): ghost(slopes[j]),
-                (0,): tangible(slopes[i] + slopes[j])}), 1))
+            quads[slopes[i], slopes[j]] += 1
             i, j = i + 1, j - 1
-        plain.extend(slopes[i:j + 1])
-    raw.extend((_linear(tangible(s)), 1) for s in plain)
+        plain.update(slopes[i:j + 1])
+    factors: List[Tuple[TropicalPolynomial, int]] = []
+    if lo > 0:
+        factors.append((variable(0, 1), lo))
+    factors.extend((_linear(tangible(a)), m)
+                   for a, m in sorted(plain.items(), reverse=True))
+    if above:
+        factors.append((_ghost_variable_linear(above[0]), 1))
+    if below:
+        factors.append((_linear(ghost(below[0])), 1))
+    factors.extend(
+        (TropicalPolynomial(1, {(2,): tangible(0), (1,): ghost(b),
+                                (0,): tangible(a + b)}), m)
+        for (a, b), m in sorted(quads.items(),
+                                key=lambda q: (-sum(q[0]), q[0][1])))
     unit = (tangible if marks else ghost)(c[-1].value)
-    result = Factorization(unit, _merge_factors(raw), False)
+    result = Factorization(unit, factors, False)
     if result._product() != closed:
         raise InternalInconsistency("expansion does not reproduce the input")
     result.certified = True

@@ -4,22 +4,59 @@ This is the old implementation, copied unchanged apart from its names: it
 read the canonical factors off the full closure by coefficient surgery
 (peel ghost leading coefficients, reverse to peel ghost constants, split
 the rest into blocks at its tangible monomials and peel quadratics by
-recursion) and certified by closing the expanded product.  The library now
-reads the same factors off the closure's slopes in one walk; the
-differential test in ``test_univariate.py`` compares both.
+recursion), merged equal factors and sorted them by a key rebuilt from
+each factor's terms, and certified by closing the expanded product.  The
+library now reads the same factors, already merged and in order, off the
+closure's slopes in one walk; the differential test in
+``test_univariate.py`` compares both.  ``reduced_reference.py`` shares the
+merge.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from tropc import (ArityUnsupported, EmptyPolynomial, InternalInconsistency,
-                   NotFull, NotTangibleFull, TropicalNumber,
-                   TropicalPolynomial, full_closure, ghost, tangible)
+from tropc import (NEG_INFINITY, ArityUnsupported, EmptyPolynomial,
+                   InternalInconsistency, NotFull, NotTangibleFull,
+                   TropicalNumber, TropicalPolynomial, full_closure, ghost,
+                   tangible)
 from tropc.essential import _closure_and_guard
 from tropc.polynomial import variable
-from tropc.univariate import (Factorization, _ghost_variable_linear, _linear,
-                              _merge_factors)
+from tropc.univariate import Factorization, _ghost_variable_linear, _linear
+
+
+def _factor_sort_key(p: TropicalPolynomial):
+    d = p.total_degree()
+    const = p.terms.get((0,), NEG_INFINITY)
+    lead = p.terms[(d,)]
+    if d == 1:
+        if const.is_neg_inf():
+            cls = 0          # bare x
+        elif lead.is_ghost():
+            cls = 2          # x^nu + b
+        elif const.is_ghost():
+            cls = 3          # x + b^nu
+        else:
+            cls = 1          # x + a
+    else:
+        cls = 4
+    tail = tuple(sorted((e, c.tag, c.value) for e, c in p.terms.items()))
+    head = -const.value if not const.is_neg_inf() else Fraction(0)
+    return (cls, d, head, tail)
+
+
+def _merge_factors(factors: Sequence[Tuple[TropicalPolynomial, int]]
+                   ) -> List[Tuple[TropicalPolynomial, int]]:
+    merged: List[Tuple[TropicalPolynomial, int]] = []
+    for p, m in factors:
+        for i, (q, have) in enumerate(merged):
+            if q == p:
+                merged[i] = (q, have + m)
+                break
+        else:
+            merged.append((p, m))
+    merged.sort(key=lambda t: _factor_sort_key(t[0]))
+    return merged
 
 
 def _coeffs(f: TropicalPolynomial) -> Dict[int, TropicalNumber]:

@@ -6,18 +6,20 @@ names (the old ``factor_tangible_full`` certifies with the old ``expand``):
 ``Factorization.expand`` folded one ``red_mul`` per factor,
 ``RadicalCertificate.combination`` folded ``red_mul``/``red_add`` per
 combiner, and ``factor_tangible_full`` read the roots off the slope
-sequence.  The library now closes one raw result once; the differential
-test in ``test_reduced.py`` compares both.
+sequence and merged them with the old ``_merge_factors`` (kept in
+``factor_reference.py``).  The library now closes one raw result once;
+the differential test in ``test_reduced.py`` compares both.
 """
 from __future__ import annotations
 
 from typing import List, Tuple
 
+from factor_reference import _merge_factors
 from tropc import (ArityUnsupported, EmptyPolynomial, InternalInconsistency,
                    NotTangibleFull, TropicalPolynomial, essential_part,
                    full_closure, red_add, red_mul, slope_sequence, tangible)
 from tropc.polynomial import constant, variable
-from tropc.univariate import Factorization, _linear, _merge_factors
+from tropc.univariate import Factorization, _linear
 
 
 def _shift_down(f: TropicalPolynomial, k: int) -> TropicalPolynomial:

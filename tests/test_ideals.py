@@ -1,9 +1,12 @@
 """Finitely generated ideals: Nullstellensatz and radical membership."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import tropc.ideals
+from sets_reference import reference_radical_member_1d
 from tropc import (ArityMismatch, IdealFG, NotTangibleFull,
                    TropicalPolynomial, full_closure, ghost,
                    ideal_member_syntactic, is_ghost_potent, is_proper,
@@ -111,6 +114,66 @@ class TestRadicalMembership:
         cert = radical_member_1d(f, ideal)
         assert cert is not None
         assert cert.combination() == red_pow(f, cert.m)
+
+
+def radical_outcome(fn, f, ideal):
+    """(m, combiners), None, or the name of the error."""
+    try:
+        cert = fn(f, ideal)
+    except Exception as exc:  # compared by name against the reference
+        return type(exc).__name__
+    return None if cert is None else (cert.m, cert.combiners)
+
+
+def rand_radical_case(rng, n):
+    """Class n % 4: a tangible-full f against one power of itself; against
+    a random polynomial listed before a power of f; against a tangible-full
+    polynomial listed before a power of f; a random f against random
+    generators."""
+    kind = n % 4
+    if kind == 3:
+        f = rand_poly(rng, 1, 3, 3)
+        return f, IdealFG(1, [rand_poly(rng, 1, 3, 3)
+                              for _ in range(rng.randint(1, 2))])
+    f = rand_tangible_full(rng, rng.randint(1, 3))
+    power = red_pow(f, rng.randint(1, 3))
+    if kind == 0:
+        return f, IdealFG(1, [power])
+    if kind == 1:
+        return f, IdealFG(1, [rand_poly(rng, 1, 3, 3), power])
+    return f, IdealFG(1, [rand_tangible_full(rng, rng.randint(1, 3)), power])
+
+
+class TestAgainstRadicalReference:
+    """The radical search without its unreachable guards against the old
+    one in ``sets_reference.py`` (on the old com-set): the same exponent
+    and combiners, the same None, or the same error."""
+
+    def test_random(self, monkeypatch):
+        tries = [0]
+        red_pow_once = tropc.ideals.red_pow
+
+        def counted(f, k):
+            tries[0] += 1
+            return red_pow_once(f, k)
+
+        monkeypatch.setattr(tropc.ideals, "red_pow", counted)
+        rng = random.Random(317)
+        seen = Counter()
+        for n in range(1000):
+            f, ideal = rand_radical_case(rng, n)
+            expected = radical_outcome(reference_radical_member_1d, f, ideal)
+            tries[0] = 0
+            assert radical_outcome(radical_member_1d, f, ideal) == expected, \
+                (f, ideal.generators)
+            seen["member" if isinstance(expected, tuple)
+                 else expected or "not a member"] += 1
+            if tries[0] > 1:
+                seen["past the first exponent"] += 1
+        assert seen["member"] >= 500, seen
+        assert seen["not a member"] >= 50, seen
+        assert seen["NotTangibleFull"] >= 100, seen
+        assert seen["past the first exponent"] >= 100, seen
 
 
 class TestSyntacticMembership:

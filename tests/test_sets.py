@@ -1,13 +1,17 @@
 """Complement components of zero sets and plane corner loci."""
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sets_reference import (reference_components_with_monomials,
+                            reference_corner_locus_2d)
 from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
                    TropicalPolynomial, comset1d, comset_leq, comset_meet,
                    corner_locus_2d, ghost, parse_poly, red_mul, tangible,
                    zset_contains)
+from tropc.sets import _components_with_monomials
 from util import critical_points_1d, rand_poly
 
 P = parse_poly
@@ -178,3 +182,98 @@ def _on_locus(locus, pt):
                 and min(a[1], b[1]) <= pt[1] <= max(a[1], b[1]):
             return True
     return False
+
+
+def rand_value(rng):
+    return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+
+def rand_term(rng, ghost_share):
+    return (ghost if rng.random() < ghost_share else tangible)(rand_value(rng))
+
+
+def rand_comset_input(rng, n):
+    """A univariate input of class n % 4: a constant, a single
+    non-constant term, a gapped polynomial with its constant, or one whose
+    constant is dropped 30% of the time; about a third of terms ghost."""
+    kind = n % 4
+    if kind < 2:
+        e = 0 if kind == 0 else rng.randint(1, 9)
+        return TropicalPolynomial(1, {(e,): rand_term(rng, 0.3)})
+    degree = rng.randint(1, 10)
+    terms = {}
+    if kind == 2 or rng.random() < 0.7:
+        terms[(0,)] = rand_term(rng, 0.35)
+    for e in range(1, degree + 1):
+        if e == degree or rng.random() < 0.5:
+            terms[(e,)] = rand_term(rng, 0.35)
+    return TropicalPolynomial(1, terms)
+
+
+def rand_corner_input(rng, n):
+    """(class, polynomial) of class n % 5: empty, a collinear support, all
+    ghost, or one of two general draws with about 35% ghost terms."""
+    kind = n % 5
+    if kind == 0:
+        return "empty", TropicalPolynomial(2, {})
+    size = rng.randint(1, 6)
+    if kind == 1:
+        base = (rng.randint(0, 2), rng.randint(0, 2) + 6)
+        step = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)])
+        exps = {(base[0] + k * step[0], base[1] + k * step[1])
+                for k in range(size)}
+    else:
+        exps = {(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(size)}
+    terms = {e: rand_term(rng, 1.0 if kind == 2 else 0.35) for e in exps}
+    name = {1: "collinear", 2: "all ghost"}.get(kind, "general")
+    return name, TropicalPolynomial(2, terms)
+
+
+def rand_box(rng):
+    """The fixed box half of the time, else one with fractional corners
+    (possibly degenerate)."""
+    if rng.random() < 0.5:
+        return TestCornerLocus2D.BOX
+    x0, y0 = rand_value(rng), rand_value(rng)
+    return (x0, y0, x0 + Fraction(rng.randint(0, 30), rng.randint(1, 7)),
+            y0 + Fraction(rng.randint(0, 30), rng.randint(1, 7)))
+
+
+class TestAgainstSetsReference:
+    """The one-loop com-set and the one-routine clip against the old code
+    in ``sets_reference.py``: the same components with their exponents in
+    order, and the same segments and rays in order."""
+
+    def test_comsets(self):
+        rng = random.Random(311)
+        seen = Counter()
+        for n in range(2000):
+            f = rand_comset_input(rng, n)
+            got = _components_with_monomials(f)
+            assert got == reference_components_with_monomials(f), f
+            if f.is_constant():
+                seen["tangible constant" if got else "ghost constant"] += 1
+            elif len(f.terms) == 1 and got:
+                seen["tangible single term"] += 1
+            elif any(c.neg_inf for c, _ in got):
+                seen["merged component"] += 1
+        assert seen["tangible constant"] >= 100, seen
+        assert seen["tangible single term"] >= 100, seen
+        assert seen["merged component"] >= 500, seen
+
+    def test_corner_loci(self):
+        rng = random.Random(313)
+        seen = Counter()
+        for n in range(1000):
+            kind, f = rand_corner_input(rng, n)
+            box = rand_box(rng)
+            got = corner_locus_2d(f, box)
+            assert got == reference_corner_locus_2d(f, box), (f, box)
+            seen[kind] += 1
+            seen["fractional box"] += any(v.denominator > 1 for v in box)
+            seen["segments"] += len(got.segments)
+            seen["rays"] += len(got.rays)
+        for kind in ("empty", "collinear", "all ghost"):
+            assert seen[kind] >= 150, seen
+        assert seen["fractional box"] >= 300, seen
+        assert seen["segments"] >= 500 and seen["rays"] >= 500, seen

@@ -220,12 +220,18 @@ def input_classes(f, unit, factors):
     quads = sum(m for p, m in factors if p.total_degree() == 2)
     if len(marks) == 2 and quads >= 2:
         classes.add("nested quadratics")
+    # x + a with a != -inf; x^lo is a bare x and does not count
+    if any(len(p.terms) == 2 and p.total_degree() == 1 and m >= 2
+           for p, m in factors):
+        classes.add("repeated linear")
+    if any(p.total_degree() == 2 and m >= 2 for p, m in factors):
+        classes.add("repeated quadratic")
     return classes
 
 
 class TestAgainstFactorReference:
-    """The slope walk against the old coefficient surgery in
-    ``factor_reference.py``: the same unit, factors in order and
+    """The slope walk against the old coefficient surgery, merge and sort
+    in ``factor_reference.py``: the same unit, factors in order and
     certificate, or the same error."""
 
     PINNED = ["2*x^4 + 5*x^3 + 5*x^2 + 3*x + 0", "x^2 + 3v*x + 4",
@@ -259,5 +265,7 @@ class TestAgainstFactorReference:
         assert seen["ghost lead run"] >= 150, seen
         assert seen["ghost constant run"] >= 150, seen
         assert seen["nested quadratics"] >= 250, seen
+        assert seen["repeated linear"] >= 600, seen
+        assert seen["repeated quadratic"] >= 25, seen
         assert seen["tangible-full"] >= 300, seen
         assert seen["NotTangibleFull"] >= 900, seen
