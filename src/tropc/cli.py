@@ -284,7 +284,9 @@ def _cmd_member(opts) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tropc",
-        description="computer algebra for the extended tropical semiring")
+        description="computer algebra for the extended tropical semiring",
+        epilog="an argument that starts with '-' (-inf,1 or -2*x) reads as an"
+               " option: put it after --, as in tropc eval -- 'x + y' -inf,1")
     top.add_argument("--json", action="store_true",
                      help="emit JSON instead of text")
     top.add_argument("--max-degree", type=int, default=64,

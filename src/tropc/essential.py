@@ -16,14 +16,16 @@ of the Newton polytope and of the lifted points.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import accumulate, combinations, product as iter_product
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .core import ghost
+from .core import ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
 from .polynomial import Exponent, TropicalPolynomial
@@ -309,7 +311,16 @@ def red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# slope sequences
+# slope sequences and division
+
+
+def _chain(closed: TropicalPolynomial) -> Tuple[int, list, list]:
+    """The lowest exponent lo of a full univariate closure, its coefficients
+    from lo to hi and its top-down slopes: slopes[k] = c[k] - c[k + 1] is
+    the edge from position k + 1 down to k, and the slopes ascend."""
+    lo, hi = closed.degree_bounds()
+    c = [closed.terms[(i,)] for i in range(lo, hi + 1)]
+    return lo, c, [a.value - b.value for a, b in zip(c, c[1:])]
 
 
 @dataclass
@@ -326,51 +337,51 @@ def slope_sequence(f: TropicalPolynomial) -> SlopeSequence:
         raise ArityUnsupported("slope sequences are univariate")
     if f.is_empty():
         raise EmptyPolynomial("no slopes for the empty polynomial")
-    f = full_closure(f)
-    lo, hi = f.degree_bounds()
-    if lo == hi:
+    lo, c, slopes = _chain(full_closure(f))
+    if not slopes:
         raise MonomialInput("a single monomial has no slopes")
-    heights = {e[0]: c.value for e, c in f.terms.items()}
-    slopes = []
-    edges = []
-    for i in range(hi, lo, -1):
-        slopes.append(heights[i - 1] - heights[i])
-        edges.append(((i, heights[i]), (i - 1, heights[i - 1])))
-    if any(a < b for a, b in zip(slopes, slopes[1:])):
+    if any(a > b for a, b in zip(slopes, slopes[1:])):
         raise InternalInconsistency("slopes of a full closure ascend")
-    return SlopeSequence(slopes, edges)
+    edges = [((lo + k + 1, c[k + 1].value), (lo + k, c[k].value))
+             for k in range(len(slopes))]
+    return SlopeSequence(slopes[::-1], edges[::-1])
 
 
 def divides(f: TropicalPolynomial, g: TropicalPolynomial
             ) -> Optional[TropicalPolynomial]:
-    """Quotient q with red_mul(q, g) equal to the full closure of f, or None.
+    """The closed quotient q with red_mul(q, g) equal to the full closure F
+    of f, or None, which proves that no quotient exists.  Univariate only.
 
-    Found by removing the canonical factors of g from those of f, so
-    univariate only.  None is not a proof: the canonical factors of a
-    product need not be the union of its factors' canonical factors.
+    With G the full closure of g every step is forced, since a vertex of a
+    Minkowski sum splits uniquely into vertices of its summands: q has F's
+    slopes less G's and starts at lo_F - lo_G with F(lo_F) - G(lo_G).  A
+    vertex p of F splits as u + w, the counts of q's and G's slopes below
+    p's upper edge, and F(p) = q(u) G(w).  Where G(w) is tangible q(u)
+    takes the tag of F(p); where it is ghost F(p) must be ghost.  Every
+    other term of q is ghost.
     """
-    # local import to avoid a cycle
-    from .univariate import Factorization, _factor_closed, factor_full
     if f.arity != 1 or g.arity != 1:
         raise ArityUnsupported("divisibility testing is univariate")
     if f.is_empty() or g.is_empty():
         raise EmptyPolynomial("divisibility with an empty polynomial")
-    closed_f = full_closure(f)
-    ff = _factor_closed(closed_f)
-    fg = factor_full(g)
-    remaining: List[Tuple[TropicalPolynomial, int]] = \
-        [(p, m) for p, m in ff.factors]
-    for p, mult in fg.factors:
-        for idx, (q, have) in enumerate(remaining):
-            if q == p:
-                if have < mult:
-                    return None
-                remaining[idx] = (q, have - mult)
-                break
-        else:
-            return None
-    quotient = Factorization(ff.unit * fg.unit.inv(), remaining,
-                             False).expand()
-    if red_mul(quotient, g) != closed_f:
+    lo_f, cf, sf = _chain(closed_f := full_closure(f))
+    lo_g, cg, sg = _chain(full_closure(g))
+    if lo_f < lo_g or Counter(sg) - Counter(sf):
         return None
+    sq = sorted((Counter(sf) - Counter(sg)).elements())
+    tags: Dict[int, bool] = {}
+    for p, a in enumerate(cf):
+        if 0 < p < len(sf) and sf[p - 1] == sf[p]:
+            continue  # not a vertex of F
+        u = bisect_left(sq, sf[p]) if p < len(sf) else len(sq)
+        tag = a.is_tangible()  # the tag of F(p) = q(u) G(p - u)
+        forced = tags.setdefault(u, tag) if cg[p - u].is_tangible() else False
+        if forced != tag:
+            return None
+    values = accumulate(sq, sub, initial=cf[0].value - cg[0].value)
+    quotient = TropicalPolynomial._canonical(1, {
+        (lo_f - lo_g + u,): (tangible if tags.get(u) else ghost)(v)
+        for u, v in enumerate(values)})
+    if red_mul(quotient, g) != closed_f:
+        raise InternalInconsistency("the forced quotient does not reproduce f")
     return quotient

@@ -1,11 +1,11 @@
 """Constructive roots and certified factorization of univariate polynomials.
 
 A full closure has a term at every position between its lowest and highest
-degree, its tangible terms are exactly its vertices, and its top-down slopes
-are c[i-1] - c[i].  Factorization reads the canonical factors off those
-slopes in one walk.  It is certified by multiplying the factors back,
-without closing, and comparing with the full closure of the input; a
-mismatch raises InternalInconsistency instead of returning a bad answer.
+degree and top-down slopes c[i-1] - c[i]; each tangible term is a vertex,
+each other term is ghost, and a vertex may be ghost.  Factorization reads
+the canonical factors off those slopes in one walk, certified by
+multiplying the factors back, without closing, and comparing with the full
+closure of the input; a mismatch raises InternalInconsistency.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotTangibleFull)
-from .essential import _closure_and_guard, full_closure
+from .essential import _chain, _closure_and_guard, full_closure
 from .polynomial import TropicalPolynomial, constant, variable
 
 
@@ -177,19 +177,16 @@ def factor_full(f: TropicalPolynomial) -> Factorization:
 def _factor_closed(closed: TropicalPolynomial) -> Factorization:
     """``factor_full`` of a polynomial that is already fully closed.
 
-    Every position from lo to hi is present, and the tangible ones are
-    exactly the vertices.  The walk counts the tangible linear slopes and
-    the quadratic slope pairs, and the counts are listed in the order of
-    ``factor_full``.  The unclosed product of the factors must equal
-    ``closed``, which certifies that its closure does too.
+    Every position from lo to hi is present; every tangible one is a vertex,
+    but a vertex may be ghost.  The walk reads the tangible marks, counts
+    the tangible linear slopes and the quadratic slope pairs, and lists the
+    counts in the order of ``factor_full``.  The unclosed product of the
+    factors must equal ``closed``, which certifies that its closure does too.
     """
-    lo, hi = closed.degree_bounds()
-    c = [closed.terms[(i,)] for i in range(lo, hi + 1)]
-    slopes = [a.value - b.value for a, b in zip(c, c[1:])]
+    lo, c, slopes = _chain(closed)
     marks = [i for i, a in enumerate(c) if a.is_tangible()]
     top, bottom = (marks[-1], marks[0]) if marks else (0, 0)
-    # slopes[k] is the edge from position k + 1 down to k, so the edges
-    # above position p are slopes[p:] and those below it slopes[:p]
+    # the edges above position p are slopes[p:] and those below it slopes[:p]
     above = sorted(slopes[top:])
     below = sorted(slopes[:bottom], reverse=True)
     plain = Counter(above[1:] + below[1:])

@@ -353,9 +353,7 @@ class TestDivides:
             assert red_mul(q, full_closure(g)) == full_closure(f)
 
     # The canonical factors of a product are not the union of the factors'
-    # canonical factors, so comparing factor lists misses these quotients.
-    @pytest.mark.xfail(strict=True, reason="divides answers None although "
-                       "a quotient exists")
+    # canonical factors, so the old factor-list matching missed these.
     @pytest.mark.parametrize("q,g", [
         ("0v*x + 1", "0v*x + 3"),
         ("x + 5v", "x + 1v"),

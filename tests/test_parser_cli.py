@@ -92,6 +92,12 @@ class TestCli:
         assert obj["value"] == {"tag": "t", "value": "1"}
         assert obj["is_root"] is False
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads "-inf,1" as an option unless it follows "--"
+        code, out, _ = run(capsys, "--json", "eval", "--", "x + y", "-inf,1")
+        assert code == 0
+        assert json.loads(out)["value"] == {"tag": "t", "value": "1"}
+
     def test_stdin_dash(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO("x + 2\n"))

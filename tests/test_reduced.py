@@ -181,7 +181,7 @@ class TestHullBuildBudget:
 
     def test_divides(self, hull_builds):
         f, g = P("x^2 + 3*x + 4"), P("x + 1")
-        assert hull_builds(divides, f, g) == 4                     # was 7
+        assert hull_builds(divides, f, g) == 3                     # was 7
 
     def test_radical_member(self, hull_builds):
         f = P("x^2 + 1*x + 0")
