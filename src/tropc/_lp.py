@@ -1,10 +1,10 @@
 """Exact linear programming over the rationals.
 
 A small two-phase tableau simplex with Bland's rule.  It is on no
-production path: the hull facts of ``tropc.essential`` come from its facet
-enumeration, and this simplex backs the independent reference hull path
-(``tests/lp_reference.py``) that the differential test compares against.
-Problem sizes are tiny, so clarity wins over speed.
+production path: the hull facts of ``tropc.essential`` come from its
+beneath-beyond kernel, and this simplex backs the independent reference
+hull path (``tests/lp_reference.py``) that the differential test compares
+against.  Problem sizes are tiny, so clarity wins over speed.
 """
 from __future__ import annotations
 

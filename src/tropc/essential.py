@@ -11,8 +11,9 @@ or power is the raw result closed once.
 
 Every hull runs on integers: the heights are scaled over their common
 denominator.  Univariate hulls come from one upper-hull sweep whose edges
-are walked once; higher arities read every hull fact off the exact facets
-of the Newton polytope and of the lifted points.
+are walked once; higher arities build the facets of the Newton polytope
+and of the lifted points by beneath-beyond and read every hull fact off
+the points each facet touches.
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product as iter_product
+from itertools import accumulate, product as iter_product
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
@@ -103,7 +104,7 @@ def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
 
 
 # ---------------------------------------------------------------------------
-# multivariate hull: facet enumeration on integer points
+# multivariate hull: beneath-beyond on integer points
 
 
 def _dot(a, b) -> int:
@@ -131,64 +132,86 @@ def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
     return basis
 
 
+def _det(m: List[List[int]]) -> int:
+    """Determinant of a square integer matrix, along the first row."""
+    if len(m) == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if len(m) < 2:
+        return m[0][0] if m else 1
+    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, a in enumerate(m[0]) if a)
+
+
+def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
+    """The hyperplane n . x = b through d affinely independent points of
+    Z^d: n is the gcd-reduced vector of cofactors of their differences."""
+    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+         for j in range(len(pts))]
+    g = gcd(*n)
+    n = [a // g for a in n]
+    return n, _dot(n, pts[0])
+
+
 def _facets(points: List[Tuple[int, ...]]) -> list:
-    """Facets of the convex hull of integer points in Z^k.
+    """Facets of the convex hull of integer points that span Z^d or one
+    hyperplane of it, by beneath-beyond.
 
     Each facet is (outward normal, offset, indices of the points on it),
     with normal . x <= offset at every point; points on one hyperplane give
-    it once, oriented to a positive last component.  A k-subset spans a
-    hyperplane when its rows (x, 1) are independent, and the maximal minors
-    of those rows give its normal and offset.  The minors grow one row at a
-    time along the tree of subsets, which prunes dependent prefixes;
-    subsets inside a facet already found are skipped.
+    it once, oriented to a positive last component.  The hull starts from
+    d + 1 affinely independent points; a later point p replaces the
+    simplices it sees strictly (n . p > b, so points on a facet's plane
+    change nothing) by the cones from p over their horizon ridges, each
+    oriented away from the start's integer centroid c (d + 1 times the
+    mean).  Simplices on one plane merge into one facet, whose contact set
+    is read off all points.
     """
-    k = len(points[0])
-    rows = [p + (1,) for p in points]
-    found: Dict[FrozenSet[int], Tuple[Tuple[int, ...], int]] = {}
+    d = len(points[0])
+    start, basis = [0], []
+    for i, p in enumerate(points):
+        row = _reduce(basis, [a - b for a, b in zip(p, points[0])])
+        if any(row):
+            basis.append((next(c for c, x in enumerate(row) if x), row))
+            start.append(i)
+    if len(start) == d:  # flat
+        n, b = _plane([points[i] for i in start])
+        planes = {(tuple(n), b) if n[-1] >= 0 else
+                  (tuple(-a for a in n), -b)}
+    else:
+        c = [sum(col) for col in zip(*(points[i] for i in start))]
 
-    def grow(start: int, chosen: Tuple[int, ...], minors: Dict[tuple, int]):
-        t = len(chosen)
-        cols = list(combinations(range(k + 1), t + 1))
-        linear = []  # a minor with one more row r is linear in r
-        for c in cols:
-            coef = [0] * (k + 1)
-            for a, j in enumerate(c):
-                coef[j] = (-1) ** (t + a) * minors[c[:a] + c[a + 1:]]
-            linear.append(coef)
-        for i in range(start, len(rows) - k + t + 1):
-            sub = chosen + (i,)
-            if t + 1 == k and any(c.issuperset(sub) for c in found):
+        def simplex(verts):
+            n, b = _plane([points[i] for i in verts])
+            return (verts, n, b) if _dot(n, c) < b * (d + 1) else \
+                (verts, [-a for a in n], -b)
+
+        hull = [simplex(tuple(start[:j] + start[j + 1:]))
+                for j in range(d + 1)]
+        for i in sorted(set(range(len(points))) - set(start)):
+            seen = [fc for fc in hull if _dot(fc[1], points[i]) > fc[2]]
+            if not seen:
                 continue
-            more = [_dot(coef, rows[i]) for coef in linear]
-            if not any(more):
-                continue
-            if t + 1 < k:
-                grow(i + 1, sub, dict(zip(cols, more)))
-            else:
-                add(more)
-
-    def add(minors: List[int]):
-        # cofactors of the k rows; the minor without column j is at k - j
-        normal = [(-1) ** j * minors[k - j] for j in range(k + 1)]
-        side = (_dot(normal, r) for r in rows)
-        if next((s for s in side if s), -normal[k - 1]) > 0:
-            normal = [-a for a in normal]
-        if any(_dot(normal, r) > 0 for r in rows):
-            return
-        found[frozenset(i for i, r in enumerate(rows)
-                        if not _dot(normal, r))] = (tuple(normal[:k]),
-                                                    -normal[k])
-
-    grow(0, (), {(): 1})
-    return [(n, b, c) for c, (n, b) in found.items()]
+            once: Dict[tuple, bool] = {}
+            for verts, _, _ in seen:
+                for j in range(d):
+                    ridge = verts[:j] + verts[j + 1:]
+                    once[ridge] = ridge not in once
+            hull = [fc for fc in hull if _dot(fc[1], points[i]) <= fc[2]]
+            hull += [simplex(tuple(sorted(r + (i,))))
+                     for r, one in once.items() if one]
+        planes = {(tuple(n), b) for _, n, b in hull}
+    return [(n, b, frozenset(i for i, p in enumerate(points)
+                             if _dot(n, p) == b)) for n, b in planes]
 
 
 def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
     """Exponents go to pivot coordinates of their affine hull (dimension
     k), heights to integers over a common denominator.  A point is on the
-    hull iff an upper facet touches it, a hull vertex iff the normals of the
-    upper and Newton facets through it have rank k + 1, and a Newton vertex
-    iff its Newton normals have rank k."""
+    hull iff an upper facet touches it; a hull vertex iff the upper facets
+    and Newton walls through it touch no other point together; and a
+    Newton vertex iff its walls touch no other point together (at k = 0
+    the single point is one)."""
     exps = sorted(f.terms)
     heights = [f.terms[e].value for e in exps]
     lifted = dict(zip(exps, heights))
@@ -205,16 +228,17 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
 
     classification = {}
     interior = []
+    everyone = frozenset(range(len(exps)))
     for i, e in enumerate(exps):
-        walls = [n + (0,) for n, _, c in newton if i in c]
-        roofs = [n for n, _, c in upper if i in c]
+        on_walls = everyone.intersection(*(c for _, _, c in newton if i in c))
+        roofs = [c for _, _, c in upper if i in c]
         if not roofs:
             classification[e] = INESSENTIAL
-        elif len(_echelon(roofs + walls)) <= k:
+        elif len(on_walls.intersection(*roofs)) > 1:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-            if len(_echelon(walls)) < k:
+            if len(on_walls) > 1:
                 interior.append(e)
 
     box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
@@ -226,9 +250,14 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
         x = tuple(v[c] for c in pivots)
         if any(_dot(n, x) > b for n, b, _ in newton):
             continue
-        # _dot stops at the end of x, before the height component
-        lattice[v] = min(Fraction(b - _dot(n, x), n[-1] * scale)
-                         for n, b, _ in upper)
+        # the least (b - n . x) / n_k over the upper facets, compared by
+        # cross-multiplication; _dot stops at the end of x
+        t, w = None, 1
+        for n, b, _ in upper:
+            s = b - _dot(n, x)
+            if t is None or s * w < t * n[-1]:
+                t, w = s, n[-1]
+        lattice[v] = Fraction(t, w * scale)
     subdivision = None
     if f.arity == 2:
         subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)

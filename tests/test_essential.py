@@ -3,11 +3,14 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import tropc.essential
 import tropc.sets
+import facets_reference
+from facets_reference import reference_complex_nd
 from hull1d_reference import reference_complex_1d, reference_envelope_vertices
 from lp_reference import reference_complex
 from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
@@ -70,8 +73,9 @@ def _fields(cx: EssentialComplex):
             for f in dataclasses.fields(cx) for v in [getattr(cx, f.name)]]
 
 
-def _reference_case(rng: random.Random, kind: str) -> TropicalPolynomial:
-    arity = rng.choice((2, 2, 3))
+def _reference_case(rng: random.Random, kind: str,
+                    arity: int = 0) -> TropicalPolynomial:
+    arity = arity or rng.choice((2, 2, 3))
     if kind == "single":
         return rand_poly(rng, arity, 3, 1)
     if kind == "collinear":
@@ -81,12 +85,15 @@ def _reference_case(rng: random.Random, kind: str) -> TropicalPolynomial:
         return TropicalPolynomial(arity, {
             tuple(a + j * d for a, d in zip(start, step)):
                 tangible(rand_fraction(rng)) for j in range(count)})
-    if kind == "coplanar":  # a plane inside three variables
+    if kind == "coplanar":  # a plane inside three (or four) variables
         u, w = (1, rng.randint(0, 1), 0), (0, rng.randint(0, 2), 1)
+        if arity == 4:
+            u, w = u + (rng.randint(0, 1),), w + (rng.randint(0, 2),)
         terms = {tuple(i * a + j * b for a, b in zip(u, w)):
                  tangible(rand_fraction(rng))
                  for i in range(3) for j in range(3) if rng.random() < 0.6}
-        return TropicalPolynomial(3, terms or {(0, 0, 0): tangible(0)})
+        return TropicalPolynomial(len(u),
+                                  terms or {(0,) * len(u): tangible(0)})
     f = rand_poly(rng, arity, rng.randint(1, 4 if arity == 2 else 3), 7)
     if kind == "flat":  # heights affine in the exponent
         c = [rand_fraction(rng, -3, 3) for _ in range(arity + 1)]
@@ -126,6 +133,117 @@ class TestAgainstLpReference:
                  for e in f.terms])))] += 1
         # every dimension of support occurs in both arities
         assert all(seen[(a, k)] for a in (2, 3) for k in range(a + 1))
+
+
+class TestAgainstFacetsReference:
+    """The beneath-beyond kernel gives the facets of the old k-subset
+    enumeration, and classify_monomials every field of the old complex."""
+
+    kernel = staticmethod(tropc.essential._facets)
+
+    @pytest.fixture
+    def hulls(self, monkeypatch):
+        """The points each kernel is handed, with its facets, in call order:
+        both complexes build the Newton hull first, then the lifted one."""
+        seen = {"kernel": [], "reference": []}
+        for module, name, key in (
+                (tropc.essential, "_facets", "kernel"),
+                (facets_reference, "reference_facets", "reference")):
+            def recorded(points, _kernel=getattr(module, name),
+                         _out=seen[key]):
+                _out.append((points, _kernel(points)))
+                return _out[-1][1]
+            monkeypatch.setattr(module, name, recorded)
+        return seen
+
+    @staticmethod
+    def facet_set(facets, order=None):
+        """Facets as a set of (normal, offset, contact set), each
+        (normal, offset) divided by the gcd of the normal; contact indices
+        go through order when the points were permuted by it."""
+        out = set()
+        for n, b, c in facets:
+            g = gcd(*n)
+            out.add((tuple(a // g for a in n), b // g,
+                     frozenset(order[i] for i in c) if order else c))
+        assert len(out) == len(facets)  # no facet twice
+        return out
+
+    def assert_same(self, f, hulls, rng):
+        """Every field of the complex and the facets of each hull; the
+        kernel also gets each point set in a random order, in which a point
+        may come after a facet has covered it."""
+        for calls in hulls.values():
+            calls.clear()
+        got = _fields(classify_monomials(f))
+        assert got == _fields(reference_complex_nd(f)), format_poly(f)
+        kernel, reference = (
+            [(points, self.facet_set(facets)) for points, facets in calls]
+            for calls in (hulls["kernel"], hulls["reference"]))
+        assert kernel and kernel == reference, format_poly(f)
+        for points, facets in kernel:
+            order = rng.sample(range(len(points)), len(points))
+            shuffled = self.kernel([points[i] for i in order])
+            assert self.facet_set(shuffled, order) == facets, points
+
+    def test_random(self, hulls):
+        rng = random.Random(61)
+        kinds = ["random", "random", "collinear", "coplanar", "flat",
+                 "fractional", "single", "ghost"]
+        seen = Counter()
+        for i in range(2400):
+            arity = (2, 2, 3, 4)[i % 4]
+            kind = kinds[i // 4 % len(kinds)]
+            if kind == "ghost":
+                f = _reference_case(rng, "random", arity)
+                f = TropicalPolynomial(arity, {e: ghost(c.value)
+                                               for e, c in f.terms.items()})
+            else:
+                f = _reference_case(rng, kind, arity)
+            self.assert_same(f, hulls, rng)
+            seen[(f.arity, len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, min(f.terms))]
+                 for e in f.terms])))] += 1
+        # every dimension of support occurs in every arity
+        assert all(seen[(a, k)]
+                   for a in (2, 3, 4) for k in range(a + 1)), seen
+
+    def test_large_supports(self, hulls):
+        rng = random.Random(67)
+        cases = [P(t) for t in ("(x + y + 0)^7", "(x + y + 1*x*y + 0)^6",
+                                "(x + 1*y + 3*z + 0)^3", "(x + y + z + 0)^4")]
+        while len(cases) < 32:
+            arity = rng.choice((2, 2, 2, 3))
+            f = rand_poly(rng, arity, 10 if arity == 2 else 4, 60)
+            if 20 <= len(f.terms) <= (60 if arity == 2 else 25):
+                cases.append(f)
+        for f in cases:
+            self.assert_same(f, hulls, rng)
+
+
+class TestPlaneBudget:
+    """Hyperplanes the kernel builds for one complex, counted at its plane
+    helper.  Enumerating k-subsets would face C(56, 4) = 367,290 candidate
+    planes on the 56 lifted points below; beneath-beyond builds a few
+    hundred."""
+
+    def planes(self, monkeypatch, text):
+        count = [0]
+
+        def counted(points, _plane=tropc.essential._plane):
+            count[0] += 1
+            return _plane(points)
+        monkeypatch.setattr(tropc.essential, "_plane", counted)
+        f = P(text)
+        tropc.essential._complex_nd(f)
+        return len(f.terms), count[0]
+
+    def test_three_variables(self, monkeypatch):
+        assert self.planes(monkeypatch, "(x + 1*y + 3*z + 0)^5") == (56, 225)
+
+    def test_two_variables(self, monkeypatch):
+        # not flat: the lifted points have two upper facets
+        assert self.planes(monkeypatch, "(x + y + 1*x*y + 0)^6") == (49, 309)
 
 
 def _univariate_case(rng: random.Random, kind: str) -> TropicalPolynomial:
