@@ -103,7 +103,7 @@ def _cmd_full(opts) -> int:
 
 def _cmd_classify(opts) -> int:
     f = _load_poly(opts.poly, opts)
-    cx = classify_monomials(f, with_subdivision=True)
+    cx = classify_monomials(f)
     lines = [f"{exp}: {cls}" for exp, cls in sorted(cx.classification.items())]
     _emit(opts, lines, {
         "classification": [

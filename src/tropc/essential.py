@@ -9,11 +9,11 @@ hull lattice point as a ghost term.  Full closure maps the polynomial
 semiring homomorphically onto the reduced one, so a reduced sum, product
 or power is the raw result closed once.
 
-Every hull runs on integers: the heights are scaled over their common
+Every hull runs on integers, with heights scaled over their common
 denominator.  Univariate hulls come from one upper-hull sweep whose edges
-are walked once; higher arities build the facets of the Newton polytope
-and of the lifted points by beneath-beyond and read every hull fact off
-the points each facet touches.
+are walked once.  Higher arities build the facets of the Newton polytope
+and of the lifted points by beneath-beyond; every hull fact, and the plane
+corner locus in ``sets``, is read off the points each facet touches.
 """
 from __future__ import annotations
 
@@ -205,25 +205,30 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
                              if _dot(n, p) == b)) for n, b in planes]
 
 
-def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
-    """Exponents go to pivot coordinates of their affine hull (dimension
-    k), heights to integers over a common denominator.  A point is on the
-    hull iff an upper facet touches it; a hull vertex iff the upper facets
-    and Newton walls through it touch no other point together; and a
-    Newton vertex iff its walls touch no other point together (at k = 0
-    the single point is one)."""
+def _lift(f: TropicalPolynomial) -> tuple:
+    """Ascending exponents, the echelon basis of their affine hull (k rows)
+    and its pivots, and the lifted points: pivot coordinates, then height
+    times scale, the heights' common denominator."""
     exps = sorted(f.terms)
     heights = [f.terms[e].value for e in exps]
-    lifted = dict(zip(exps, heights))
-    base = exps[0]
-    affine = _echelon([[a - b for a, b in zip(e, base)] for e in exps])
+    affine = _echelon([list(map(sub, e, exps[0])) for e in exps])
     pivots = [c for c, _ in affine]
-    k = len(pivots)
-    xs = [tuple(e[c] for c in pivots) for e in exps]
     scale = lcm(*(h.denominator for h in heights))
-    points = [x + (h.numerator * (scale // h.denominator),)
-              for x, h in zip(xs, heights)]
-    newton = _facets(xs) if k else []
+    points = [tuple(e[c] for c in pivots)
+              + (h.numerator * (scale // h.denominator),)
+              for e, h in zip(exps, heights)]
+    return exps, affine, pivots, scale, points
+
+
+def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
+    """A point is on the hull iff an upper facet touches it; a hull vertex
+    iff the upper facets and Newton walls through it touch no other point
+    together; and a Newton vertex iff its walls touch no other point
+    together (at k = 0 the single point is one)."""
+    exps, affine, pivots, scale, points = _lift(f)
+    lifted = {e: f.terms[e].value for e in exps}
+    k = len(pivots)
+    newton = _facets([p[:-1] for p in points]) if k else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
 
     classification = {}
@@ -245,7 +250,7 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
            for c in range(f.arity)]
     lattice = {}
     for v in iter_product(*box):
-        if any(_reduce(affine, [a - b for a, b in zip(v, base)])):
+        if k < f.arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
             continue
         x = tuple(v[c] for c in pivots)
         if any(_dot(n, x) > b for n, b, _ in newton):

@@ -5,17 +5,19 @@ connected components: open intervals on the tangible axis, at most one ray
 on the ghost axis, and possibly the bottom element.  The ghost ray and the
 bottom element only occur when the constant coefficient is tangible, in
 which case they merge with the leftmost tangible interval into a single
-component.
+component.  A plane corner locus, where two terms attain the maximum
+together, is read off the upper hull of the lifted Newton points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber
 from .errors import ArityMismatch, ArityUnsupported
-from .essential import _hull_1d
+from .essential import _facets, _hull_1d, _lift
 from .polynomial import TropicalPolynomial
 
 # An open interval with exact rational endpoints; None means unbounded.
@@ -154,26 +156,16 @@ class CornerLocus2D:
     rays: List[dict]
 
 
-def _clip(p0, d, planes, lo: Optional[Fraction] = None,
-          hi: Optional[Fraction] = None
-          ) -> Optional[Tuple[Optional[Fraction], Optional[Fraction]]]:
-    """The range of t in [lo, hi] with n . (p0 + t d) >= c for every
-    (n, c) in planes; None bounds are unbounded.  None when a plane
-    parallel to d excludes the whole line."""
-    for n, c in planes:
-        rhs = c - n[0] * p0[0] - n[1] * p0[1]
-        dot = n[0] * d[0] + n[1] * d[1]
-        if dot == 0:
-            if rhs > 0:
-                return None
-        elif dot > 0:
-            t = rhs / dot
-            if lo is None or t > lo:
-                lo = t
-        else:
-            t = rhs / dot
-            if hi is None or t < hi:
-                hi = t
+def _box_range(p0, d, lo, hi, box):
+    """The range of t in [lo, hi] (None is unbounded) with p0 + t d in
+    box = ((xmin, xmax), (ymin, ymax)); None when the line misses it."""
+    for p, dc, (a, b) in zip(p0, d, box):
+        if dc:
+            a, b = (a, b) if dc > 0 else (b, a)
+            lo = (a - p) / dc if lo is None else max(lo, (a - p) / dc)
+            hi = (b - p) / dc if hi is None else min(hi, (b - p) / dc)
+        elif not a <= p <= b:
+            return None
     return lo, hi
 
 
@@ -188,57 +180,59 @@ def corner_locus_2d(f: TropicalPolynomial,
     the box.  Regions where a ghost monomial alone dominates are roots too
     but are not drawn.  A polynomial vanishing identically on the plane
     (all coefficients ghost, or no terms) sets whole_plane instead.
+
+    Two terms tie on more than a point iff they share an edge of the upper
+    hull of the lifted points: from the dual vertex (n_x, n_y) / (n_H s) of
+    a cell n . (x, H) = b (heights times s) along the edge's outward normal,
+    to the other cell's vertex or on as a ray; along a whole line when the
+    support is collinear and the cells are edges.
     """
     if f.arity != 2:
         raise ArityUnsupported("corner loci are planar")
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
-    xmin, ymin, xmax, ymax = (Fraction(v) for v in bbox)
-    box = (((1, 0), xmin), ((-1, 0), -xmax), ((0, 1), ymin), ((0, -1), -ymax))
-    terms = f.sorted_terms()
-    exps = [e for e, _ in terms]
-    heights = [c.value for _, c in terms]
-    m = len(terms)
-    segments: List[dict] = []
-    rays: List[dict] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            n = (exps[i][0] - exps[j][0], exps[i][1] - exps[j][1])
-            delta = heights[j] - heights[i]
-            if n == (0, 0):
-                continue
-            if n[0]:
-                p0 = (delta / Fraction(n[0]), Fraction(0))
-            else:
-                p0 = (Fraction(0), delta / Fraction(n[1]))
-            d = (Fraction(-n[1]), Fraction(n[0]))
-            # term i (tied with j) at least every other term k
-            tie = _clip(p0, d, (((exps[i][0] - exps[k][0],
-                                  exps[i][1] - exps[k][1]),
-                                 heights[k] - heights[i])
-                                for k in range(m) if k not in (i, j)))
-            if tie is None:
-                continue
-            tlo, thi = tie
-            if tlo is not None and thi is not None and tlo >= thi:
-                continue
-            clipped = _clip(p0, d, box, tlo, thi)
-            if clipped is None:
-                continue
-            ctlo, cthi = clipped
-            if ctlo is None or cthi is None or ctlo > cthi:
-                continue
-
-            def at(t):
-                return (p0[0] + t * d[0], p0[1] + t * d[1])
-
-            # visible extent goes to segments; unbounded continuations are
-            # recorded as rays anchored at the clip points
-            entry = {"indices": [list(exps[i]), list(exps[j])]}
-            if ctlo < cthi:
-                segments.append({**entry, "from": at(ctlo), "to": at(cthi)})
-            if tlo is None:
-                rays.append({**entry, "from": at(ctlo), "dir": (-d[0], -d[1])})
-            if thi is None:
-                rays.append({**entry, "from": at(cthi), "dir": d})
+    box = [(Fraction(bbox[c]), Fraction(bbox[c + 2])) for c in (0, 1)]
+    exps, _, pivots, scale, points = _lift(f)
+    # upper edge -> [(dual vertex, outward normal or None) of each cell]
+    ends: Dict[FrozenSet[int], list] = {}
+    for n, _, on in _facets(points) if pivots else ():
+        if n[-1] <= 0:
+            continue
+        v, cell = [Fraction(0)] * 2, sorted(on)
+        for c, a in zip(pivots, n):
+            v[c] = Fraction(a, n[-1] * scale)
+        if len(pivots) == 1:  # a collinear support: the cell is an edge
+            ends[on] = [(v, None)]
+            continue
+        for w, _, edge in _facets([points[i][:-1] for i in cell]):
+            ends.setdefault(frozenset(cell[i] for i in edge), []).append((v, w))
+    terms = [e for e, _ in f.sorted_terms()]
+    rank = {e: r for r, e in enumerate(terms)}
+    ties = {tuple(sorted((rank[exps[i]], rank[exps[j]]))): cells
+            for on, cells in ends.items() for i, j in combinations(on, 2)}
+    segments, rays = [], []
+    for (i, j), ((v, w), *other) in sorted(ties.items()):
+        ei, ej = terms[i], terms[j]
+        d = (Fraction(ej[1] - ei[1]), Fraction(ei[0] - ej[0]))
+        if w is None:
+            lo = hi = None
+        elif other:
+            c = 0 if d[0] else 1
+            t = (other[0][0][c] - v[c]) / d[c]
+            lo, hi = (0, t) if t > 0 else (t, 0)
+        else:  # a ray along the outward normal w
+            up = sum(a * d[c] for c, a in zip(pivots, w)) > 0
+            lo, hi = (0, None) if up else (None, 0)
+        clipped = _box_range(v, d, lo, hi, box)
+        if clipped is None or clipped[0] > clipped[1]:
+            continue
+        # the visible part is a segment, and each unbounded end a ray
+        a, b = ((v[0] + t * d[0], v[1] + t * d[1]) for t in clipped)
+        entry = {"indices": [list(ei), list(ej)]}
+        if a != b:
+            segments.append({**entry, "from": a, "to": b})
+        if lo is None:
+            rays.append({**entry, "from": a, "dir": (-d[0], -d[1])})
+        if hi is None:
+            rays.append({**entry, "from": b, "dir": d})
     return CornerLocus2D(False, segments, rays)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropc.sets
 from sets_reference import (reference_components_with_monomials,
                             reference_corner_locus_2d)
 from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
@@ -229,14 +230,55 @@ def rand_corner_input(rng, n):
     return name, TropicalPolynomial(2, terms)
 
 
-def rand_box(rng):
-    """The fixed box half of the time, else one with fractional corners
-    (possibly degenerate)."""
-    if rng.random() < 0.5:
-        return TestCornerLocus2D.BOX
+def fractional_box(rng):
+    """A box with fractional corners, possibly degenerate."""
     x0, y0 = rand_value(rng), rand_value(rng)
     return (x0, y0, x0 + Fraction(rng.randint(0, 30), rng.randint(1, 7)),
             y0 + Fraction(rng.randint(0, 30), rng.randint(1, 7)))
+
+
+def rand_box(rng):
+    """The fixed box half of the time, else a fractional one."""
+    if rng.random() < 0.5:
+        return TestCornerLocus2D.BOX
+    return fractional_box(rng)
+
+
+def rand_large_support(rng, n):
+    """(class, polynomial) with 10-40 terms, mostly few, of class n % 3:
+    random exponents up to 7 with about 30% ghost terms; a product of
+    linear forms drawn with repeats from a pool of three, so many cells
+    and many terms inside edges; or a collinear support whose heights are
+    a product of binomials with repeated roots, so many terms tie on one
+    edge."""
+    kind = n % 3
+    size = 10 + int(31 * rng.random() ** 4)
+    if kind == 0:
+        terms = {}
+        while len(terms) < size:
+            e = (rng.randint(0, 7), rng.randint(0, 7))
+            terms[e] = rand_term(rng, 0.3)
+        return "random", TropicalPolynomial(2, terms)
+    if kind == 1:
+        pool = [f"({rng.randint(-3, 3)}*x + {rng.randint(-3, 3)}*y"
+                f" + {rng.randint(-3, 3)})" for _ in range(3)]
+        text = "*".join(rng.choice(pool)
+                        for _ in range(rng.choice((3, 3, 3, 4, 4, 5, 7))))
+        f = parse_poly(text)
+        if len(f.terms) < 10:
+            f = f * parse_poly(pool[0])
+        return "linear forms", f
+    roots = [rand_value(rng) for _ in range(3)]
+    chain = TropicalPolynomial(1, {(0,): tangible(0)})
+    for _ in range(size - 1):
+        chain = chain * TropicalPolynomial(
+            1, {(1,): tangible(0), (0,): tangible(rng.choice(roots))})
+    base = (rng.randint(0, 3), rng.randint(0, 3) + 40)
+    step = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2)])
+    return "collinear", TropicalPolynomial(2, {
+        (base[0] + k * step[0], base[1] + k * step[1]):
+            (ghost if rng.random() < 0.2 else tangible)(c.value)
+        for (k,), c in chain.terms.items()})
 
 
 class TestAgainstSetsReference:
@@ -277,3 +319,49 @@ class TestAgainstSetsReference:
             assert seen[kind] >= 150, seen
         assert seen["fractional box"] >= 300, seen
         assert seen["segments"] >= 500 and seen["rays"] >= 500, seen
+
+    def test_corner_loci_large(self):
+        """Supports of 10-40 terms, on the fixed box and on fractional
+        ones in turn: many cells, many terms inside edges and repeated
+        ties."""
+        rng = random.Random(317)
+        seen = Counter()
+        for n in range(48):
+            kind, f = rand_large_support(rng, n)
+            assert 10 <= len(f.terms) <= 40, (kind, f)
+            box = fractional_box(rng) if n // 3 % 2 else TestCornerLocus2D.BOX
+            got = corner_locus_2d(f, box)
+            assert got == reference_corner_locus_2d(f, box), (f, box)
+            seen[kind] += 1
+            seen["terms > 30"] += len(f.terms) > 30
+            seen["loci"] += len(got.segments) + len(got.rays)
+        assert seen["random"] == seen["linear forms"] == 16, seen
+        assert seen["terms > 30"] >= 3 and seen["loci"] >= 1000, seen
+
+
+class TestCornerBudget:
+    """The tie loci are read off the hull's edges: only the pairs of terms
+    on one edge reach the box clip, not every pair of terms."""
+
+    @pytest.fixture
+    def clipped(self, monkeypatch):
+        pairs = []
+        box_range = tropc.sets._box_range
+
+        def counted(*args):
+            pairs.append(args)
+            return box_range(*args)
+        monkeypatch.setattr(tropc.sets, "_box_range", counted)
+        return pairs
+
+    @pytest.mark.parametrize("text, pairs", [
+        # one flat cell: 3 edges of 13 terms, 3 * C(13, 2) of C(91, 2) pairs
+        ("(x+y+0)^12", 234),
+        # three cells with 8 edges of 7 terms: 8 * C(7, 2) pairs
+        ("(x + 1*y + 0)^6*(x + -2*y + 5)^6", 168),
+    ])
+    def test_pairs_visited(self, clipped, text, pairs):
+        f = P(text)
+        assert len(f.terms) == 91
+        corner_locus_2d(f, TestCornerLocus2D.BOX)
+        assert len(clipped) == pairs
