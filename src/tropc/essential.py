@@ -9,11 +9,12 @@ hull lattice point as a ghost term.  Full closure maps the polynomial
 semiring homomorphically onto the reduced one, so a reduced sum, product
 or power is the raw result closed once.
 
-Every hull runs on integers, with heights scaled over their common
-denominator.  Univariate hulls come from one upper-hull sweep whose edges
-are walked once.  Higher arities build the facets of the Newton polytope
-and of the lifted points by beneath-beyond; every hull fact, and the plane
-corner locus in ``sets``, is read off the points each facet touches.
+Every hull runs on the polynomial's integer rows, with heights scaled over
+their least common denominator.  Univariate hulls come from one upper-hull
+sweep whose edges are walked once.  Higher arities build the facets of the
+Newton polytope and of the lifted points by beneath-beyond; every hull
+fact, and the plane corner locus in ``sets``, is read off the points each
+facet touches.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -46,6 +47,19 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
+def _scaled_rows(f: TropicalPolynomial) -> Tuple[int, list]:
+    """The scale, the least common denominator of the heights, and the rows
+    ``(exponent, height * scale, ghost flag)`` of f, for both hulls.  The
+    integer form's denominator may be a multiple of the scale; dividing it
+    and every row by their gcd leaves the scale, so the hull kernels see the
+    same integers however f was built."""
+    den, rows = f._int_form()
+    g = gcd(den, *[s for _, s, _ in rows])
+    if g == 1:
+        return den, rows
+    return den // g, [(e, s // g, t) for e, s, t in rows]
+
+
 # ---------------------------------------------------------------------------
 # univariate hull: one integer sweep
 
@@ -56,9 +70,8 @@ def _hull_1d(f: TropicalPolynomial
     scale (the common denominator of the heights) and the vertices of the
     points' upper hull.  A middle point is dropped unless it makes a strict
     right turn, so collinear points are not vertices."""
-    scale = lcm(*(c.value.denominator for c in f.terms.values()))
-    points = sorted((e[0], c.value.numerator * (scale // c.value.denominator))
-                    for e, c in f.terms.items())
+    scale, rows = _scaled_rows(f)
+    points = sorted((e[0], s) for e, s, _ in rows)
     hull: List[Tuple[int, int]] = []
     for x, y in points:
         while len(hull) >= 2:
@@ -78,8 +91,8 @@ def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
     terms, a term that ties it is quasi-essential, any other inessential."""
     points, scale, hull = _hull_1d(f)
     heights = dict(points)
-    lifted = {e: c.value for e, c in f.terms.items()}
-    classification = dict.fromkeys(f.terms, INESSENTIAL)
+    lifted = f._values()
+    classification = dict.fromkeys(lifted, INESSENTIAL)
     first = (hull[0][0],)
     classification[first] = ESSENTIAL
     lattice = {first: lifted[first]}
@@ -209,14 +222,12 @@ def _lift(f: TropicalPolynomial) -> tuple:
     """Ascending exponents, the echelon basis of their affine hull (k rows)
     and its pivots, and the lifted points: pivot coordinates, then height
     times scale, the heights' common denominator."""
-    exps = sorted(f.terms)
-    heights = [f.terms[e].value for e in exps]
+    scale, rows = _scaled_rows(f)
+    rows = sorted(rows)
+    exps = [e for e, _, _ in rows]
     affine = _echelon([list(map(sub, e, exps[0])) for e in exps])
     pivots = [c for c, _ in affine]
-    scale = lcm(*(h.denominator for h in heights))
-    points = [tuple(e[c] for c in pivots)
-              + (h.numerator * (scale // h.denominator),)
-              for e, h in zip(exps, heights)]
+    points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
     return exps, affine, pivots, scale, points
 
 
@@ -226,7 +237,8 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
     together; and a Newton vertex iff its walls touch no other point
     together (at k = 0 the single point is one)."""
     exps, affine, pivots, scale, points = _lift(f)
-    lifted = {e: f.terms[e].value for e in exps}
+    values = f._values()
+    lifted = {e: values[e] for e in exps}
     k = len(pivots)
     newton = _facets([p[:-1] for p in points]) if k else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
@@ -287,15 +299,23 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
     if f.is_empty():
         return f
     cx = classify_monomials(f)
-    return TropicalPolynomial._canonical(
-        f.arity, {e: c for e, c in f.terms.items()
-                  if cx.classification[e] == ESSENTIAL})
+    den, rows = f._int_form()
+    return TropicalPolynomial._from_rows(f.arity, den, [
+        r for r in rows if cx.classification[r[0]] == ESSENTIAL])
 
 
 def _close(f: TropicalPolynomial, cx: EssentialComplex) -> TropicalPolynomial:
-    """The full closure of f read off its hull complex."""
-    terms = {e: c for e, c in f.terms.items()
-             if cx.classification[e] == ESSENTIAL}
+    """The full closure of f read off its hull complex.  The essential terms
+    are f's own when its terms are built; else they take their tags from
+    the rows and their values from the lifted points, so the terms of a
+    raw product are never built."""
+    kind = cx.classification
+    built = f._built_terms()
+    if built is not None:
+        terms = {e: c for e, c in built.items() if kind[e] == ESSENTIAL}
+    else:
+        terms = {e: (ghost if g else tangible)(cx.lifted_points[e])
+                 for e, _, g in f._int_form()[1] if kind[e] == ESSENTIAL}
     for v, h in cx.hull_lattice_points.items():
         if v not in terms:
             terms[v] = ghost(h)
@@ -307,8 +327,8 @@ def _closure_and_guard(f: TropicalPolynomial
     """The full closure of a nonempty f and whether its essential part is
     tangible, from one hull."""
     cx = classify_monomials(f)
-    tangible_full = all(c.is_tangible() for e, c in f.terms.items()
-                        if cx.classification[e] == ESSENTIAL)
+    tangible_full = not any(g for e, _, g in f._int_form()[1]
+                            if cx.classification[e] == ESSENTIAL)
     return _close(f, cx), tangible_full
 
 

@@ -1,62 +1,78 @@
 """Sparse tropical polynomials over the extended semiring.
 
-Terms are kept in a dict keyed by exponent tuples.  The empty polynomial
-(the constant -inf) is allowed; degree markers are undefined for it.
+A polynomial keeps one integer form: a denominator ``den`` and rows
+``(exponent, value * den, ghost flag)``, one per exponent and none for
+``-inf``; den is a common denominator of the values, not always the least
+one.  Every kernel reads and writes that form, and so do the hulls in
+``essential``.  Products, sums and substitution merge rows with
+``_merge``: the sum in the semiring is the maximum, ghost on a tie.
+``evaluate`` and ``is_root`` take the maximum over the rows in one pass
+(``_top``), so ``is_root`` builds no value.
 
-Products and substitution share one exact integer kernel: the values an
-operation touches are scaled to integers over their common denominator,
-and rows ``(key, scaled value, ghost flag)`` are merged by ``_merge``.  A
-``Fraction`` is built once per output key.  Evaluation has its own
-one-pass kernel, ``_top``: a running maximum kept as an integer fraction
-and a ghost flag, so ``is_root`` builds no value at all.
+A polynomial made by the public constructor is validated there and gets its
+rows on first use by a kernel; a kernel's output holds only rows.  ``terms``,
+the coefficients keyed by exponent tuples, is built on first read (one
+``Fraction`` and one ``TropicalNumber`` per term) and is a read-only
+mapping, so it can never disagree with the rows.
+
+The empty polynomial (the constant -inf) is allowed; degree markers are
+undefined for it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import add, mul
+from types import MappingProxyType
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .core import (NEG_INFINITY, TAG_GHOST, TAG_NEG_INF, TAG_TANGIBLE,
-                   TropicalNumber, tangible, trop_add, trop_mul)
+                   TropicalNumber, tangible, trop_add)
 from .errors import ArityMismatch, EmptyPolynomial
 
 Exponent = Tuple[int, ...]
+Row = Tuple[Exponent, int, bool]
 
 
-def _common_den(*groups: Iterable[TropicalNumber]) -> int:
+def _den_of(numbers: Iterable[TropicalNumber]) -> int:
     """Least common denominator of the values (``-inf`` carries none)."""
-    return lcm(*{c.value.denominator for group in groups for c in group
-                 if c.tag != TAG_NEG_INF})
+    return lcm(*[c.value.denominator for c in numbers
+                 if c.tag != TAG_NEG_INF])
 
 
-def _scaled(numbers: Dict, den: int) -> list:
-    """Rows ``(key, value * den, ghost flag)`` of a dict of numbers, the
-    scaled value an int, or None for -inf."""
-    return [(key, None, False) if c.tag == TAG_NEG_INF else
-            (key, c.value.numerator * (den // c.value.denominator),
-             c.tag == TAG_GHOST)
-            for key, c in numbers.items()]
+def _rescale(rows: List[Row], m: int) -> List[Row]:
+    return rows if m == 1 else [(e, s * m, g) for e, s, g in rows]
 
 
-def _merge(rows, den: int) -> Dict[tuple, TropicalNumber]:
-    """Sum rows ``(key, scaled value, ghost flag)`` per key in the semiring.
+def _common(f: "TropicalPolynomial", g: "TropicalPolynomial"
+            ) -> Tuple[int, List[Row], List[Row]]:
+    """The rows of f and g over one denominator."""
+    d1, r1 = f._int_form()
+    d2, r2 = g._int_form()
+    if d1 == d2:
+        return d1, r1, r2
+    den = lcm(d1, d2)
+    return den, _rescale(r1, den // d1), _rescale(r2, den // d2)
+
+
+def _merge(arity: int, den: int, rows: Iterable[Row]
+           ) -> "TropicalPolynomial":
+    """The polynomial summing rows per exponent in the semiring.
 
     The sum is the maximum; it is ghost when a ghost row reaches the
     maximum or two rows tie at it, which is what a left fold with
     ``trop_add`` gives in any order.
     """
-    best: Dict[tuple, list] = {}
-    for key, s, g in rows:
+    best: Dict[Exponent, Row] = {}
+    for row in rows:
+        key, s, _ = row
         old = best.get(key)
-        if old is None or s > old[0]:
-            best[key] = [s, g]
-        elif s == old[0]:
-            old[1] = True
-    return {key: TropicalNumber(TAG_GHOST if g else TAG_TANGIBLE,
-                                Fraction(s, den))
-            for key, (s, g) in best.items()}
+        if old is None or s > old[1]:
+            best[key] = row
+        elif s == old[1]:
+            best[key] = (key, s, True)
+    return TropicalPolynomial._from_rows(arity, den, list(best.values()))
 
 
 def _sort_key(exp: Exponent):
@@ -64,18 +80,22 @@ def _sort_key(exp: Exponent):
     return (sum(exp), exp)
 
 
-@dataclass
 class TropicalPolynomial:
-    arity: int
-    terms: Dict[Exponent, TropicalNumber] = field(default_factory=dict)
+    """``TropicalPolynomial(arity, terms)``: terms maps exponent tuples of
+    length ``arity`` to coefficients; ``-inf`` coefficients are dropped.
+    The constructor copies and checks the terms."""
 
-    def __post_init__(self):
+    __slots__ = ("arity", "_den", "_rows", "_terms")
+    __hash__ = None  # compared by value, and arity is mutable
+
+    def __init__(self, arity: int,
+                 terms: Optional[Mapping[Exponent, TropicalNumber]] = None):
         clean: Dict[Exponent, TropicalNumber] = {}
-        for exp, coeff in self.terms.items():
+        for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
-            if len(exp) != self.arity:
+            if len(exp) != arity:
                 raise ArityMismatch(
-                    f"exponent {exp} does not match arity {self.arity}")
+                    f"exponent {exp} does not match arity {arity}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             if coeff.is_neg_inf():
@@ -84,47 +104,121 @@ class TropicalPolynomial:
                 clean[exp] = trop_add(clean[exp], coeff)
             else:
                 clean[exp] = coeff
-        self.terms = clean
+        self.arity = arity
+        self._terms = MappingProxyType(clean)
+        self._den = self._rows = None
 
     @classmethod
     def _canonical(cls, arity: int, terms: Dict[Exponent, TropicalNumber]
                    ) -> "TropicalPolynomial":
         """A polynomial on terms that are already clean: int exponent tuples
         of length ``arity``, one per key, no ``-inf`` coefficient.  Skips
-        the checks of ``__post_init__``; only for kernel output and filtered
-        copies of an existing polynomial's terms."""
+        the checks of ``__init__``; only for terms this package built."""
         poly = object.__new__(cls)
         poly.arity = arity
-        poly.terms = terms
+        poly._terms = MappingProxyType(terms)
+        poly._den = poly._rows = None
         return poly
+
+    @classmethod
+    def _from_rows(cls, arity: int, den: int, rows: List[Row]
+                   ) -> "TropicalPolynomial":
+        """A polynomial on clean rows over ``den``; the rows list is shared,
+        never changed."""
+        poly = object.__new__(cls)
+        poly.arity = arity
+        poly._den, poly._rows, poly._terms = den, rows, None
+        return poly
+
+    def _int_form(self) -> Tuple[int, List[Row]]:
+        """``(den, rows)``, built from the terms on first use."""
+        if self._rows is None:
+            terms = self._terms
+            den = lcm(*[c.value.denominator for c in terms.values()])
+            self._rows = [(e, c.value.numerator * (den // c.value.denominator),
+                           c.tag == TAG_GHOST) for e, c in terms.items()]
+            self._den = den
+        return self._den, self._rows
+
+    @property
+    def terms(self) -> Mapping[Exponent, TropicalNumber]:
+        """The coefficients by exponent, read-only; built on first read."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType({
+                e: TropicalNumber(TAG_GHOST if g else TAG_TANGIBLE,
+                                  Fraction(s, den))
+                for e, s, g in self._rows})
+        return self._terms
+
+    def _built_terms(self) -> Optional[Mapping[Exponent, TropicalNumber]]:
+        """The terms when they are built, else None; builds nothing."""
+        return self._terms
+
+    def _values(self) -> Dict[Exponent, Fraction]:
+        """The coefficient values by exponent, in term order, read off
+        whichever form is built."""
+        if self._terms is not None:
+            return {e: c.value for e, c in self._terms.items()}
+        den = self._den
+        return {e: Fraction(s, den) for e, s, _ in self._rows}
+
+    def _exponents(self) -> Sequence[Exponent]:
+        """The exponents, read off whichever form is built."""
+        if self._terms is not None:
+            return self._terms.keys()
+        return [e for e, _, _ in self._rows]
+
+    def __eq__(self, other):
+        if not isinstance(other, TropicalPolynomial):
+            return NotImplemented
+        if self.arity != other.arity:
+            return False
+        if self._terms is not None and other._terms is not None:
+            return self._terms == other._terms  # no rows to build
+        _, r1, r2 = _common(self, other)
+        return len(r1) == len(r2) and set(r1) == set(r2)
+
+    def __repr__(self):
+        return (f"TropicalPolynomial(arity={self.arity!r}, "
+                f"terms={dict(self.terms)!r})")
+
+    def __reduce__(self):
+        return (TropicalPolynomial, (self.arity, dict(self.terms)))
 
     # -- basic structure ----------------------------------------------
     def is_empty(self) -> bool:
-        return not self.terms
+        return not (self._rows if self._terms is None else self._terms)
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self._exponents())
 
     def constant_value(self) -> TropicalNumber:
         """Value at the all--inf point: the constant coefficient or -inf."""
         return self.terms.get((0,) * self.arity, NEG_INFINITY)
 
+    def _ghost_flags(self) -> List[bool]:
+        """The ghost flag of each term, read off whichever form is built."""
+        if self._terms is not None:
+            return [c.tag == TAG_GHOST for c in self._terms.values()]
+        return [g for _, _, g in self._rows]
+
     def is_ghost_poly(self) -> bool:
         """All coefficients ghost (the empty polynomial counts too)."""
-        return all(c.is_ghost() for c in self.terms.values())
+        return all(self._ghost_flags())
 
     def is_tangible_poly(self) -> bool:
-        return all(c.is_tangible() for c in self.terms.values())
+        return not any(self._ghost_flags())
 
     def total_degree(self) -> int:
         if self.is_empty():
             raise EmptyPolynomial("degree of the empty polynomial")
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._exponents())
 
     def lower_degree(self) -> int:
         if self.is_empty():
             raise EmptyPolynomial("lower degree of the empty polynomial")
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self._exponents())
 
     def degree_bounds(self) -> Tuple[int, int]:
         return (self.lower_degree(), self.total_degree())
@@ -142,19 +236,15 @@ class TropicalPolynomial:
 
     def __add__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         self._check_arity(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = trop_add(out[exp], coeff) if exp in out else coeff
-        return TropicalPolynomial(self.arity, out)
+        den, r1, r2 = _common(self, other)
+        return _merge(self.arity, den, r1 + r2)
 
     def __mul__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         self._check_arity(other)
-        den = _common_den(self.terms.values(), other.terms.values())
-        right = _scaled(other.terms, den)
-        rows = ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
-                for e1, s1, g1 in _scaled(self.terms, den)
-                for e2, s2, g2 in right)
-        return self._canonical(self.arity, _merge(rows, den))
+        den, r1, r2 = _common(self, other)
+        return _merge(self.arity, den,
+                      ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
+                       for e1, s1, g1 in r1 for e2, s2, g2 in r2))
 
     def __pow__(self, k: int) -> "TropicalPolynomial":
         if k < 0:
@@ -172,58 +262,52 @@ class TropicalPolynomial:
             if k & 1:
                 result = result * base
         if result is self:  # f ** 1 is a copy, as every other power
-            return self._canonical(self.arity, dict(self.terms))
+            return self._from_rows(self.arity, *self._int_form())
         return result
 
     def scale(self, c: TropicalNumber) -> "TropicalPolynomial":
-        return TropicalPolynomial(
-            self.arity, {e: trop_mul(c, v) for e, v in self.terms.items()})
+        return self * constant(c, self.arity)
 
     # -- evaluation ------------------------------------------------------
     def _top(self, point: Iterable[TropicalNumber]
              ) -> Optional[Tuple[int, int, bool]]:
-        """The maximum term value at the point in one pass over the terms:
+        """The maximum term value at the point in one pass over the rows:
         ``(numerator, denominator, ghost flag)``, or None for -inf.
 
-        The coordinates are scaled to integers over their own common
-        denominator ``pden``; a term ``n/d`` whose scaled exponent sum is
-        ``s`` has the value ``(n*pden + s*d) / (d*pden)``, compared with
-        the running maximum by cross-multiplication.  The maximum is ghost
-        when a ghost term or a ghost coordinate reaches it, or two terms
-        tie at it, which is what a left fold with ``trop_add`` gives.
+        The rows and the coordinates are scaled to integers over one common
+        denominator, so a term's value is its scaled row value plus the dot
+        product of its exponent with the scaled coordinates, a plain int.
+        A positive power of a -inf coordinate drops the term.  The maximum
+        is ghost when a ghost term or a ghost coordinate under a positive
+        power reaches it, or two terms tie at it, which is what a left fold
+        with ``trop_add`` gives.
         """
         point = tuple(point)
         if len(point) != self.arity:
             raise ArityMismatch(
                 f"point of length {len(point)} for arity {self.arity}")
-        pden = lcm(*[c.value.denominator for c in point
-                     if c.tag != TAG_NEG_INF])
-        coords = [(None, False) if c.tag == TAG_NEG_INF else
-                  (c.value.numerator * (pden // c.value.denominator),
-                   c.tag == TAG_GHOST)
-                  for c in point]
-        top_num = top_den = None
+        den, rows = self._int_form()
+        big = lcm(den, _den_of(point))
+        nums = [0 if c.tag == TAG_NEG_INF else
+                c.value.numerator * (big // c.value.denominator)
+                for c in point]
+        dead = [c.tag == TAG_NEG_INF for c in point]
+        lit = [c.tag == TAG_GHOST for c in point]
+        any_dead, any_lit = any(dead), any(lit)
+        m = big // den
+        top = None
         top_ghost = False
-        for exp, c in self.terms.items():
-            s, g = 0, c.tag == TAG_GHOST
-            for e, (a, ga) in zip(exp, coords):
-                if e:
-                    if a is None:
-                        break
-                    s += e * a
-                    g = g or ga
-            else:
-                v = c.value
-                d = v.denominator
-                num, den = v.numerator * pden + s * d, d * pden
-                if top_den is not None:
-                    diff = num * top_den - top_num * den
-                    if diff == 0:
-                        top_ghost = True
-                    if diff <= 0:
-                        continue
-                top_num, top_den, top_ghost = num, den, g
-        return None if top_den is None else (top_num, top_den, top_ghost)
+        for exp, s, g in rows:
+            if any_dead and any(map(mul, exp, dead)):
+                continue
+            s = s * m + sum(map(mul, exp, nums))
+            if top is not None and s <= top:
+                if s == top:
+                    top_ghost = True
+                continue
+            top = s
+            top_ghost = g or any_lit and any(map(mul, exp, lit))
+        return None if top is None else (top, big, top_ghost)
 
     def evaluate(self, point: Iterable[TropicalNumber]) -> TropicalNumber:
         top = self._top(point)
@@ -273,10 +357,16 @@ class TropicalPolynomial:
         positive power meets -inf is dropped.
         """
         keep = tuple(i for i in range(self.arity) if i not in assignment)
-        den = _common_den(self.terms.values(), assignment.values())
-        fixed = _scaled(assignment, den)
-        rows = []
-        for exp, s, g in _scaled(self.terms, den):
+        d, rows = self._int_form()
+        den = lcm(d, _den_of(assignment.values()))
+        fixed = [(i, None, False) if c.tag == TAG_NEG_INF else
+                 (i, c.value.numerator * (den // c.value.denominator),
+                  c.tag == TAG_GHOST)
+                 for i, c in assignment.items()]
+        m = den // d
+        out = []
+        for exp, s, g in rows:
+            s *= m
             for i, a, ga in fixed:
                 e = exp[i]
                 if e:
@@ -285,8 +375,8 @@ class TropicalPolynomial:
                     s += e * a
                     g = g or ga
             else:
-                rows.append((tuple([exp[i] for i in keep]), s, g))
-        return self._canonical(len(keep), _merge(rows, den))
+                out.append((tuple([exp[i] for i in keep]), s, g))
+        return _merge(len(keep), den, out)
 
     # -- JSON --------------------------------------------------------------
     def to_json(self):

@@ -79,11 +79,6 @@ def _component_sort_key(c: Component1D):
     return (1, lo) if lo is not None else (0, Fraction(0))
 
 
-def _envelope_vertices(f: TropicalPolynomial) -> List[int]:
-    """Exponents whose lines appear on the upper envelope, ascending."""
-    return [x for x, _ in _hull_1d(f)[2]]
-
-
 def _components_with_monomials(f: TropicalPolynomial
                                ) -> List[Tuple[Component1D, int]]:
     """Complement components with the dominating exponent on each, in
@@ -91,19 +86,21 @@ def _components_with_monomials(f: TropicalPolynomial
     between its breakpoints.  A tangible constant is the first vertex, and
     its interval iv = (-inf, s) up to the first breakpoint s is also the
     ghost ray where it dominates, so both merge with -inf into
-    ``Component1D(iv, iv, True)``.
+    ``Component1D(iv, iv, True)``.  The breakpoints are read off the
+    integer hull: vertices (x1, y1), (x2, y2) with heights times scale meet
+    at (y1 - y2) / ((x2 - x1) scale).
     """
     if f.arity != 1:
         raise ArityUnsupported("com-sets are univariate")
     if f.is_empty() or f.is_ghost_poly():
         return []
-    verts = _envelope_vertices(f)
-    heights = {e[0]: c.value for e, c in f.terms.items()}
-    bounds = [None] + [(heights[e1] - heights[e2]) / Fraction(e2 - e1)
-                       for e1, e2 in zip(verts, verts[1:])] + [None]
+    _, scale, hull = _hull_1d(f)
+    ghosts = {e for (e,), _, g in f._int_form()[1] if g}
+    bounds = [None] + [Fraction(y1 - y2, (x2 - x1) * scale)
+                       for (x1, y1), (x2, y2) in zip(hull, hull[1:])] + [None]
     return [(Component1D(iv, iv if e == 0 else None, e == 0), e)
-            for e, iv in zip(verts, zip(bounds, bounds[1:]))
-            if f.terms[(e,)].is_tangible()]
+            for (e, _), iv in zip(hull, zip(bounds, bounds[1:]))
+            if e not in ghosts]
 
 
 def comset1d(f: TropicalPolynomial) -> List[Component1D]:

@@ -1,13 +1,14 @@
 """Reference arithmetic for the differential test: the ``TropicalNumber``
-folds that computed products, substitution and evaluation before the
-integer kernels.  Products and substitution now share the merge kernel
-``_merge``; ``evaluate`` and ``is_root`` have their own one-pass kernel
-``_top``.  The differential test holds all three operations to these folds,
-and ``is_root`` to ``reference_evaluate(f, point).is_ghost_or_bottom()``.
+folds that computed products, sums, substitution and evaluation before the
+integer kernels.  Products, sums and substitution now merge integer rows
+in ``_merge``; ``evaluate`` and ``is_root`` have their own one-pass kernel
+``_top``.  The differential test holds every operation to these folds, and
+``is_root`` to ``reference_evaluate(f, point).is_ghost_or_bottom()``.
 
 The bodies below are kept as they were, written as functions of the
 polynomial in place of methods: ``reference_mul(f, g)`` stands for
-``f * g``, ``reference_evaluate(f, point)`` for ``f.evaluate(point)`` and
+``f * g``, ``reference_add(f, g)`` for ``f + g``,
+``reference_evaluate(f, point)`` for ``f.evaluate(point)`` and
 ``reference_substitute(f, assignment)`` for ``f.substitute(assignment)``.
 """
 from __future__ import annotations
@@ -28,6 +29,15 @@ def reference_mul(self: TropicalPolynomial,
             exp = tuple(a + b for a, b in zip(e1, e2))
             prod = trop_mul(c1, c2)
             out[exp] = trop_add(out[exp], prod) if exp in out else prod
+    return TropicalPolynomial(self.arity, out)
+
+
+def reference_add(self: TropicalPolynomial,
+                  other: TropicalPolynomial) -> TropicalPolynomial:
+    self._check_arity(other)
+    out = dict(self.terms)
+    for exp, coeff in other.terms.items():
+        out[exp] = trop_add(out[exp], coeff) if exp in out else coeff
     return TropicalPolynomial(self.arity, out)
 
 

@@ -2,7 +2,9 @@
 membership.
 
 These are the old implementations, copied unchanged apart from their names
-(the reference radical runs on the reference com-set): the com-set had
+(the reference radical runs on the reference com-set, and the reference
+com-set takes its envelope from the old Fraction sweep in
+``hull1d_reference``): the com-set had
 separate branches for constants and single terms, rescanned every term for
 the ghost ray's bound and sorted its output; the corner locus clipped each
 tie line twice, once against the other terms and once against the box; the
@@ -22,7 +24,8 @@ from tropc import (ArityUnsupported, CertificateSearchExceeded, Component1D,
                    red_pow)
 from tropc.essential import _closure_and_guard
 from tropc.ideals import MAX_CERTIFICATE_EXPONENT
-from tropc.sets import _component_sort_key, _envelope_vertices
+from tropc.sets import _component_sort_key
+from hull1d_reference import reference_envelope_vertices
 
 
 def reference_components_with_monomials(f: TropicalPolynomial
@@ -44,7 +47,7 @@ def reference_components_with_monomials(f: TropicalPolynomial
             return [(Component1D((None, None), None, False), e)]
         return []
 
-    verts = _envelope_vertices(f)
+    verts = reference_envelope_vertices(f)
     heights = {e: c.value for e, c in coeffs.items()}
     breakpoints = [
         (heights[e1] - heights[e2]) / Fraction(e2 - e1)

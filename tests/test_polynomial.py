@@ -1,14 +1,17 @@
 """Polynomial structure, evaluation and decompositions."""
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iter_product
+from math import lcm
 
 import pytest
 
 import tropc.polynomial
-from fold_reference import (reference_evaluate, reference_mul,
-                            reference_substitute)
+from fold_reference import (reference_add, reference_evaluate,
+                            reference_mul, reference_substitute)
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, constant, essential_part, full_closure,
                    ghost, parse_poly, tangible, variable)
@@ -28,6 +31,28 @@ class TestStructure:
     def test_neg_inf_terms_dropped(self):
         f = TropicalPolynomial(1, {(2,): NEG_INFINITY, (0,): tangible(1)})
         assert f.terms == {(0,): tangible(1)}
+
+    def test_terms_are_read_only(self):
+        given = {(2,): tangible(0), (1,): ghost(1)}
+        f = TropicalPolynomial(1, given)
+        given[(0,)] = tangible(5)  # the constructor keeps its own copy
+        for p in (f, f * f, f + P("3"), f ** 1, f.substitute({})):
+            with pytest.raises(TypeError):
+                p.terms[(0,)] = tangible(1)
+            with pytest.raises(AttributeError):
+                p.terms = {}
+        assert f.terms == {(2,): tangible(0), (1,): ghost(1)}
+        assert f * f == P("x^4 + 1v*x^3 + 2v*x^2")
+
+    def test_constructor_validates(self):
+        with pytest.raises(ArityMismatch):
+            TropicalPolynomial(2, {(1,): tangible(0)})
+        with pytest.raises(ValueError):
+            TropicalPolynomial(1, {(-1,): tangible(0)})
+        f = TropicalPolynomial(2, {(True, 0): tangible(1),
+                                   (0, 1): NEG_INFINITY})
+        assert f.terms == {(1, 0): tangible(1)}
+        assert all(type(a) is int for a in next(iter(f.terms)))
 
     def test_degree_bounds(self):
         f = P("x^3 + 2*x")
@@ -109,19 +134,26 @@ class TestEvaluation:
         assert_value(f, (tangible(Fraction(-1, 2)),), ghost(Fraction(1, 2)))
 
     def test_one_pass_kernel(self, monkeypatch):
-        # evaluation stays off the merge kernel; a root test builds no value
+        # evaluation stays off the merge kernel; a root test builds no
+        # value, and neither does a root test of a product
         f = P("x^2 + 1/3*x*y + 1/2v")
+        g = P("1/7*y + 2")
         point = (tangible(Fraction(1, 6)), ghost(1))
+        fg = f * g  # the merge kernel is refused below
 
         def refuse(*args):
             raise AssertionError("not on the evaluation path")
-        for name in ("_merge", "_common_den", "_scaled"):
+        for name in ("_merge", "_common", "_rescale"):
             monkeypatch.setattr(tropc.polynomial, name, refuse)
         assert f.evaluate(point) == ghost(Fraction(3, 2))
+        assert fg.evaluate(point) == ghost(Fraction(7, 2))
+        monkeypatch.undo()
         for name in ("Fraction", "TropicalNumber"):
             monkeypatch.setattr(tropc.polynomial, name, refuse)
         assert f.is_root(point)
         assert not f.is_root((tangible(3), tangible(0)))
+        assert (f * g).is_root(point)
+        assert not (f * g).is_root((tangible(3), tangible(0)))
 
     def test_substitute_everything_is_evaluate(self):
         rng = random.Random(19)
@@ -182,6 +214,9 @@ class TestJson:
         for _ in range(50):
             f = rand_poly(rng, rng.randint(1, 3), 5, 6)
             assert TropicalPolynomial.from_json(f.to_json()) == f
+            for p in (f, f * f):  # terms built, and rows only
+                assert pickle.loads(pickle.dumps(p)) == p
+                assert copy.deepcopy(p) == p
 
     def test_substitute(self):
         f = P("x*y + x + 3")
@@ -249,8 +284,8 @@ def _fold_case(rng, kind):
 
 
 class TestAgainstFoldReference:
-    """Products, powers, substitution, evaluation and root tests equal the
-    old folds."""
+    """Products, sums, powers, substitution, evaluation and root tests equal
+    the old folds."""
 
     def assert_same(self, f, g, point, assignment, k):
         value = reference_evaluate(f, point)
@@ -258,6 +293,8 @@ class TestAgainstFoldReference:
         assert f.is_root(point) == value.is_ghost_or_bottom()
         assert f * g == reference_mul(f, g)
         assert g * f == reference_mul(g, f)
+        assert f + g == reference_add(f, g)
+        assert g + f == reference_add(g, f)
         assert f.substitute(assignment) == \
             reference_substitute(f, assignment)
         ref = constant(tangible(0), f.arity)
@@ -297,6 +334,51 @@ class TestAgainstFoldReference:
         assert seen["ghost from ties"] == 400
         assert min(seen["-inf coordinate"], seen["ghost coordinate"],
                    seen["fractional"]) >= 100
+
+
+    def test_chains(self):
+        # kernels fed by kernels: no terms are read between them, and the
+        # denominators 2, 3 and 7 leave a product's den above the least
+        # common denominator of its values whenever a term that carried a
+        # factor loses the maximum
+        rng = random.Random(71)
+        seen = Counter()
+
+        def poly(arity):
+            return TropicalPolynomial(arity, {
+                tuple(rng.randint(0, 2) for _ in range(arity)):
+                (ghost if rng.random() < 0.4 else tangible)(
+                    Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))))
+                for _ in range(rng.randint(0, 4))})
+
+        for _ in range(400):
+            arity = rng.randint(1, 3)
+            f, g, h = poly(arity), poly(arity), poly(arity)
+            point = tuple(_coordinate(rng) for _ in range(arity))
+            fixed = rng.sample(range(arity), rng.randint(0, arity))
+            assignment = {i: _coordinate(rng) for i in fixed}
+            rest = tuple(c for i, c in enumerate(point) if i not in fixed)
+            fg = reference_mul(f, g)
+            cube = reference_mul(reference_mul(f, f), f)
+            cases = [(lambda: f * g * h, reference_mul(fg, h), point),
+                     (lambda: (f * g) + h, reference_add(fg, h), point),
+                     (lambda: h + f * g, reference_add(h, fg), point),
+                     (lambda: f * g, fg, point),
+                     (lambda: (f ** 3).substitute(assignment),
+                      reference_substitute(cube, assignment), rest)]
+            for build, ref, at in cases:
+                value = reference_evaluate(ref, at)
+                got = build()
+                assert got.is_root(at) == value.is_ghost_or_bottom()
+                assert build().evaluate(at) == value
+                assert build() == ref  # compared on the rows
+                den, _ = got._int_form()
+                seen["unreduced den"] += den != lcm(
+                    *(c.value.denominator for c in got.terms.values()))
+                assert got.terms == ref.terms
+            seen["ghost coordinate"] += any(c.is_ghost() for c in point)
+            seen["-inf coordinate"] += any(c.is_neg_inf() for c in point)
+        assert min(seen.values()) >= 50, seen
 
 
 class TestCanonicalOutputs:
