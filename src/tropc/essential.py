@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -53,7 +53,7 @@ def _scaled_rows(f: TropicalPolynomial) -> Tuple[int, list]:
     integer form's denominator may be a multiple of the scale; dividing it
     and every row by their gcd leaves the scale, so the hull kernels see the
     same integers however f was built."""
-    den, rows = f._int_form()
+    den, rows = f._den, f._rows
     g = gcd(den, *[s for _, s, _ in rows])
     if g == 1:
         return den, rows
@@ -298,28 +298,23 @@ def classify_monomials(f: TropicalPolynomial,
 def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
     if f.is_empty():
         return f
-    cx = classify_monomials(f)
-    den, rows = f._int_form()
-    return TropicalPolynomial._from_rows(f.arity, den, [
-        r for r in rows if cx.classification[r[0]] == ESSENTIAL])
+    kind = classify_monomials(f).classification
+    return TropicalPolynomial._from_rows(f.arity, f._den, [
+        r for r in f._rows if kind[r[0]] == ESSENTIAL])
 
 
 def _close(f: TropicalPolynomial, cx: EssentialComplex) -> TropicalPolynomial:
-    """The full closure of f read off its hull complex.  The essential terms
-    are f's own when its terms are built; else they take their tags from
-    the rows and their values from the lifted points, so the terms of a
-    raw product are never built."""
+    """The full closure of f read off its hull complex, as rows: f's
+    essential rows, then a ghost row at every other hull lattice point, over
+    a denominator common to f and the lattice heights."""
     kind = cx.classification
-    built = f._built_terms()
-    if built is not None:
-        terms = {e: c for e, c in built.items() if kind[e] == ESSENTIAL}
-    else:
-        terms = {e: (ghost if g else tangible)(cx.lifted_points[e])
-                 for e, _, g in f._int_form()[1] if kind[e] == ESSENTIAL}
-    for v, h in cx.hull_lattice_points.items():
-        if v not in terms:
-            terms[v] = ghost(h)
-    return TropicalPolynomial._canonical(f.arity, terms)
+    lattice = cx.hull_lattice_points
+    den = lcm(f._den, *[h.denominator for h in lattice.values()])
+    m = den // f._den
+    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
+    rows += [(v, h.numerator * (den // h.denominator), True)
+             for v, h in lattice.items() if kind.get(v) != ESSENTIAL]
+    return TropicalPolynomial._from_rows(f.arity, den, rows)
 
 
 def _closure_and_guard(f: TropicalPolynomial
@@ -327,7 +322,7 @@ def _closure_and_guard(f: TropicalPolynomial
     """The full closure of a nonempty f and whether its essential part is
     tangible, from one hull."""
     cx = classify_monomials(f)
-    tangible_full = not any(g for e, _, g in f._int_form()[1]
+    tangible_full = not any(g for e, _, g in f._rows
                             if cx.classification[e] == ESSENTIAL)
     return _close(f, cx), tangible_full
 
@@ -433,7 +428,7 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
         if forced != tag:
             return None
     values = accumulate(sq, sub, initial=cf[0].value - cg[0].value)
-    quotient = TropicalPolynomial._canonical(1, {
+    quotient = TropicalPolynomial(1, {
         (lo_f - lo_g + u,): (tangible if tags.get(u) else ghost)(v)
         for u, v in enumerate(values)})
     if red_mul(quotient, g) != closed_f:

@@ -9,11 +9,12 @@ one.  Every kernel reads and writes that form, and so do the hulls in
 ``evaluate`` and ``is_root`` take the maximum over the rows in one pass
 (``_top``), so ``is_root`` builds no value.
 
-A polynomial made by the public constructor is validated there and gets its
-rows on first use by a kernel; a kernel's output holds only rows.  ``terms``,
-the coefficients keyed by exponent tuples, is built on first read (one
-``Fraction`` and one ``TropicalNumber`` per term) and is a read-only
-mapping, so it can never disagree with the rows.
+The rows are the only source of truth.  The public constructor validates
+its terms and builds the rows from them; a kernel's output is born as rows.
+``terms``, the coefficients keyed by exponent tuples, is a read-only cache
+of the rows: built on first read (one ``Fraction`` and one
+``TropicalNumber`` per term), or kept from the constructor's checked terms,
+so it can never disagree with the rows.
 
 The empty polynomial (the constant -inf) is allowed; degree markers are
 undefined for it.
@@ -24,8 +25,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add, mul
 from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .core import (NEG_INFINITY, TAG_GHOST, TAG_NEG_INF, TAG_TANGIBLE,
                    TropicalNumber, tangible, trop_add)
@@ -48,8 +48,8 @@ def _rescale(rows: List[Row], m: int) -> List[Row]:
 def _common(f: "TropicalPolynomial", g: "TropicalPolynomial"
             ) -> Tuple[int, List[Row], List[Row]]:
     """The rows of f and g over one denominator."""
-    d1, r1 = f._int_form()
-    d2, r2 = g._int_form()
+    d1, r1 = f._den, f._rows
+    d2, r2 = g._den, g._rows
     if d1 == d2:
         return d1, r1, r2
     den = lcm(d1, d2)
@@ -83,7 +83,8 @@ def _sort_key(exp: Exponent):
 class TropicalPolynomial:
     """``TropicalPolynomial(arity, terms)``: terms maps exponent tuples of
     length ``arity`` to coefficients; ``-inf`` coefficients are dropped.
-    The constructor copies and checks the terms."""
+    The constructor copies and checks the terms and builds the rows; the
+    terms it checked are the first read of ``terms``."""
 
     __slots__ = ("arity", "_den", "_rows", "_terms")
     __hash__ = None  # compared by value, and arity is mutable
@@ -104,21 +105,12 @@ class TropicalPolynomial:
                 clean[exp] = trop_add(clean[exp], coeff)
             else:
                 clean[exp] = coeff
+        den = _den_of(clean.values())
         self.arity = arity
+        self._den = den
+        self._rows = [(e, c.value.numerator * (den // c.value.denominator),
+                       c.tag == TAG_GHOST) for e, c in clean.items()]
         self._terms = MappingProxyType(clean)
-        self._den = self._rows = None
-
-    @classmethod
-    def _canonical(cls, arity: int, terms: Dict[Exponent, TropicalNumber]
-                   ) -> "TropicalPolynomial":
-        """A polynomial on terms that are already clean: int exponent tuples
-        of length ``arity``, one per key, no ``-inf`` coefficient.  Skips
-        the checks of ``__init__``; only for terms this package built."""
-        poly = object.__new__(cls)
-        poly.arity = arity
-        poly._terms = MappingProxyType(terms)
-        poly._den = poly._rows = None
-        return poly
 
     @classmethod
     def _from_rows(cls, arity: int, den: int, rows: List[Row]
@@ -130,19 +122,10 @@ class TropicalPolynomial:
         poly._den, poly._rows, poly._terms = den, rows, None
         return poly
 
-    def _int_form(self) -> Tuple[int, List[Row]]:
-        """``(den, rows)``, built from the terms on first use."""
-        if self._rows is None:
-            terms = self._terms
-            den = lcm(*[c.value.denominator for c in terms.values()])
-            self._rows = [(e, c.value.numerator * (den // c.value.denominator),
-                           c.tag == TAG_GHOST) for e, c in terms.items()]
-            self._den = den
-        return self._den, self._rows
-
     @property
     def terms(self) -> Mapping[Exponent, TropicalNumber]:
-        """The coefficients by exponent, read-only; built on first read."""
+        """The coefficients by exponent, read-only; built from the rows on
+        first read."""
         if self._terms is None:
             den = self._den
             self._terms = MappingProxyType({
@@ -151,31 +134,16 @@ class TropicalPolynomial:
                 for e, s, g in self._rows})
         return self._terms
 
-    def _built_terms(self) -> Optional[Mapping[Exponent, TropicalNumber]]:
-        """The terms when they are built, else None; builds nothing."""
-        return self._terms
-
     def _values(self) -> Dict[Exponent, Fraction]:
-        """The coefficient values by exponent, in term order, read off
-        whichever form is built."""
-        if self._terms is not None:
-            return {e: c.value for e, c in self._terms.items()}
+        """The coefficient values by exponent, in row order."""
         den = self._den
         return {e: Fraction(s, den) for e, s, _ in self._rows}
-
-    def _exponents(self) -> Sequence[Exponent]:
-        """The exponents, read off whichever form is built."""
-        if self._terms is not None:
-            return self._terms.keys()
-        return [e for e, _, _ in self._rows]
 
     def __eq__(self, other):
         if not isinstance(other, TropicalPolynomial):
             return NotImplemented
         if self.arity != other.arity:
             return False
-        if self._terms is not None and other._terms is not None:
-            return self._terms == other._terms  # no rows to build
         _, r1, r2 = _common(self, other)
         return len(r1) == len(r2) and set(r1) == set(r2)
 
@@ -188,37 +156,31 @@ class TropicalPolynomial:
 
     # -- basic structure ----------------------------------------------
     def is_empty(self) -> bool:
-        return not (self._rows if self._terms is None else self._terms)
+        return not self._rows
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self._exponents())
+        return all(sum(e) == 0 for e, _, _ in self._rows)
 
     def constant_value(self) -> TropicalNumber:
         """Value at the all--inf point: the constant coefficient or -inf."""
         return self.terms.get((0,) * self.arity, NEG_INFINITY)
 
-    def _ghost_flags(self) -> List[bool]:
-        """The ghost flag of each term, read off whichever form is built."""
-        if self._terms is not None:
-            return [c.tag == TAG_GHOST for c in self._terms.values()]
-        return [g for _, _, g in self._rows]
-
     def is_ghost_poly(self) -> bool:
         """All coefficients ghost (the empty polynomial counts too)."""
-        return all(self._ghost_flags())
+        return all(g for _, _, g in self._rows)
 
     def is_tangible_poly(self) -> bool:
-        return not any(self._ghost_flags())
+        return not any(g for _, _, g in self._rows)
 
     def total_degree(self) -> int:
         if self.is_empty():
             raise EmptyPolynomial("degree of the empty polynomial")
-        return max(sum(e) for e in self._exponents())
+        return max(sum(e) for e, _, _ in self._rows)
 
     def lower_degree(self) -> int:
         if self.is_empty():
             raise EmptyPolynomial("lower degree of the empty polynomial")
-        return min(sum(e) for e in self._exponents())
+        return min(sum(e) for e, _, _ in self._rows)
 
     def degree_bounds(self) -> Tuple[int, int]:
         return (self.lower_degree(), self.total_degree())
@@ -262,7 +224,7 @@ class TropicalPolynomial:
             if k & 1:
                 result = result * base
         if result is self:  # f ** 1 is a copy, as every other power
-            return self._from_rows(self.arity, *self._int_form())
+            return self._from_rows(self.arity, self._den, self._rows)
         return result
 
     def scale(self, c: TropicalNumber) -> "TropicalPolynomial":
@@ -286,7 +248,7 @@ class TropicalPolynomial:
         if len(point) != self.arity:
             raise ArityMismatch(
                 f"point of length {len(point)} for arity {self.arity}")
-        den, rows = self._int_form()
+        den, rows = self._den, self._rows
         big = lcm(den, _den_of(point))
         nums = [0 if c.tag == TAG_NEG_INF else
                 c.value.numerator * (big // c.value.denominator)
@@ -357,7 +319,7 @@ class TropicalPolynomial:
         positive power meets -inf is dropped.
         """
         keep = tuple(i for i in range(self.arity) if i not in assignment)
-        d, rows = self._int_form()
+        d, rows = self._den, self._rows
         den = lcm(d, _den_of(assignment.values()))
         fixed = [(i, None, False) if c.tag == TAG_NEG_INF else
                  (i, c.value.numerator * (den // c.value.denominator),

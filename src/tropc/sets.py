@@ -95,7 +95,7 @@ def _components_with_monomials(f: TropicalPolynomial
     if f.is_empty() or f.is_ghost_poly():
         return []
     _, scale, hull = _hull_1d(f)
-    ghosts = {e for (e,), _, g in f._int_form()[1] if g}
+    ghosts = {e for (e,), _, g in f._rows if g}
     bounds = [None] + [Fraction(y1 - y2, (x2 - x1) * scale)
                        for (x1, y1), (x2, y2) in zip(hull, hull[1:])] + [None]
     return [(Component1D(iv, iv if e == 0 else None, e == 0), e)

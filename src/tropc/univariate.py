@@ -87,22 +87,13 @@ def find_root(f: TropicalPolynomial) -> Tuple[TropicalNumber, ...]:
 def _threshold(f: TropicalPolynomial) -> Optional[Fraction]:
     """The least t at which a non-constant monomial of f reaches the
     constant along the diagonal (t, ..., t), or None unless the constant
-    is tangible.  f must have a non-constant term.
-
-    Read off the integer rows: a term s/den of degree k reaches the
-    constant c/den at (c - s) / (k den), and the least of these is found
-    by cross-multiplication, so one Fraction is built."""
-    den, rows = f._int_form()
-    zero = (0,) * f.arity
-    const = next(((s, g) for e, s, g in rows if e == zero), None)
-    if const is None or const[1]:
+    is tangible.  f must have a non-constant term.  Read off the rows, so
+    the terms of a closure are not built."""
+    c = next((s for e, s, g in f._rows if not g and not any(e)), None)
+    if c is None:
         return None
-    num, k = None, 1
-    for e, s, _ in rows:
-        d = sum(e)
-        if d and (num is None or (const[0] - s) * k < num * d):
-            num, k = const[0] - s, d
-    return Fraction(num, k * den)
+    return min(Fraction(c - s, sum(e) * f._den) for e, s, _ in f._rows
+               if any(e))
 
 
 def common_root(fs: Sequence[TropicalPolynomial]
