@@ -23,14 +23,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
 from .core import ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
-from .polynomial import Exponent, TropicalPolynomial
+from .polynomial import Exponent, TropicalPolynomial, _integer_rows
 
 ESSENTIAL = "essential"
 QUASI = "quasi-essential"
@@ -47,19 +47,6 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
-def _scaled_rows(f: TropicalPolynomial) -> Tuple[int, list]:
-    """The scale, the least common denominator of the heights, and the rows
-    ``(exponent, height * scale, ghost flag)`` of f, for both hulls.  The
-    integer form's denominator may be a multiple of the scale; dividing it
-    and every row by their gcd leaves the scale, so the hull kernels see the
-    same integers however f was built."""
-    den, rows = f._den, f._rows
-    g = gcd(den, *[s for _, s, _ in rows])
-    if g == 1:
-        return den, rows
-    return den // g, [(e, s // g, t) for e, s, t in rows]
-
-
 # ---------------------------------------------------------------------------
 # univariate hull: one integer sweep
 
@@ -67,11 +54,10 @@ def _scaled_rows(f: TropicalPolynomial) -> Tuple[int, list]:
 def _hull_1d(f: TropicalPolynomial
              ) -> Tuple[List[Tuple[int, int]], int, List[Tuple[int, int]]]:
     """Lifted points ``(exponent, height * scale)`` in ascending order, the
-    scale (the common denominator of the heights) and the vertices of the
-    points' upper hull.  A middle point is dropped unless it makes a strict
-    right turn, so collinear points are not vertices."""
-    scale, rows = _scaled_rows(f)
-    points = sorted((e[0], s) for e, s, _ in rows)
+    scale (f's den, the heights' least common denominator) and the vertices
+    of the points' upper hull.  A middle point is dropped unless it makes a
+    strict right turn, so collinear points are not vertices."""
+    points = sorted((e[0], s) for e, s, _ in f._rows)
     hull: List[Tuple[int, int]] = []
     for x, y in points:
         while len(hull) >= 2:
@@ -81,7 +67,7 @@ def _hull_1d(f: TropicalPolynomial
             else:
                 break
         hull.append((x, y))
-    return points, scale, hull
+    return points, f._den, hull
 
 
 def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
@@ -221,14 +207,13 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
 def _lift(f: TropicalPolynomial) -> tuple:
     """Ascending exponents, the echelon basis of their affine hull (k rows)
     and its pivots, and the lifted points: pivot coordinates, then height
-    times scale, the heights' common denominator."""
-    scale, rows = _scaled_rows(f)
-    rows = sorted(rows)
+    times scale, f's den."""
+    rows = sorted(f._rows)
     exps = [e for e, _, _ in rows]
     affine = _echelon([list(map(sub, e, exps[0])) for e in exps])
     pivots = [c for c, _ in affine]
     points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
-    return exps, affine, pivots, scale, points
+    return exps, affine, pivots, f._den, points
 
 
 def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
@@ -305,16 +290,12 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
 
 def _close(f: TropicalPolynomial, cx: EssentialComplex) -> TropicalPolynomial:
     """The full closure of f read off its hull complex, as rows: f's
-    essential rows, then a ghost row at every other hull lattice point, over
-    a denominator common to f and the lattice heights."""
-    kind = cx.classification
-    lattice = cx.hull_lattice_points
-    den = lcm(f._den, *[h.denominator for h in lattice.values()])
-    m = den // f._den
-    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
-    rows += [(v, h.numerator * (den // h.denominator), True)
-             for v, h in lattice.items() if kind.get(v) != ESSENTIAL]
-    return TropicalPolynomial._from_rows(f.arity, den, rows)
+    essential terms, then a ghost row at every other hull lattice point."""
+    kind, lifted = cx.classification, cx.lifted_points
+    items = [(e, lifted[e], g) for e, _, g in f._rows if kind[e] == ESSENTIAL]
+    items += [(v, h, True) for v, h in cx.hull_lattice_points.items()
+              if kind.get(v) != ESSENTIAL]
+    return TropicalPolynomial._from_rows(f.arity, *_integer_rows(items))
 
 
 def _closure_and_guard(f: TropicalPolynomial

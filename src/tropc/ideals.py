@@ -190,9 +190,8 @@ def ideal_member_syntactic(f: TropicalPolynomial, ideal: IdealFG) -> bool:
     if not ideal.generators:
         return False
     f_closed = full_closure(f)
-    for g in ideal.generators:
-        if equivalent(f_closed, g):
-            return True
+    if f_closed in ideal.generators:  # full closures are canonical
+        return True
     combo = None
     for g in ideal.generators:
         h = _residuation(f_closed, g)

@@ -1,20 +1,21 @@
 """Sparse tropical polynomials over the extended semiring.
 
-A polynomial keeps one integer form: a denominator ``den`` and rows
-``(exponent, value * den, ghost flag)``, one per exponent and none for
-``-inf``; den is a common denominator of the values, not always the least
-one.  Every kernel reads and writes that form, and so do the hulls in
-``essential``.  Products, sums and substitution merge rows with
-``_merge``: the sum in the semiring is the maximum, ghost on a tie.
-``evaluate`` and ``is_root`` take the maximum over the rows in one pass
-(``_top``), so ``is_root`` builds no value.
+A polynomial keeps one integer form: a denominator ``den``, the least
+common denominator of the values, and rows ``(exponent, value * den, ghost
+flag)``, one per exponent and none for ``-inf``; so polynomials are equal
+exactly when their read-only arities, dens and row sets are.  Every kernel
+reads and writes that form, and so do the hulls in ``essential``.
+Products, sums and substitution merge rows with ``_merge``: the sum in the
+semiring is the maximum, ghost on a tie.  ``evaluate`` and ``is_root``
+take the maximum over the rows in one pass (``_top``), so ``is_root``
+builds no value.
 
 The rows are the only source of truth.  The public constructor validates
-its terms and builds the rows from them; a kernel's output is born as rows.
-``terms``, the coefficients keyed by exponent tuples, is a read-only cache
-of the rows: built on first read (one ``Fraction`` and one
-``TropicalNumber`` per term), or kept from the constructor's checked terms,
-so it can never disagree with the rows.
+its terms and builds the rows from them; a kernel's output is born as rows
+and reduced to the least den by ``_from_rows``.  ``terms``, the
+coefficients keyed by exponent tuples, is a read-only cache of the rows:
+built on first read (one ``Fraction`` and one ``TropicalNumber`` per term),
+or kept from the constructor's checked terms, so it never disagrees.
 
 The empty polynomial (the constant -inf) is allowed; degree markers are
 undefined for it.
@@ -22,7 +23,7 @@ undefined for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
@@ -39,6 +40,15 @@ def _den_of(numbers: Iterable[TropicalNumber]) -> int:
     """Least common denominator of the values (``-inf`` carries none)."""
     return lcm(*[c.value.denominator for c in numbers
                  if c.tag != TAG_NEG_INF])
+
+
+def _integer_rows(items: List[Tuple[Exponent, Fraction, bool]]
+                  ) -> Tuple[int, List[Row]]:
+    """The least common denominator of the values in the items
+    ``(exponent, value, ghost flag)`` and the rows over it."""
+    den = lcm(*[v.denominator for _, v, _ in items])
+    return den, [(e, v.numerator * (den // v.denominator), g)
+                 for e, v, g in items]
 
 
 def _rescale(rows: List[Row], m: int) -> List[Row]:
@@ -86,8 +96,8 @@ class TropicalPolynomial:
     The constructor copies and checks the terms and builds the rows; the
     terms it checked are the first read of ``terms``."""
 
-    __slots__ = ("arity", "_den", "_rows", "_terms")
-    __hash__ = None  # compared by value, and arity is mutable
+    __slots__ = ("_arity", "_den", "_rows", "_terms")
+    __hash__ = None  # compared by value; no caller hashes a polynomial
 
     def __init__(self, arity: int,
                  terms: Optional[Mapping[Exponent, TropicalNumber]] = None):
@@ -105,22 +115,30 @@ class TropicalPolynomial:
                 clean[exp] = trop_add(clean[exp], coeff)
             else:
                 clean[exp] = coeff
-        den = _den_of(clean.values())
-        self.arity = arity
-        self._den = den
-        self._rows = [(e, c.value.numerator * (den // c.value.denominator),
-                       c.tag == TAG_GHOST) for e, c in clean.items()]
+        self._arity = arity
+        self._den, self._rows = _integer_rows(
+            [(e, c.value, c.tag == TAG_GHOST) for e, c in clean.items()])
         self._terms = MappingProxyType(clean)
 
     @classmethod
     def _from_rows(cls, arity: int, den: int, rows: List[Row]
                    ) -> "TropicalPolynomial":
-        """A polynomial on clean rows over ``den``; the rows list is shared,
-        never changed."""
+        """A polynomial on clean rows over a common denominator ``den`` of
+        their values, reduced to the least one: den and every row are
+        divided by their gcd.  When den is the least already, the rows list
+        is shared, never changed."""
+        g = gcd(den, *[s for _, s, _ in rows])
+        if g != 1:
+            den, rows = den // g, [(e, s // g, t) for e, s, t in rows]
         poly = object.__new__(cls)
-        poly.arity = arity
-        poly._den, poly._rows, poly._terms = den, rows, None
+        poly._arity, poly._den, poly._rows = arity, den, rows
+        poly._terms = None
         return poly
+
+    @property
+    def arity(self) -> int:
+        """The number of variables, read-only."""
+        return self._arity
 
     @property
     def terms(self) -> Mapping[Exponent, TropicalNumber]:
@@ -142,17 +160,17 @@ class TropicalPolynomial:
     def __eq__(self, other):
         if not isinstance(other, TropicalPolynomial):
             return NotImplemented
-        if self.arity != other.arity:
+        if self._arity != other._arity or self._den != other._den:
             return False
-        _, r1, r2 = _common(self, other)
+        r1, r2 = self._rows, other._rows
         return len(r1) == len(r2) and set(r1) == set(r2)
 
     def __repr__(self):
-        return (f"TropicalPolynomial(arity={self.arity!r}, "
+        return (f"TropicalPolynomial(arity={self._arity!r}, "
                 f"terms={dict(self.terms)!r})")
 
     def __reduce__(self):
-        return (TropicalPolynomial, (self.arity, dict(self.terms)))
+        return (TropicalPolynomial, (self._arity, dict(self.terms)))
 
     # -- basic structure ----------------------------------------------
     def is_empty(self) -> bool:
@@ -163,7 +181,7 @@ class TropicalPolynomial:
 
     def constant_value(self) -> TropicalNumber:
         """Value at the all--inf point: the constant coefficient or -inf."""
-        return self.terms.get((0,) * self.arity, NEG_INFINITY)
+        return self.terms.get((0,) * self._arity, NEG_INFINITY)
 
     def is_ghost_poly(self) -> bool:
         """All coefficients ghost (the empty polynomial counts too)."""
@@ -192,19 +210,19 @@ class TropicalPolynomial:
 
     # -- arithmetic -----------------------------------------------------
     def _check_arity(self, other: "TropicalPolynomial"):
-        if self.arity != other.arity:
+        if self._arity != other._arity:
             raise ArityMismatch(
-                f"arity {self.arity} vs {other.arity}")
+                f"arity {self._arity} vs {other._arity}")
 
     def __add__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         self._check_arity(other)
         den, r1, r2 = _common(self, other)
-        return _merge(self.arity, den, r1 + r2)
+        return _merge(self._arity, den, r1 + r2)
 
     def __mul__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         self._check_arity(other)
         den, r1, r2 = _common(self, other)
-        return _merge(self.arity, den,
+        return _merge(self._arity, den,
                       ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
                        for e1, s1, g1 in r1 for e2, s2, g2 in r2))
 
@@ -212,7 +230,7 @@ class TropicalPolynomial:
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
-            return constant(tangible(0), self.arity)
+            return constant(tangible(0), self._arity)
         base = self
         while not k & 1:
             base = base * base
@@ -224,11 +242,11 @@ class TropicalPolynomial:
             if k & 1:
                 result = result * base
         if result is self:  # f ** 1 is a copy, as every other power
-            return self._from_rows(self.arity, self._den, self._rows)
+            return self._from_rows(self._arity, self._den, self._rows)
         return result
 
     def scale(self, c: TropicalNumber) -> "TropicalPolynomial":
-        return self * constant(c, self.arity)
+        return self * constant(c, self._arity)
 
     # -- evaluation ------------------------------------------------------
     def _top(self, point: Iterable[TropicalNumber]
@@ -245,9 +263,9 @@ class TropicalPolynomial:
         with ``trop_add`` gives.
         """
         point = tuple(point)
-        if len(point) != self.arity:
+        if len(point) != self._arity:
             raise ArityMismatch(
-                f"point of length {len(point)} for arity {self.arity}")
+                f"point of length {len(point)} for arity {self._arity}")
         den, rows = self._den, self._rows
         big = lcm(den, _den_of(point))
         nums = [0 if c.tag == TAG_NEG_INF else
@@ -287,12 +305,12 @@ class TropicalPolynomial:
     # -- decompositions ---------------------------------------------------
     def tangible_part(self) -> "TropicalPolynomial":
         return TropicalPolynomial(
-            self.arity,
+            self._arity,
             {e: c for e, c in self.terms.items() if c.is_tangible()})
 
     def ghost_part(self) -> "TropicalPolynomial":
         return TropicalPolynomial(
-            self.arity,
+            self._arity,
             {e: c for e, c in self.terms.items() if c.is_ghost()})
 
     def tg_decompose(self):
@@ -301,7 +319,7 @@ class TropicalPolynomial:
     def projection(self) -> "TropicalPolynomial":
         """Every coefficient projected to its tangible copy."""
         return TropicalPolynomial(
-            self.arity,
+            self._arity,
             {e: tangible(c.value) for e, c in self.terms.items()})
 
     def ru_decompose(self):
@@ -318,7 +336,7 @@ class TropicalPolynomial:
         The remaining variables keep their relative order; a term whose
         positive power meets -inf is dropped.
         """
-        keep = tuple(i for i in range(self.arity) if i not in assignment)
+        keep = tuple(i for i in range(self._arity) if i not in assignment)
         d, rows = self._den, self._rows
         den = lcm(d, _den_of(assignment.values()))
         fixed = [(i, None, False) if c.tag == TAG_NEG_INF else
@@ -343,7 +361,7 @@ class TropicalPolynomial:
     # -- JSON --------------------------------------------------------------
     def to_json(self):
         return {
-            "arity": self.arity,
+            "arity": self._arity,
             "terms": [{"exp": list(e), "coeff": c.to_json()}
                       for e, c in self.sorted_terms()],
         }

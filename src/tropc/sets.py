@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .core import TropicalNumber
 from .errors import ArityMismatch, ArityUnsupported
 from .essential import _facets, _hull_1d, _lift
-from .polynomial import TropicalPolynomial
+from .polynomial import TropicalPolynomial, _sort_key
 
 # An open interval with exact rational endpoints; None means unbounded.
 Interval = Optional[Tuple[Optional[Fraction], Optional[Fraction]]]
@@ -203,7 +203,7 @@ def corner_locus_2d(f: TropicalPolynomial,
             continue
         for w, _, edge in _facets([points[i][:-1] for i in cell]):
             ends.setdefault(frozenset(cell[i] for i in edge), []).append((v, w))
-    terms = [e for e, _ in f.sorted_terms()]
+    terms = sorted(exps, key=_sort_key, reverse=True)
     rank = {e: r for r, e in enumerate(terms)}
     ties = {tuple(sorted((rank[exps[i]], rank[exps[j]]))): cells
             for on, cells in ends.items() for i, j in combinations(on, 2)}

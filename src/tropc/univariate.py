@@ -72,7 +72,7 @@ def find_root(f: TropicalPolynomial) -> Tuple[TropicalNumber, ...]:
 
     # pick a variable that actually occurs and pin the others to 0
     var = next(i for i in range(f.arity)
-               if any(e[i] for e in f.terms))
+               if any(e[i] for e, _, _ in f._rows))
     fixed = {i: tangible(0) for i in range(f.arity) if i != var}
     t = _threshold(f.substitute(fixed))
     # without a tangible constant every monomial left ghosts at ghost(0);

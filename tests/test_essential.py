@@ -392,6 +392,43 @@ class TestEquivalence:
             else:
                 disagree += 1
 
+    def test_full_closures_equal_exactly_when_equivalent(self):
+        # full closures are canonical and their dens least, so a plain
+        # comparison decides equivalence; g is f with terms added strictly
+        # below its hull (equivalent), f with one term moved by a half or
+        # retagged (either), or an unrelated polynomial
+        rng = random.Random(53)
+        seen = Counter()
+        for i in range(1200):
+            arity = i % 3 + 1
+            degree = (5, 3, 2)[arity - 1]
+            f = rand_poly(rng, arity, degree, 5)
+            F = full_closure(f)
+            roll = rng.random()
+            if roll < 0.4:
+                below = {v: rng.choice((tangible, ghost))(
+                    c.value - rand_fraction(rng, 1, 4))
+                    for v, c in F.terms.items() if rng.random() < 0.5}
+                g = essential_part(f) + TropicalPolynomial(arity, below)
+            elif roll < 0.7:
+                terms = dict(f.terms)
+                e = rng.choice(list(terms))
+                v = terms[e].value
+                if terms[e].is_tangible() and rng.random() < 0.5:
+                    terms[e] = ghost(v)
+                else:
+                    terms[e] = tangible(v + Fraction(rng.choice((-1, 1)), 2))
+                g = TropicalPolynomial(arity, terms)
+            else:
+                g = rand_poly(rng, arity, degree, 5)
+            G = full_closure(g)
+            same = F == G
+            assert equivalent(F, G) == same
+            assert equivalent(f, g) == same
+            seen[arity, same] += 1
+        assert all(seen[a, s] >= 50 for a in (1, 2, 3) for s in (True, False))
+        assert sum(seen[a, True] for a in (1, 2, 3)) >= 200, seen
+
 
 class TestReducedOps:
     def test_products_stay_full(self):

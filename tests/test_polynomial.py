@@ -44,6 +44,21 @@ class TestStructure:
         assert f.terms == {(2,): tangible(0), (1,): ghost(1)}
         assert f * f == P("x^4 + 1v*x^3 + 2v*x^2")
 
+    def test_arity_is_read_only(self):
+        f = P("x + 1")
+        for p in (f, f * f, f.substitute({0: tangible(2)}),
+                  TropicalPolynomial(2, {})):
+            arity = p.arity
+            with pytest.raises(AttributeError):
+                p.arity = arity + 1
+            assert p.arity == arity
+            for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+                assert q == p and q.arity == arity
+
+    def test_equal_rows_over_other_dens_differ(self):
+        f, g = P("1/2*x"), P("1/3*x")
+        assert f._rows == g._rows and f != g
+
     def test_constructor_validates(self):
         with pytest.raises(ArityMismatch):
             TropicalPolynomial(2, {(1,): tangible(0)})
@@ -338,9 +353,9 @@ class TestAgainstFoldReference:
 
     def test_chains(self):
         # kernels fed by kernels: no terms are read between them, and the
-        # denominators 2, 3 and 7 leave a product's den above the least
-        # common denominator of its values whenever a term that carried a
-        # factor loses the maximum
+        # denominators 2, 3 and 7 put a product's common denominator above
+        # the least one whenever a term that carried a factor loses the
+        # maximum; every output still has the least den
         rng = random.Random(71)
         seen = Counter()
 
@@ -372,10 +387,11 @@ class TestAgainstFoldReference:
                 assert got.is_root(at) == value.is_ghost_or_bottom()
                 assert build().evaluate(at) == value
                 assert build() == ref  # compared on the rows
-                den = got._den
-                seen["unreduced den"] += den != lcm(
+                assert got._den == lcm(
                     *(c.value.denominator for c in got.terms.values()))
                 assert got.terms == ref.terms
+            seen["den reduced"] += \
+                (f * g * h)._den < lcm(f._den, g._den, h._den)
             seen["ghost coordinate"] += any(c.is_ghost() for c in point)
             seen["-inf coordinate"] += any(c.is_neg_inf() for c in point)
         assert min(seen.values()) >= 50, seen
@@ -383,7 +399,8 @@ class TestAgainstFoldReference:
 
 class TestCanonicalOutputs:
     """Products, substitutions, essential parts and full closures skip the
-    constructor's checks; each equals a checked copy of itself."""
+    constructor's checks; each equals a checked copy of itself, den and
+    rows included."""
 
     def test_random(self):
         rng = random.Random(67)
@@ -394,7 +411,10 @@ class TestCanonicalOutputs:
             if not f.is_empty():
                 outs += [essential_part(f), full_closure(f)]
             for p in outs:
-                assert p == TropicalPolynomial(p.arity, dict(p.terms))
+                checked = TropicalPolynomial(p.arity, dict(p.terms))
+                assert p == checked
+                assert p._den == checked._den
+                assert set(p._rows) == set(checked._rows)
                 assert all(len(e) == p.arity and
                            all(type(a) is int and a >= 0 for a in e) and
                            not c.is_neg_inf() for e, c in p.terms.items())
