@@ -14,7 +14,12 @@ their least common denominator.  Univariate hulls come from one upper-hull
 sweep whose edges are walked once.  Higher arities build the facets of the
 Newton polytope and of the lifted points by beneath-beyond; every hull
 fact, and the plane corner locus in ``sets``, is read off the points each
-facet touches.
+facet touches.  Both give one integer complex (``_complex``): the
+classification, every hull lattice height as an integer pair, the cells
+and the interior vertices.  Closures, essential parts and the slope walks
+read it and stay on integer rows; ``Fraction``s are built only for the
+public ``EssentialComplex`` of ``classify_monomials`` and the public
+``SlopeSequence``.
 """
 from __future__ import annotations
 
@@ -23,14 +28,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as iter_product
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Dict, List, Optional, Tuple
 
-from .core import ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
-from .polynomial import Exponent, TropicalPolynomial, _integer_rows
+from .polynomial import Exponent, TropicalPolynomial
 
 ESSENTIAL = "essential"
 QUASI = "quasi-essential"
@@ -39,12 +43,24 @@ INESSENTIAL = "inessential"
 
 @dataclass(frozen=True)
 class EssentialComplex:
+    """The hull complex of a polynomial with ``Fraction`` heights, a view
+    built on request by ``classify_monomials``; the library's own hull
+    readers use the integer complex it is built from."""
     arity: int
     lifted_points: Dict[Exponent, Fraction]
     classification: Dict[Exponent, str]
     hull_lattice_points: Dict[Exponent, Fraction]
     subdivision: Optional[List[List[Exponent]]]
     interior_vertices: List[Exponent]
+
+
+# The integer complex of a nonempty f: (classification, lattice, cells,
+# interior).  The classification and the lattice are keyed in the order of
+# the public view; lattice[v] = (t, w) is the hull height t / (w * den) over
+# the lattice point v, den being f's, with w > 0.  The cells are the
+# subdivision (None above arity 2).
+_Complex = Tuple[Dict[Exponent, str], Dict[Exponent, Tuple[int, int]],
+                Optional[List[List[Exponent]]], List[Exponent]]
 
 
 # ---------------------------------------------------------------------------
@@ -70,36 +86,34 @@ def _hull_1d(f: TropicalPolynomial
     return points, f._den, hull
 
 
-def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
+def _complex_1d(f: TropicalPolynomial) -> _Complex:
     """Each hull edge ``(x1, y1)-(x2, y2)`` of width w is walked once.  Over
-    a lattice x on it the hull height times ``w * scale`` is the integer
-    ``y1 * w + (y2 - y1) * (x - x1)``: the ends of the edge are essential
+    a lattice x on it the hull height times ``w * den`` is the integer
+    ``t = y1 * w + (y2 - y1) * (x - x1)``: the ends of the edge are essential
     terms, a term that ties it is quasi-essential, any other inessential."""
-    points, scale, hull = _hull_1d(f)
+    points, _, hull = _hull_1d(f)
     heights = dict(points)
-    lifted = f._values()
-    classification = dict.fromkeys(lifted, INESSENTIAL)
-    first = (hull[0][0],)
-    classification[first] = ESSENTIAL
-    lattice = {first: lifted[first]}
+    classification = dict.fromkeys([e for e, _, _ in f._rows], INESSENTIAL)
+    x0, y0 = hull[0]
+    classification[(x0,)] = ESSENTIAL
+    lattice = {(x0,): (y0, 1)}
     cells: List[List[Exponent]] = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         w = x2 - x1
         cell = [(x1,)]
         for x in range(x1 + 1, x2):
             t = y1 * w + (y2 - y1) * (x - x1)
-            lattice[(x,)] = Fraction(t, w * scale)
+            lattice[(x,)] = (t, w)
             y = heights.get(x)
             if y is not None and y * w == t:
                 classification[(x,)] = QUASI
                 cell.append((x,))
         end = (x2,)
         classification[end] = ESSENTIAL
-        lattice[end] = lifted[end]
+        lattice[end] = (y2, 1)
         cell.append(end)
         cells.append(cell)
-    interior = [(x,) for x, _ in hull[1:-1]]
-    return EssentialComplex(1, lifted, classification, lattice, cells, interior)
+    return classification, lattice, cells, [(x,) for x, _ in hull[1:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +230,12 @@ def _lift(f: TropicalPolynomial) -> tuple:
     return exps, affine, pivots, f._den, points
 
 
-def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
+def _complex_nd(f: TropicalPolynomial) -> _Complex:
     """A point is on the hull iff an upper facet touches it; a hull vertex
     iff the upper facets and Newton walls through it touch no other point
     together; and a Newton vertex iff its walls touch no other point
     together (at k = 0 the single point is one)."""
-    exps, affine, pivots, scale, points = _lift(f)
-    values = f._values()
-    lifted = {e: values[e] for e in exps}
+    exps, affine, pivots, _, points = _lift(f)
     k = len(pivots)
     newton = _facets([p[:-1] for p in points]) if k else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
@@ -259,12 +271,16 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
             s = b - _dot(n, x)
             if t is None or s * w < t * n[-1]:
                 t, w = s, n[-1]
-        lattice[v] = Fraction(t, w * scale)
+        lattice[v] = (t, w)
     subdivision = None
     if f.arity == 2:
         subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
-    return EssentialComplex(f.arity, lifted, classification, lattice,
-                            subdivision, interior)
+    return classification, lattice, subdivision, interior
+
+
+def _complex(f: TropicalPolynomial) -> _Complex:
+    """The integer complex of a nonempty f: every hull any caller reads."""
+    return _complex_1d(f) if f.arity == 1 else _complex_nd(f)
 
 
 # ---------------------------------------------------------------------------
@@ -273,38 +289,47 @@ def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
 
 def classify_monomials(f: TropicalPolynomial,
                        with_subdivision: bool = False) -> EssentialComplex:
-    """The hull complex of f.  The subdivision is given for arities 1 and
-    2; ``with_subdivision`` changes nothing."""
+    """The hull complex of f with ``Fraction`` heights.  The subdivision is
+    given for arities 1 and 2; ``with_subdivision`` changes nothing."""
     if f.is_empty():
         raise EmptyPolynomial("no monomials to classify")
-    return _complex_1d(f) if f.arity == 1 else _complex_nd(f)
+    kind, lattice, cells, interior = _complex(f)
+    den = f._den
+    values = {e: s for e, s, _ in f._rows}
+    return EssentialComplex(
+        f.arity, {e: Fraction(values[e], den) for e in kind}, kind,
+        {v: Fraction(t, w * den) for v, (t, w) in lattice.items()},
+        cells, interior)
 
 
 def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
     if f.is_empty():
         return f
-    kind = classify_monomials(f).classification
+    kind = _complex(f)[0]
     return TropicalPolynomial._from_rows(f.arity, f._den, [
         r for r in f._rows if kind[r[0]] == ESSENTIAL])
 
 
-def _close(f: TropicalPolynomial, cx: EssentialComplex) -> TropicalPolynomial:
-    """The full closure of f read off its hull complex, as rows: f's
-    essential terms, then a ghost row at every other hull lattice point."""
-    kind, lifted = cx.classification, cx.lifted_points
-    items = [(e, lifted[e], g) for e, _, g in f._rows if kind[e] == ESSENTIAL]
-    items += [(v, h, True) for v, h in cx.hull_lattice_points.items()
+def _close(f: TropicalPolynomial, cx: _Complex) -> TropicalPolynomial:
+    """The full closure of f read off its integer complex, as rows over
+    ``den * m``, m the lcm of the lattice widths: f's essential terms, then
+    a ghost row at every other hull lattice point."""
+    kind, lattice = cx[0], cx[1]
+    ghosts = [(v, t, w) for v, (t, w) in lattice.items()
               if kind.get(v) != ESSENTIAL]
-    return TropicalPolynomial._from_rows(f.arity, *_integer_rows(items))
+    m = lcm(*[w for _, _, w in ghosts])
+    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
+    rows += [(v, t * (m // w), True) for v, t, w in ghosts]
+    return TropicalPolynomial._from_rows(f.arity, f._den * m, rows)
 
 
 def _closure_and_guard(f: TropicalPolynomial
                        ) -> Tuple[TropicalPolynomial, bool]:
     """The full closure of a nonempty f and whether its essential part is
     tangible, from one hull."""
-    cx = classify_monomials(f)
-    tangible_full = not any(g for e, _, g in f._rows
-                            if cx.classification[e] == ESSENTIAL)
+    cx = _complex(f)
+    kind = cx[0]
+    tangible_full = not any(g for e, _, g in f._rows if kind[e] == ESSENTIAL)
     return _close(f, cx), tangible_full
 
 
@@ -312,7 +337,7 @@ def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
     """Essential part plus a ghost term at every other hull lattice point."""
     if f.is_empty():
         return f
-    return _close(f, classify_monomials(f))
+    return _close(f, _complex(f))
 
 
 def is_full(f: TropicalPolynomial) -> bool:
@@ -344,13 +369,16 @@ def red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
 # slope sequences and division
 
 
-def _chain(closed: TropicalPolynomial) -> Tuple[int, list, list]:
-    """The lowest exponent lo of a full univariate closure, its coefficients
-    from lo to hi and its top-down slopes: slopes[k] = c[k] - c[k + 1] is
+def _chain(closed: TropicalPolynomial
+           ) -> Tuple[int, int, List[int], List[bool], List[int]]:
+    """A full univariate closure read off its sorted rows: its lowest
+    exponent lo, its den, its values times den and ghost flags from lo to
+    hi, and its top-down slopes times den: slopes[k] = c[k] - c[k + 1] is
     the edge from position k + 1 down to k, and the slopes ascend."""
-    lo, hi = closed.degree_bounds()
-    c = [closed.terms[(i,)] for i in range(lo, hi + 1)]
-    return lo, c, [a.value - b.value for a, b in zip(c, c[1:])]
+    rows = sorted(closed._rows)
+    values = [s for _, s, _ in rows]
+    return (rows[0][0][0], closed._den, values, [g for _, _, g in rows],
+            list(map(sub, values, values[1:])))
 
 
 @dataclass
@@ -367,14 +395,16 @@ def slope_sequence(f: TropicalPolynomial) -> SlopeSequence:
         raise ArityUnsupported("slope sequences are univariate")
     if f.is_empty():
         raise EmptyPolynomial("no slopes for the empty polynomial")
-    lo, c, slopes = _chain(full_closure(f))
+    lo, den, c, _, slopes = _chain(full_closure(f))
     if not slopes:
         raise MonomialInput("a single monomial has no slopes")
     if any(a > b for a, b in zip(slopes, slopes[1:])):
         raise InternalInconsistency("slopes of a full closure ascend")
-    edges = [((lo + k + 1, c[k + 1].value), (lo + k, c[k].value))
+    heights = [Fraction(s, den) for s in c]
+    edges = [((lo + k + 1, heights[k + 1]), (lo + k, heights[k]))
              for k in range(len(slopes))]
-    return SlopeSequence(slopes[::-1], edges[::-1])
+    return SlopeSequence([Fraction(s, den) for s in reversed(slopes)],
+                         edges[::-1])
 
 
 def divides(f: TropicalPolynomial, g: TropicalPolynomial
@@ -388,30 +418,36 @@ def divides(f: TropicalPolynomial, g: TropicalPolynomial
     vertex p of F splits as u + w, the counts of q's and G's slopes below
     p's upper edge, and F(p) = q(u) G(w).  Where G(w) is tangible q(u)
     takes the tag of F(p); where it is ghost F(p) must be ghost.  Every
-    other term of q is ghost.
+    other term of q is ghost.  F's and G's values and slopes are compared
+    over the lcm of their dens.
     """
     if f.arity != 1 or g.arity != 1:
         raise ArityUnsupported("divisibility testing is univariate")
     if f.is_empty() or g.is_empty():
         raise EmptyPolynomial("divisibility with an empty polynomial")
-    lo_f, cf, sf = _chain(closed_f := full_closure(f))
-    lo_g, cg, sg = _chain(full_closure(g))
-    if lo_f < lo_g or Counter(sg) - Counter(sf):
+    lo_f, den_f, cf, ghost_f, sf = _chain(closed_f := full_closure(f))
+    lo_g, den_g, cg, ghost_g, sg = _chain(full_closure(g))
+    if lo_f < lo_g:
+        return None
+    den = lcm(den_f, den_g)
+    mf, mg = den // den_f, den // den_g
+    sf, sg = [s * mf for s in sf], [s * mg for s in sg]
+    if Counter(sg) - Counter(sf):
         return None
     sq = sorted((Counter(sf) - Counter(sg)).elements())
     tags: Dict[int, bool] = {}
-    for p, a in enumerate(cf):
+    for p, g_p in enumerate(ghost_f):
         if 0 < p < len(sf) and sf[p - 1] == sf[p]:
             continue  # not a vertex of F
         u = bisect_left(sq, sf[p]) if p < len(sf) else len(sq)
-        tag = a.is_tangible()  # the tag of F(p) = q(u) G(p - u)
-        forced = tags.setdefault(u, tag) if cg[p - u].is_tangible() else False
+        tag = not g_p  # the tag of F(p) = q(u) G(p - u)
+        forced = False if ghost_g[p - u] else tags.setdefault(u, tag)
         if forced != tag:
             return None
-    values = accumulate(sq, sub, initial=cf[0].value - cg[0].value)
-    quotient = TropicalPolynomial(1, {
-        (lo_f - lo_g + u,): (tangible if tags.get(u) else ghost)(v)
-        for u, v in enumerate(values)})
+    values = accumulate(sq, sub, initial=cf[0] * mf - cg[0] * mg)
+    quotient = TropicalPolynomial._from_rows(1, den, [
+        ((lo_f - lo_g + u,), v, not tags.get(u))
+        for u, v in enumerate(values)])
     if red_mul(quotient, g) != closed_f:
         raise InternalInconsistency("the forced quotient does not reproduce f")
     return quotient

@@ -22,8 +22,8 @@ from .core import NEG_INFINITY, TropicalNumber, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
-from .essential import (_closure_and_guard, equivalent, essential_part,
-                        full_closure, red_pow)
+from .essential import (_closure_and_guard, essential_part, full_closure,
+                        red_pow)
 from .polynomial import TropicalPolynomial
 from .sets import _components_with_monomials
 from .univariate import common_root
@@ -201,7 +201,7 @@ def ideal_member_syntactic(f: TropicalPolynomial, ideal: IdealFG) -> bool:
         combo = part if combo is None else combo + part
     if combo is None or combo.is_empty():
         return False
-    return equivalent(combo, f_closed)
+    return full_closure(combo) == f_closed  # f_closed is canonical
 
 
 def _residuation(f: TropicalPolynomial, g: TropicalPolynomial

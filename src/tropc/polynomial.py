@@ -42,15 +42,6 @@ def _den_of(numbers: Iterable[TropicalNumber]) -> int:
                  if c.tag != TAG_NEG_INF])
 
 
-def _integer_rows(items: List[Tuple[Exponent, Fraction, bool]]
-                  ) -> Tuple[int, List[Row]]:
-    """The least common denominator of the values in the items
-    ``(exponent, value, ghost flag)`` and the rows over it."""
-    den = lcm(*[v.denominator for _, v, _ in items])
-    return den, [(e, v.numerator * (den // v.denominator), g)
-                 for e, v, g in items]
-
-
 def _rescale(rows: List[Row], m: int) -> List[Row]:
     return rows if m == 1 else [(e, s * m, g) for e, s, g in rows]
 
@@ -116,8 +107,9 @@ class TropicalPolynomial:
             else:
                 clean[exp] = coeff
         self._arity = arity
-        self._den, self._rows = _integer_rows(
-            [(e, c.value, c.tag == TAG_GHOST) for e, c in clean.items()])
+        self._den = den = _den_of(clean.values())
+        self._rows = [(e, c.value.numerator * (den // c.value.denominator),
+                       c.tag == TAG_GHOST) for e, c in clean.items()]
         self._terms = MappingProxyType(clean)
 
     @classmethod
@@ -151,11 +143,6 @@ class TropicalPolynomial:
                                   Fraction(s, den))
                 for e, s, g in self._rows})
         return self._terms
-
-    def _values(self) -> Dict[Exponent, Fraction]:
-        """The coefficient values by exponent, in row order."""
-        den = self._den
-        return {e: Fraction(s, den) for e, s, _ in self._rows}
 
     def __eq__(self, other):
         if not isinstance(other, TropicalPolynomial):

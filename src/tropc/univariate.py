@@ -5,7 +5,10 @@ degree and top-down slopes c[i-1] - c[i]; each tangible term is a vertex,
 each other term is ghost, and a vertex may be ghost.  Factorization reads
 the canonical factors off those slopes in one walk, certified by
 multiplying the factors back, without closing, and comparing with the full
-closure of the input; a mismatch raises InternalInconsistency.
+closure of the input; a mismatch raises InternalInconsistency.  The walk
+stays on the closure's integer rows: its slopes are integers over the
+closure's den, each factor is born as rows over that den, and only the
+unit becomes a ``Fraction``.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotTangibleFull)
 from .essential import _chain, _closure_and_guard, full_closure
-from .polynomial import TropicalPolynomial, constant, variable
+from .polynomial import TropicalPolynomial, constant
 
 
 @dataclass
@@ -41,17 +44,10 @@ class Factorization:
         return out
 
 
-def _linear(a: TropicalNumber) -> TropicalPolynomial:
-    """The polynomial x + a (a may be ghost or -inf, giving bare x)."""
-    terms = {(1,): tangible(0)}
-    if not a.is_neg_inf():
-        terms[(0,)] = a
-    return TropicalPolynomial(1, terms)
-
-
-def _ghost_variable_linear(b: Fraction) -> TropicalPolynomial:
-    """The polynomial with a ghost variable term: 0^nu x + b."""
-    return TropicalPolynomial(1, {(1,): ghost(0), (0,): tangible(b)})
+def _factor(den: int, *terms) -> TropicalPolynomial:
+    """The factor with the terms (degree, value times den, ghost flag)."""
+    return TropicalPolynomial._from_rows(1, den, [((e,), s, g)
+                                                  for e, s, g in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +180,8 @@ def _factor_closed(closed: TropicalPolynomial) -> Factorization:
     counts in the order of ``factor_full``.  The unclosed product of the
     factors must equal ``closed``, which certifies that its closure does too.
     """
-    lo, c, slopes = _chain(closed)
-    marks = [i for i, a in enumerate(c) if a.is_tangible()]
+    lo, den, c, ghosts, slopes = _chain(closed)
+    marks = [i for i, g in enumerate(ghosts) if not g]
     top, bottom = (marks[-1], marks[0]) if marks else (0, 0)
     # the edges above position p are slopes[p:] and those below it slopes[:p]
     above = sorted(slopes[top:])
@@ -200,19 +196,18 @@ def _factor_closed(closed: TropicalPolynomial) -> Factorization:
         plain.update(slopes[i:j + 1])
     factors: List[Tuple[TropicalPolynomial, int]] = []
     if lo > 0:
-        factors.append((variable(0, 1), lo))
-    factors.extend((_linear(tangible(a)), m)
+        factors.append((_factor(den, (1, 0, False)), lo))
+    factors.extend((_factor(den, (1, 0, False), (0, a, False)), m)
                    for a, m in sorted(plain.items(), reverse=True))
     if above:
-        factors.append((_ghost_variable_linear(above[0]), 1))
+        factors.append((_factor(den, (1, 0, True), (0, above[0], False)), 1))
     if below:
-        factors.append((_linear(ghost(below[0])), 1))
+        factors.append((_factor(den, (1, 0, False), (0, below[0], True)), 1))
     factors.extend(
-        (TropicalPolynomial(1, {(2,): tangible(0), (1,): ghost(b),
-                                (0,): tangible(a + b)}), m)
+        (_factor(den, (2, 0, False), (1, b, True), (0, a + b, False)), m)
         for (a, b), m in sorted(quads.items(),
                                 key=lambda q: (-sum(q[0]), q[0][1])))
-    unit = (tangible if marks else ghost)(c[-1].value)
+    unit = (tangible if marks else ghost)(Fraction(c[-1], den))
     result = Factorization(unit, factors, False)
     if result._product() != closed:
         raise InternalInconsistency("expansion does not reproduce the input")

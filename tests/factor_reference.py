@@ -16,13 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
+from closure_reference import _ghost_variable_linear, _linear
 from tropc import (NEG_INFINITY, ArityUnsupported, EmptyPolynomial,
                    InternalInconsistency, NotFull, NotTangibleFull,
                    TropicalNumber, TropicalPolynomial, full_closure, ghost,
                    tangible)
 from tropc.essential import _closure_and_guard
 from tropc.polynomial import variable
-from tropc.univariate import Factorization, _ghost_variable_linear, _linear
+from tropc.univariate import Factorization
 
 
 def _factor_sort_key(p: TropicalPolynomial):

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from closure_reference import _linear
 from factor_reference import _merge_factors
 from tropc import (ArityUnsupported, EmptyPolynomial, InternalInconsistency,
                    NotTangibleFull, TropicalPolynomial, essential_part,
                    full_closure, red_add, red_mul, slope_sequence, tangible)
 from tropc.polynomial import constant, variable
-from tropc.univariate import Factorization, _linear
+from tropc.univariate import Factorization
 
 
 def _shift_down(f: TropicalPolynomial, k: int) -> TropicalPolynomial:

@@ -18,8 +18,8 @@ from reduced_reference import (reference_combination, reference_expand,
                                reference_red_pow)
 from tropc import (Factorization, IdealFG, NotTangibleFull,
                    TropicalPolynomial, divides, factor_full,
-                   factor_tangible_full, full_closure, parse_poly,
-                   radical_member_1d, red_mul, red_pow, tangible)
+                   factor_tangible_full, full_closure, ideal_member_syntactic,
+                   parse_poly, radical_member_1d, red_mul, red_pow, tangible)
 from util import rand_coeff, rand_fraction, rand_poly, rand_tangible_full
 
 P = parse_poly
@@ -150,13 +150,14 @@ class TestAgainstReducedReference:
 
 @pytest.fixture
 def hull_builds(monkeypatch):
-    """Counts calls of the univariate and multivariate hull builders."""
+    """Counts calls of the hull builder that every closure, essential part
+    and classification goes through."""
     count = [0]
-    for name in ("_complex_1d", "_complex_nd"):
-        def counted(f, _build=getattr(tropc.essential, name)):
-            count[0] += 1
-            return _build(f)
-        monkeypatch.setattr(tropc.essential, name, counted)
+
+    def counted(f, _build=tropc.essential._complex):
+        count[0] += 1
+        return _build(f)
+    monkeypatch.setattr(tropc.essential, "_complex", counted)
 
     def builds(fn, *args):
         count[0] = 0
@@ -189,3 +190,10 @@ class TestHullBuildBudget:
         assert hull_builds(radical_member_1d, f, ideal) == 4       # was 8
         ideal = IdealFG(1, [red_pow(P("x + 0"), 2), red_pow(P("x + 2"), 2)])
         assert hull_builds(radical_member_1d, P("x + 0"), ideal) == 4  # was 8
+
+    def test_ideal_member(self, hull_builds):
+        g = P("x^2 + 1*x + 0")
+        ideal = IdealFG(1, [g])
+        f = P("x + 3") * g
+        assert ideal_member_syntactic(f, ideal)
+        assert hull_builds(ideal_member_syntactic, f, ideal) == 2  # was 3
