@@ -45,6 +45,14 @@ def _load_poly(text: str, opts, arity=None) -> TropicalPolynomial:
     return f
 
 
+def _load_polys(texts: Sequence[str], opts) -> List[TropicalPolynomial]:
+    """The polynomials, all over the largest arity any of them uses."""
+    fs = [_load_poly(text, opts) for text in texts]
+    arity = max(f.arity for f in fs)
+    return [f if f.arity == arity else _load_poly(text, opts, arity)
+            for text, f in zip(texts, fs)]
+
+
 def _parse_point(text: str, opts) -> List[TropicalNumber]:
     parts = _read_arg(text, opts).split(",")
     out = []
@@ -120,8 +128,7 @@ def _cmd_classify(opts) -> int:
 
 
 def _cmd_equiv(opts) -> int:
-    f = _load_poly(opts.poly1, opts)
-    g = _load_poly(opts.poly2, opts)
+    f, g = _load_polys([opts.poly1, opts.poly2], opts)
     same = equivalent(f, g)
     _emit(opts, ["true" if same else "false"], {"equivalent": same})
     return 0
@@ -167,8 +174,7 @@ def _cmd_roots(opts) -> int:
 
 
 def _cmd_common_root(opts) -> int:
-    fs = [_load_poly(p, opts) for p in opts.polys]
-    point = common_root(fs)
+    point = common_root(_load_polys(opts.polys, opts))
     text = ",".join(format_number(c) for c in point)
     _emit(opts, [text], {"root": _point_json(point)})
     return 0
@@ -233,9 +239,8 @@ def _cmd_curve2d(opts) -> int:
 
 
 def _cmd_nss(opts) -> int:
-    fs = [_load_poly(p, opts) for p in opts.polys]
-    arity = fs[0].arity if fs else 1
-    result = weak_nullstellensatz(IdealFG(arity, fs))
+    fs = _load_polys(opts.polys, opts)
+    result = weak_nullstellensatz(IdealFG(fs[0].arity, fs))
     if result.nonempty:
         text = ",".join(format_number(c) for c in result.witness)
         _emit(opts, [f"witness: {text}"],
@@ -269,8 +274,7 @@ def _cmd_ghost_potent(opts) -> int:
 
 
 def _cmd_member(opts) -> int:
-    f = _load_poly(opts.poly, opts)
-    gens = [_load_poly(p, opts) for p in opts.generators]
+    f, *gens = _load_polys([opts.poly] + opts.generators, opts)
     result = ideal_member_syntactic(f, IdealFG(f.arity, gens))
     _emit(opts,
           [f"heuristic-member: {'true' if result else 'false'}"],

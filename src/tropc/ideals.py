@@ -7,18 +7,19 @@ containment of complement components and, on success, returns an exponent m
 with monomial combiners h_j such that f^m agrees with the combination
 sum h_j g_j as a function.  Both sides are raw results closed once, and
 full closures are canonical, so they agree as functions exactly when they
-are equal.
+are equal.  Everything here computes on the integer rows of polynomials;
+nothing reads ``terms`` or does ``TropicalNumber`` arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
+from math import lcm
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
-from .core import NEG_INFINITY, TropicalNumber, tangible
+from .core import TropicalNumber, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
@@ -125,40 +126,37 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
     # assign every component of f to a containing generator component
     assignment: List[Tuple[int, int, int]] = []  # (gen index, f exp, g exp)
     for comp, i in f_comps:
-        choice = None
-        for gi, comps in enumerate(gen_comps):
-            for gcomp, r in comps:
-                if comp.subset_of(gcomp) and not (i == 0 and r > 0):
-                    choice = (gi, i, r)
-                    break
-            if choice:
-                break
+        choice = next(((gi, i, r) for gi, comps in enumerate(gen_comps)
+                       for gcomp, r in comps
+                       if comp.subset_of(gcomp) and not (i == 0 and r > 0)),
+                      None)
         if choice is None:
             return None
         assignment.append(choice)
+    m_lower = max([1] + [-(-r // i) for _, i, r in assignment if i > 0])
 
-    m_lower = 1
-    for _, i, r in assignment:
-        if i > 0:
-            m_lower = max(m_lower, -(-r // i))
-    f_coeffs = {e[0]: c for e, c in f.terms.items()}
+    # com-sets emit tangible vertices only, so every combiner is tangible;
+    # its value m * f_i - g_r is an integer over one den of f and the gens
+    gens = ideal.generators
+    den = lcm(f._den, *[g._den for g in gens])
+    f_values = {e: s * (den // f._den) for (e,), s, _ in f._rows}
+    g_values = [{e: s * (den // g._den) for (e,), s, _ in g._rows}
+                for g in gens]
 
-    # com-sets emit tangible vertices only, so every beta below inverts;
     # m >= ceil(r / i) when i > 0 and r = 0 when i = 0, so m * i >= r
     for m in range(m_lower, MAX_CERTIFICATE_EXPONENT + 1):
         combiners: dict = {}
         for gi, i, r in assignment:
-            beta = ideal.generators[gi].terms[(r,)]
-            coeff = (f_coeffs[i] ** m) * beta.inv()
-            exp = (m * i - r,)
             bucket = combiners.setdefault(gi, {})
-            # union of monomial requirements: keep the larger coefficient,
+            exp, s = (m * i - r,), m * f_values[i] - g_values[gi][r]
+            # union of monomial requirements: keep the larger value,
             # identical contributions collapse without ghosting
-            if exp not in bucket or bucket[exp] < coeff:
-                bucket[exp] = coeff
+            if bucket.get(exp, s) <= s:
+                bucket[exp] = s
         cert = RadicalCertificate(
-            m, [(full_closure(TropicalPolynomial(1, bucket)),
-                 ideal.generators[gi])
+            m, [(full_closure(TropicalPolynomial._from_rows(
+                    1, den, [(e, s, False) for e, s in bucket.items()])),
+                 gens[gi])
                 for gi, bucket in sorted(combiners.items())])
         if red_pow(f, m) == cert.combination():
             return cert
@@ -206,29 +204,24 @@ def ideal_member_syntactic(f: TropicalPolynomial, ideal: IdealFG) -> bool:
 
 def _residuation(f: TropicalPolynomial, g: TropicalPolynomial
                  ) -> Optional[TropicalPolynomial]:
-    """Largest tangible h with the projection of h*g below that of f."""
+    """Largest tangible h with the projection of h*g below that of f: at
+    each e of the exponent box, min over g's rows of f[e + d] - g[d], an
+    integer over the lcm of the two dens (Cuninghame-Green residuation)."""
     if f.is_empty() or g.is_empty():
         return None
-    fdeg = [max(e[k] for e in f.terms) for k in range(f.arity)]
-    gdeg = [max(e[k] for e in g.terms) for k in range(g.arity)]
-    box = [range(0, fd - gd + 1) for fd, gd in zip(fdeg, gdeg)]
-    if any(fd < gd for fd, gd in zip(fdeg, gdeg)):
+    box = [range(max(e[k] for e, _, _ in f._rows)
+                 - max(d[k] for d, _, _ in g._rows) + 1)
+           for k in range(f.arity)]
+    if not all(box):  # g has a higher degree in some variable
         return None
-    terms = {}
+    den = lcm(f._den, g._den)
+    f_values = {e: s * (den // f._den) for e, s, _ in f._rows}
+    g_rows = [(d, s * (den // g._den)) for d, s, _ in g._rows]
+    rows = []
     for e in iter_product(*box):
-        best: Optional[Fraction] = None
-        ok = True
-        for d, cg in g.terms.items():
-            target = tuple(a + b for a, b in zip(e, d))
-            cf = f.terms.get(target, NEG_INFINITY)
-            if cf.is_neg_inf():
-                ok = False
-                break
-            slack = cf.value - cg.value
-            if best is None or slack < best:
-                best = slack
-        if ok and best is not None:
-            terms[e] = tangible(best)
-    if not terms:
-        return None
-    return TropicalPolynomial(f.arity, terms)
+        try:
+            rows.append((e, min(f_values[tuple(map(add, e, d))] - b
+                                for d, b in g_rows), False))
+        except KeyError:  # some f[e + d] is -inf
+            pass
+    return TropicalPolynomial._from_rows(f.arity, den, rows) if rows else None

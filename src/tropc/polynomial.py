@@ -11,11 +11,12 @@ take the maximum over the rows in one pass (``_top``), so ``is_root``
 builds no value.
 
 The rows are the only source of truth.  The public constructor validates
-its terms and builds the rows from them; a kernel's output is born as rows
-and reduced to the least den by ``_from_rows``.  ``terms``, the
-coefficients keyed by exponent tuples, is a read-only cache of the rows:
-built on first read (one ``Fraction`` and one ``TropicalNumber`` per term),
-or kept from the constructor's checked terms, so it never disagrees.
+its terms and builds the rows from them; a kernel's output, decompositions
+included, is born as rows and reduced to the least den by ``_from_rows``.
+``terms``, the coefficients keyed by exponent tuples, is a read-only cache
+of the rows for callers (nothing inside the library reads it but printing
+and pickling): built on first read, or kept from the constructor's checked
+terms, so it never disagrees.
 
 The empty polynomial (the constant -inf) is allowed; degree markers are
 undefined for it.
@@ -40,6 +41,12 @@ def _den_of(numbers: Iterable[TropicalNumber]) -> int:
     """Least common denominator of the values (``-inf`` carries none)."""
     return lcm(*[c.value.denominator for c in numbers
                  if c.tag != TAG_NEG_INF])
+
+
+def _number(s: int, den: int, ghost: bool) -> TropicalNumber:
+    """The public value of the row value ``s`` over ``den``."""
+    return TropicalNumber(TAG_GHOST if ghost else TAG_TANGIBLE,
+                          Fraction(s, den))
 
 
 def _rescale(rows: List[Row], m: int) -> List[Row]:
@@ -139,9 +146,7 @@ class TropicalPolynomial:
         if self._terms is None:
             den = self._den
             self._terms = MappingProxyType({
-                e: TropicalNumber(TAG_GHOST if g else TAG_TANGIBLE,
-                                  Fraction(s, den))
-                for e, s, g in self._rows})
+                e: _number(s, den, g) for e, s, g in self._rows})
         return self._terms
 
     def __eq__(self, other):
@@ -167,8 +172,9 @@ class TropicalPolynomial:
         return all(sum(e) == 0 for e, _, _ in self._rows)
 
     def constant_value(self) -> TropicalNumber:
-        """Value at the all--inf point: the constant coefficient or -inf."""
-        return self.terms.get((0,) * self._arity, NEG_INFINITY)
+        """The value where every coordinate is -inf: the constant or -inf."""
+        return next((_number(s, self._den, g) for e, s, g in self._rows
+                     if not any(e)), NEG_INFINITY)
 
     def is_ghost_poly(self) -> bool:
         """All coefficients ghost (the empty polynomial counts too)."""
@@ -291,23 +297,20 @@ class TropicalPolynomial:
 
     # -- decompositions ---------------------------------------------------
     def tangible_part(self) -> "TropicalPolynomial":
-        return TropicalPolynomial(
-            self._arity,
-            {e: c for e, c in self.terms.items() if c.is_tangible()})
+        return self._from_rows(self._arity, self._den,
+                               [r for r in self._rows if not r[2]])
 
     def ghost_part(self) -> "TropicalPolynomial":
-        return TropicalPolynomial(
-            self._arity,
-            {e: c for e, c in self.terms.items() if c.is_ghost()})
+        return self._from_rows(self._arity, self._den,
+                               [r for r in self._rows if r[2]])
 
     def tg_decompose(self):
         return (self.tangible_part(), self.ghost_part())
 
     def projection(self) -> "TropicalPolynomial":
         """Every coefficient projected to its tangible copy."""
-        return TropicalPolynomial(
-            self._arity,
-            {e: tangible(c.value) for e, c in self.terms.items()})
+        return self._from_rows(self._arity, self._den,
+                               [(e, s, False) for e, s, _ in self._rows])
 
     def ru_decompose(self):
         """Split into a tangible part and a tangible copy of the ghost part."""

@@ -8,7 +8,8 @@ multiplying the factors back, without closing, and comparing with the full
 closure of the input; a mismatch raises InternalInconsistency.  The walk
 stays on the closure's integer rows: its slopes are integers over the
 closure's den, each factor is born as rows over that den, and only the
-unit becomes a ``Fraction``.
+unit and the roots, read off the factors' constant rows, become
+``Fraction``s.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
+from .core import TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotTangibleFull)
@@ -218,10 +219,7 @@ def _factor_closed(closed: TropicalPolynomial) -> Factorization:
 def roots_with_multiplicity(f: TropicalPolynomial
                             ) -> List[Tuple[TropicalNumber, int]]:
     """Roots of a tangible-full polynomial with multiplicities, descending."""
-    fact = factor_tangible_full(f)
-    roots: List[Tuple[TropicalNumber, int]] = []
-    for p, mult in fact.factors:
-        const = p.terms.get((0,), NEG_INFINITY)
-        roots.append((const, mult))
+    roots = [(p.constant_value(), mult)
+             for p, mult in factor_tangible_full(f).factors]
     roots.sort(key=lambda t: t[0]._key(), reverse=True)
     return roots

@@ -9,9 +9,11 @@ every value), ``_chain`` built the terms of every closure it walked, and
 ``_factor_closed`` counted ``Fraction`` slopes and built each factor with
 the public constructor.  ``_values`` was a method of the polynomial.  The
 drivers below (``reference_full_closure`` ... ``reference_divides``) are
-the old public functions on that path, and ``reference_ideal_member``
-the old ``ideal_member_syntactic``, which decided its last step through two
-essential parts.  ``test_closures.py`` holds the library to them.
+the old public functions on that path, ``reference_ideal_member`` the old
+``ideal_member_syntactic``, which decided its last step through two
+essential parts, and ``reference_residuation`` the old ``_residuation``,
+which read ``terms`` and took ``Fraction`` slacks.  ``test_closures.py``
+holds the library to them.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from tropc import (NEG_INFINITY, ArityMismatch, ArityUnsupported,
                    TropicalPolynomial, equivalent, ghost, tangible)
 from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
                              _dot, _facets, _hull_1d, _lift, _reduce)
-from tropc.ideals import IdealFG, _residuation
+from tropc.ideals import IdealFG
 from tropc.polynomial import Exponent, variable
 from tropc.univariate import Factorization
 
@@ -300,7 +302,7 @@ def reference_ideal_member(f: TropicalPolynomial, ideal: IdealFG) -> bool:
         return True
     combo = None
     for g in ideal.generators:
-        h = _residuation(f_closed, g)
+        h = reference_residuation(f_closed, g)
         if h is None:
             continue
         part = h * g
@@ -308,3 +310,33 @@ def reference_ideal_member(f: TropicalPolynomial, ideal: IdealFG) -> bool:
     if combo is None or combo.is_empty():
         return False
     return equivalent(combo, f_closed)
+
+
+def reference_residuation(f: TropicalPolynomial, g: TropicalPolynomial
+                          ) -> Optional[TropicalPolynomial]:
+    """Largest tangible h with the projection of h*g below that of f."""
+    if f.is_empty() or g.is_empty():
+        return None
+    fdeg = [max(e[k] for e in f.terms) for k in range(f.arity)]
+    gdeg = [max(e[k] for e in g.terms) for k in range(g.arity)]
+    box = [range(0, fd - gd + 1) for fd, gd in zip(fdeg, gdeg)]
+    if any(fd < gd for fd, gd in zip(fdeg, gdeg)):
+        return None
+    terms = {}
+    for e in iter_product(*box):
+        best: Optional[Fraction] = None
+        ok = True
+        for d, cg in g.terms.items():
+            target = tuple(a + b for a, b in zip(e, d))
+            cf = f.terms.get(target, NEG_INFINITY)
+            if cf.is_neg_inf():
+                ok = False
+                break
+            slack = cf.value - cg.value
+            if best is None or slack < best:
+                best = slack
+        if ok and best is not None:
+            terms[e] = tangible(best)
+    if not terms:
+        return None
+    return TropicalPolynomial(f.arity, terms)

@@ -17,6 +17,7 @@ from closure_reference import (reference_divides, reference_factor_full,
                                reference_factor_tangible_full,
                                reference_full_closure, reference_ideal_member,
                                reference_red_mul, reference_red_pow,
+                               reference_residuation,
                                reference_roots_with_multiplicity,
                                reference_slope_sequence)
 from tropc import (IdealFG, TropicalPolynomial, divides, equivalent,
@@ -24,6 +25,7 @@ from tropc import (IdealFG, TropicalPolynomial, divides, equivalent,
                    full_closure, ghost, ideal_member_syntactic, parse_poly,
                    red_mul, red_pow, roots_with_multiplicity, slope_sequence,
                    tangible)
+from tropc.ideals import _residuation
 from util import rand_poly
 
 P = parse_poly
@@ -210,6 +212,51 @@ class TestIdealMemberAgainstReference:
             seen[arity, got] += 1
         assert all(seen[a, s] >= 20 for a in (1, 2, 3) for s in (True, False)
                    ), seen
+
+
+class TestResiduationAgainstReference:
+    """_residuation on integer rows gives the old ``Fraction`` slacks' rows
+    over the same den, and ideal_member_syntactic the old answer."""
+
+    def test_random(self):
+        rng = random.Random(83)
+        seen = Counter()
+        for n in range(1200):
+            arity = 1 + n % 3
+            degree = (4, 2, 1)[arity - 1]
+            g = rand_case(rng, rng.choice(KINDS), arity, degree)
+            kind = n // 3 % 3
+            if kind == 0:  # a tangible multiple of g: h reaches every term
+                f = rand_case(rng, "fractional", arity, degree).projection()
+                f = f * g
+            else:
+                f = rand_case(rng, rng.choice(KINDS), arity, degree + 1)
+            if kind == 1:  # g of higher degree than f in some variable
+                k = rng.randrange(arity)
+                top = max(e[k] for e in f.terms) + 1
+                g = g * TropicalPolynomial(arity, {
+                    tuple(top * (j == k) for j in range(arity)):
+                        coeff(rng, value(rng, range(2, 8)))})
+            for F in (f, full_closure(f)):
+                got, want = _residuation(F, g), reference_residuation(F, g)
+                assert (got is None) == (want is None), (F, g)
+                if got is not None:
+                    assert got._den == want._den, (F, g)
+                    assert set(got._rows) == set(want._rows), (F, g)
+                    seen["den > 1"] += got._den > 1
+                seen["None" if got is None else "rows"] += 1
+            gens = [g] + [rand_case(rng, "fractional", arity, degree)
+                          for _ in range(rng.random() < 0.3)]
+            ideal = IdealFG(arity, gens)
+            member = ideal_member_syntactic(f, ideal)
+            assert member == reference_ideal_member(f, ideal), (f, gens)
+            seen[arity, member] += 1
+            seen["ghost"] += not (f.is_tangible_poly() and
+                                  g.is_tangible_poly())
+        assert all(seen[a, m] >= 50 for a in (1, 2, 3) for m in (True, False)
+                   ), seen
+        assert min(seen["None"], seen["rows"], seen["den > 1"],
+                   seen["ghost"]) >= 300, seen
 
 
 class TestClosuresBuildNoFraction:

@@ -7,10 +7,11 @@ import pytest
 
 import tropc.ideals
 from sets_reference import reference_radical_member_1d
-from tropc import (ArityMismatch, IdealFG, NotTangibleFull,
+from tropc import (ArityMismatch, IdealFG, NotTangibleFull, TropicalNumber,
                    TropicalPolynomial, full_closure, ghost,
                    ideal_member_syntactic, is_ghost_potent, is_proper,
-                   parse_poly, radical_member_1d, red_mul, red_pow, tangible,
+                   parse_poly, radical_member_1d, red_mul, red_pow,
+                   roots_with_multiplicity, tangible,
                    verify_radical_certificate, weak_nullstellensatz)
 from util import critical_points_1d, rand_poly, rand_tangible_full
 
@@ -197,3 +198,47 @@ class TestSyntacticMembership:
         ideal = IdealFG(1, [P("x + 0")])
         assert not ideal_member_syntactic(P("x + 5"), ideal)
         assert not ideal_member_syntactic(P("0"), ideal)
+
+
+class TestRowsOnly:
+    def test_no_terms_and_no_number_arithmetic(self, monkeypatch):
+        # the inputs come from the parser; then the ideal procedures, the
+        # roots and the decompositions run with ``terms`` and the
+        # TropicalNumber arithmetic refused
+        f = P("(x + 1/2)^2*(x + -1/3)")
+        radical = [P("(x + 1/2)*(x + -1/3)^2"), P("x + 5")]
+        g1 = P("x^2 + 1/2v*x + 0")
+        g2 = P("x + 1/2*y + 0")
+        members = [(P("(x + 2)*(x^2 + 1/2v*x + 0)"), 1, [g1]),
+                   (P("x + 5"), 1, [g1]),
+                   (P("(y + 1/3)*(x + 1/2*y + 0)"), 2, [g2]),
+                   (P("x*y + 7/2"), 2, [g2, P("y^2 + 1/5")])]
+        nss = [(2, [P("x + 1/2*y + 1/3v"), P("x*y + 2")]),
+               (1, [P("x + 1"), P("3")])]
+        h = P("2*x^2*y + 1/2v*x + 1/3v*y + 5")
+
+        def run_all():
+            out = [radical_member_1d(f, IdealFG(1, radical)),
+                   roots_with_multiplicity(f)]
+            out += [ideal_member_syntactic(m, IdealFG(a, gens))
+                    for m, a, gens in members]
+            for a, gens in nss:
+                ideal = IdealFG(a, gens)
+                out += [weak_nullstellensatz(ideal), is_proper(ideal)]
+            out += [h.constant_value(), h.tangible_part(), h.ghost_part(),
+                    h.projection(), h.tg_decompose(), h.ru_decompose()]
+            return out
+
+        want = run_all()
+
+        def refuse(*args):
+            raise AssertionError("not on the row path")
+        monkeypatch.setattr(TropicalPolynomial, "terms", property(refuse))
+        for name in ("__pow__", "inv", "__mul__"):
+            monkeypatch.setattr(TropicalNumber, name, refuse)
+        got = run_all()
+        monkeypatch.undo()
+        assert got == want
+        assert want[0] is not None and want[2:6] == [True, False, True, False]
+        assert want[6].nonempty and want[7]
+        assert not want[8].nonempty and not want[9]

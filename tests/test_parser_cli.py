@@ -111,8 +111,31 @@ class TestCli:
         assert code == 0 and out.strip() == "true"
 
     def test_common_root_mixed_arities(self, capsys):
-        code, _, err = run(capsys, "common-root", "x + 1", "x*y + 1")
-        assert code == 1 and err.startswith("error: ArityMismatch")
+        # every argument is parsed over the largest arity any of them uses
+        code, out, _ = run(capsys, "common-root", "x + 1", "x*y + 1")
+        assert code == 0 and out.strip() == "1v,1v"
+        code, out, _ = run(capsys, "common-root", "x + 0", "y + 1")
+        assert code == 0 and out.strip() == "1v,1v"
+
+    def test_equiv_mixed_arities(self, capsys):
+        code, out, _ = run(capsys, "equiv", "x + 0", "x + 0*y^0")
+        assert code == 0 and out.strip() == "true"
+        code, out, _ = run(capsys, "equiv", "x + 0", "x + y")
+        assert code == 0 and out.strip() == "false"
+
+    def test_nss_mixed_arities(self, capsys):
+        code, out, _ = run(capsys, "--json", "nss", "x + 0", "y + 0")
+        obj = json.loads(out)
+        assert code == 0 and obj["nonempty"] is True
+        assert obj["witness"] == [{"tag": "g", "value": "0"}] * 2
+        code, out, _ = run(capsys, "nss", "y + 0", "3")
+        assert code == 0 and out.strip() == "empty: 3"
+
+    def test_member_mixed_arities(self, capsys):
+        code, out, _ = run(capsys, "member", "x*y + y", "x + 0")
+        assert code == 0 and out.strip() == "heuristic-member: true"
+        code, out, _ = run(capsys, "member", "x*y + 0", "x + 0")
+        assert code == 0 and out.strip() == "heuristic-member: false"
 
     def test_full_and_reduced(self, capsys):
         code, out, _ = run(capsys, "full", "x^2 + 0")

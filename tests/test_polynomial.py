@@ -398,9 +398,9 @@ class TestAgainstFoldReference:
 
 
 class TestCanonicalOutputs:
-    """Products, substitutions, essential parts and full closures skip the
-    constructor's checks; each equals a checked copy of itself, den and
-    rows included."""
+    """Products, substitutions, essential parts, full closures and the
+    decompositions skip the constructor's checks; each equals a checked
+    copy of itself, den and rows included."""
 
     def test_random(self):
         rng = random.Random(67)
@@ -410,6 +410,9 @@ class TestCanonicalOutputs:
             outs = [f * g, g * f, f.substitute(assignment)]
             if not f.is_empty():
                 outs += [essential_part(f), full_closure(f)]
+            outs += [f.tangible_part(), f.ghost_part(), f.projection()]
+            assert f.constant_value() == f.terms.get((0,) * f.arity,
+                                                     NEG_INFINITY)
             for p in outs:
                 checked = TropicalPolynomial(p.arity, dict(p.terms))
                 assert p == checked
