@@ -253,9 +253,8 @@ def _cmd_nss(opts) -> int:
 
 
 def _cmd_radical_member(opts) -> int:
-    f = _load_poly(opts.poly, opts)
-    gens = [_load_poly(p, opts) for p in opts.generators]
-    cert = radical_member_1d(f, IdealFG(1, gens))
+    f, *gens = _load_polys([opts.poly] + opts.generators, opts)
+    cert = radical_member_1d(f, IdealFG(f.arity, gens))
     if cert is None:
         _emit(opts, ["not a member"], {"member": False})
         return 0

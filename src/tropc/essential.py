@@ -12,13 +12,18 @@ or power is the raw result closed once.
 Every hull runs on the polynomial's integer rows, with heights scaled over
 their least common denominator.  Univariate hulls come from one upper-hull
 sweep whose edges are walked once.  Higher arities build the facets of the
-Newton polytope and of the lifted points by beneath-beyond; every hull
-fact, and the plane corner locus in ``sets``, is read off the points each
-facet touches.  Both give one integer complex (``_complex``): the
-classification, every hull lattice height as an integer pair, the cells
-and the interior vertices.  Closures, essential parts and the slope walks
-read it and stay on integer rows; ``Fraction``s are built only for the
-public ``EssentialComplex`` of ``classify_monomials`` and the public
+Newton polytope and of the lifted points by beneath-beyond, testing each
+new point once against every current simplex; the plane through d = 2 or
+3 points is written out (the perpendicular in 2-D, the cross product in
+3-D), and other d expand cofactors.  Every hull fact, and the plane corner
+locus in ``sets``, is read off the points each facet touches.  Both give
+one integer complex (``_complex``): the classification, the hull lattice
+heights as integer pairs, the cells and the interior vertices.  The
+heights come from a function, which above arity 1 runs the lattice walk:
+closures and ``classify_monomials`` call it, while essential parts (and
+with them ``equivalent`` and ``is_ghost_potent``) read the classification
+alone.  Everything stays on integer rows; ``Fraction``s are built only for
+the public ``EssentialComplex`` of ``classify_monomials`` and the public
 ``SlopeSequence``.
 """
 from __future__ import annotations
@@ -27,10 +32,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, product as iter_product
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
@@ -54,12 +60,15 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
-# The integer complex of a nonempty f: (classification, lattice, cells,
-# interior).  The classification and the lattice are keyed in the order of
-# the public view; lattice[v] = (t, w) is the hull height t / (w * den) over
-# the lattice point v, den being f's, with w > 0.  The cells are the
+# The integer complex of a nonempty f: (classification, heights, cells,
+# interior).  The classification is keyed in the order of the public view;
+# heights() gives the lattice, in that order too: lattice[v] = (t, w) is
+# the hull height t / (w * den) over the lattice point v, den being f's,
+# with w > 0.  Above arity 1 heights() runs the lattice walk, so callers
+# that read only the classification skip it.  The cells are the
 # subdivision (None above arity 2).
-_Complex = Tuple[Dict[Exponent, str], Dict[Exponent, Tuple[int, int]],
+_Complex = Tuple[Dict[Exponent, str],
+                Callable[[], Dict[Exponent, Tuple[int, int]]],
                 Optional[List[List[Exponent]]], List[Exponent]]
 
 
@@ -113,7 +122,8 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
         lattice[end] = (y2, 1)
         cell.append(end)
         cells.append(cell)
-    return classification, lattice, cells, [(x,) for x, _ in hull[1:-1]]
+    return (classification, lambda: lattice, cells,
+            [(x,) for x, _ in hull[1:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +167,26 @@ def _det(m: List[List[int]]) -> int:
 
 def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     """The hyperplane n . x = b through d affinely independent points of
-    Z^d: n is the gcd-reduced vector of cofactors of their differences."""
-    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-    n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
-         for j in range(len(pts))]
+    Z^d: n is the gcd-reduced vector of cofactors of their differences.
+    For d = 2 and 3 the cofactors are written out: the perpendicular of
+    the one difference, the cross product of the two."""
+    p0 = pts[0]
+    d = len(pts)
+    if d == 3:
+        (a0, a1, a2), (b0, b1, b2) = ([x - y for x, y in zip(p, p0)]
+                                      for p in pts[1:])
+        n = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    elif d == 2:
+        (x0, y0), (x1, y1) = pts
+        n = [y1 - y0, x0 - x1]
+    else:
+        rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
+        n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
+             for j in range(d)]
     g = gcd(*n)
-    n = [a // g for a in n]
-    return n, _dot(n, pts[0])
+    if g > 1:
+        n = [a // g for a in n]
+    return n, _dot(n, p0)
 
 
 def _facets(points: List[Tuple[int, ...]]) -> list:
@@ -173,12 +196,13 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
     Each facet is (outward normal, offset, indices of the points on it),
     with normal . x <= offset at every point; points on one hyperplane give
     it once, oriented to a positive last component.  The hull starts from
-    d + 1 affinely independent points; a later point p replaces the
-    simplices it sees strictly (n . p > b, so points on a facet's plane
-    change nothing) by the cones from p over their horizon ridges, each
-    oriented away from the start's integer centroid c (d + 1 times the
-    mean).  Simplices on one plane merge into one facet, whose contact set
-    is read off all points.
+    the first d + 1 affinely independent points; each later point p is
+    tested once against every current simplex, and the simplices it sees
+    strictly (n . p > b, so points on a facet's plane change nothing) are
+    replaced by the cones from p over their horizon ridges, each oriented
+    away from the start's integer centroid c (d + 1 times the mean).
+    Simplices on one plane merge into one facet, whose contact set is read
+    off all points.
     """
     d = len(points[0])
     start, basis = [0], []
@@ -187,6 +211,8 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
         if any(row):
             basis.append((next(c for c, x in enumerate(row) if x), row))
             start.append(i)
+            if len(start) > d:
+                break
     if len(start) == d:  # flat
         n, b = _plane([points[i] for i in start])
         planes = {(tuple(n), b) if n[-1] >= 0 else
@@ -202,7 +228,10 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
         hull = [simplex(tuple(start[:j] + start[j + 1:]))
                 for j in range(d + 1)]
         for i in sorted(set(range(len(points))) - set(start)):
-            seen = [fc for fc in hull if _dot(fc[1], points[i]) > fc[2]]
+            p = points[i]
+            seen, kept = [], []
+            for fc in hull:
+                (seen if _dot(fc[1], p) > fc[2] else kept).append(fc)
             if not seen:
                 continue
             once: Dict[tuple, bool] = {}
@@ -210,9 +239,8 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
                 for j in range(d):
                     ridge = verts[:j] + verts[j + 1:]
                     once[ridge] = ridge not in once
-            hull = [fc for fc in hull if _dot(fc[1], points[i]) <= fc[2]]
-            hull += [simplex(tuple(sorted(r + (i,))))
-                     for r, one in once.items() if one]
+            hull = kept + [simplex(tuple(sorted(r + (i,))))
+                           for r, one in once.items() if one]
         planes = {(tuple(n), b) for _, n, b in hull}
     return [(n, b, frozenset(i for i, p in enumerate(points)
                              if _dot(n, p) == b)) for n, b in planes]
@@ -255,11 +283,25 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
             if len(on_walls) > 1:
                 interior.append(e)
 
+    subdivision = None
+    if f.arity == 2:
+        subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
+    return (classification,
+            partial(_lattice_nd, f.arity, exps, affine, pivots, newton, upper),
+            subdivision, interior)
+
+
+def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
+                newton: list, upper: list) -> Dict[Exponent, Tuple[int, int]]:
+    """The lattice walk: every lattice point of the exponents' bounding box
+    that lies in their affine hull and inside the Newton walls, with the
+    hull height over it as an integer pair."""
+    k = len(pivots)
     box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
-           for c in range(f.arity)]
+           for c in range(arity)]
     lattice = {}
     for v in iter_product(*box):
-        if k < f.arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
+        if k < arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
             continue
         x = tuple(v[c] for c in pivots)
         if any(_dot(n, x) > b for n, b, _ in newton):
@@ -272,10 +314,7 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
             if t is None or s * w < t * n[-1]:
                 t, w = s, n[-1]
         lattice[v] = (t, w)
-    subdivision = None
-    if f.arity == 2:
-        subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
-    return classification, lattice, subdivision, interior
+    return lattice
 
 
 def _complex(f: TropicalPolynomial) -> _Complex:
@@ -293,7 +332,8 @@ def classify_monomials(f: TropicalPolynomial,
     given for arities 1 and 2; ``with_subdivision`` changes nothing."""
     if f.is_empty():
         raise EmptyPolynomial("no monomials to classify")
-    kind, lattice, cells, interior = _complex(f)
+    kind, heights, cells, interior = _complex(f)
+    lattice = heights()
     den = f._den
     values = {e: s for e, s, _ in f._rows}
     return EssentialComplex(
@@ -314,7 +354,7 @@ def _close(f: TropicalPolynomial, cx: _Complex) -> TropicalPolynomial:
     """The full closure of f read off its integer complex, as rows over
     ``den * m``, m the lcm of the lattice widths: f's essential terms, then
     a ghost row at every other hull lattice point."""
-    kind, lattice = cx[0], cx[1]
+    kind, lattice = cx[0], cx[1]()
     ghosts = [(v, t, w) for v, (t, w) in lattice.items()
               if kind.get(v) != ESSENTIAL]
     m = lcm(*[w for _, _, w in ghosts])

@@ -6,7 +6,9 @@ on the ghost axis, and possibly the bottom element.  The ghost ray and the
 bottom element only occur when the constant coefficient is tangible, in
 which case they merge with the leftmost tangible interval into a single
 component.  A plane corner locus, where two terms attain the maximum
-together, is read off the upper hull of the lifted Newton points.
+together, is read off the upper hull of the lifted Newton points and
+clipped to its box on integers; ``Fraction``s are built only for the
+coordinates and directions of its output.
 """
 from __future__ import annotations
 
@@ -153,17 +155,33 @@ class CornerLocus2D:
     rays: List[dict]
 
 
-def _box_range(p0, d, lo, hi, box):
-    """The range of t in [lo, hi] (None is unbounded) with p0 + t d in
-    box = ((xmin, xmax), (ymin, ymax)); None when the line misses it."""
-    for p, dc, (a, b) in zip(p0, d, box):
+def _box_range(p, q, d, lo, hi, box):
+    """The range of t in [lo, hi] (None is unbounded) with p / q + t d in
+    box, or None when the line misses it.  p are integer numerators over
+    q > 0 and d an integer direction; each side of box is a pair of bounds
+    (numerator, positive denominator), and t, lo and hi are such pairs too,
+    compared by cross-multiplication."""
+    for pc, dc, ((an, ad), (bn, bd)) in zip(p, d, box):
         if dc:
-            a, b = (a, b) if dc > 0 else (b, a)
-            lo = (a - p) / dc if lo is None else max(lo, (a - p) / dc)
-            hi = (b - p) / dc if hi is None else min(hi, (b - p) / dc)
-        elif not a <= p <= b:
+            # the bounds are crossed at t = (bound - pc / q) / dc
+            ta = (an * q - pc * ad, ad * q * dc)
+            tb = (bn * q - pc * bd, bd * q * dc)
+            if dc < 0:
+                ta, tb = (-tb[0], -tb[1]), (-ta[0], -ta[1])
+            if lo is None or ta[0] * lo[1] > lo[0] * ta[1]:
+                lo = ta
+            if hi is None or tb[0] * hi[1] < hi[0] * tb[1]:
+                hi = tb
+        elif an * q > pc * ad or pc * bd > bn * q:
             return None
     return lo, hi
+
+
+def _point(p, q, d, t):
+    """The point p / q + t d for the pair t, as ``Fraction``s."""
+    tn, td = t
+    return tuple(Fraction(pc * td + tn * dc * q, q * td)
+                 for pc, dc in zip(p, d))
 
 
 def corner_locus_2d(f: TropicalPolynomial,
@@ -182,54 +200,73 @@ def corner_locus_2d(f: TropicalPolynomial,
     hull of the lifted points: from the dual vertex (n_x, n_y) / (n_H s) of
     a cell n . (x, H) = b (heights times s) along the edge's outward normal,
     to the other cell's vertex or on as a ray; along a whole line when the
-    support is collinear and the cells are edges.
+    support is collinear and the cells are edges.  The clip runs on
+    integers: a dual vertex is its integer numerators over n_H s, a tie
+    direction is integer, and the clip parameter t and the box sides are
+    (numerator, denominator) pairs compared by cross-multiplication.
+    ``Fraction``s are built only for the coordinates and directions that
+    go out.
     """
     if f.arity != 2:
         raise ArityUnsupported("corner loci are planar")
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
-    box = [(Fraction(bbox[c]), Fraction(bbox[c + 2])) for c in (0, 1)]
+    box = [tuple((v.numerator, v.denominator) for v in
+                 (Fraction(bbox[c]), Fraction(bbox[c + 2]))) for c in (0, 1)]
     exps, _, pivots, scale, points = _lift(f)
-    # upper edge -> [(dual vertex, outward normal or None) of each cell]
+    # upper edge -> [(dual vertex numerators, their denominator, outward
+    # normal or None) of each cell]
     ends: Dict[FrozenSet[int], list] = {}
     for n, _, on in _facets(points) if pivots else ():
         if n[-1] <= 0:
             continue
-        v, cell = [Fraction(0)] * 2, sorted(on)
+        v, cell = [0, 0], sorted(on)
         for c, a in zip(pivots, n):
-            v[c] = Fraction(a, n[-1] * scale)
+            v[c] = a
+        q = n[-1] * scale
         if len(pivots) == 1:  # a collinear support: the cell is an edge
-            ends[on] = [(v, None)]
+            ends[on] = [(v, q, None)]
             continue
         for w, _, edge in _facets([points[i][:-1] for i in cell]):
-            ends.setdefault(frozenset(cell[i] for i in edge), []).append((v, w))
+            ends.setdefault(frozenset(cell[i] for i in edge),
+                            []).append((v, q, w))
     terms = sorted(exps, key=_sort_key, reverse=True)
     rank = {e: r for r, e in enumerate(terms)}
     ties = {tuple(sorted((rank[exps[i]], rank[exps[j]]))): cells
             for on, cells in ends.items() for i, j in combinations(on, 2)}
     segments, rays = [], []
-    for (i, j), ((v, w), *other) in sorted(ties.items()):
+    for (i, j), ((v, q, w), *other) in sorted(ties.items()):
         ei, ej = terms[i], terms[j]
-        d = (Fraction(ej[1] - ei[1]), Fraction(ei[0] - ej[0]))
+        d = (ej[1] - ei[1], ei[0] - ej[0])
         if w is None:
             lo = hi = None
         elif other:
+            # the other cell's vertex u / r at t = (u_c / r - v_c / q) / d_c
+            u, r, _ = other[0]
             c = 0 if d[0] else 1
-            t = (other[0][0][c] - v[c]) / d[c]
-            lo, hi = (0, t) if t > 0 else (t, 0)
+            t = ((u[c] * q - v[c] * r) * d[c], q * r * d[c] * d[c])
+            lo, hi = ((0, 1), t) if t[0] > 0 else (t, (0, 1))
         else:  # a ray along the outward normal w
             up = sum(a * d[c] for c, a in zip(pivots, w)) > 0
-            lo, hi = (0, None) if up else (None, 0)
-        clipped = _box_range(v, d, lo, hi, box)
-        if clipped is None or clipped[0] > clipped[1]:
+            lo, hi = ((0, 1), None) if up else (None, (0, 1))
+        clipped = _box_range(v, q, d, lo, hi, box)
+        if clipped is None:
+            continue
+        lo_t, hi_t = clipped
+        if lo_t[0] * hi_t[1] > hi_t[0] * lo_t[1]:
             continue
         # the visible part is a segment, and each unbounded end a ray
-        a, b = ((v[0] + t * d[0], v[1] + t * d[1]) for t in clipped)
+        a = _point(v, q, d, lo_t)
         entry = {"indices": [list(ei), list(ej)]}
-        if a != b:
+        if lo_t[0] * hi_t[1] == hi_t[0] * lo_t[1]:
+            b = a
+        else:
+            b = _point(v, q, d, hi_t)
             segments.append({**entry, "from": a, "to": b})
         if lo is None:
-            rays.append({**entry, "from": a, "dir": (-d[0], -d[1])})
+            rays.append({**entry, "from": a,
+                         "dir": (Fraction(-d[0]), Fraction(-d[1]))})
         if hi is None:
-            rays.append({**entry, "from": b, "dir": d})
+            rays.append({**entry, "from": b,
+                         "dir": (Fraction(d[0]), Fraction(d[1]))})
     return CornerLocus2D(False, segments, rays)

@@ -15,7 +15,8 @@ from lp_reference import reference_complex
 from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
                    MonomialInput, NEG_INFINITY, TropicalPolynomial,
                    classify_monomials, divides, equivalent, essential_part,
-                   format_poly, full_closure, ghost, is_full, parse_poly,
+                   format_poly, full_closure, ghost, is_full,
+                   is_ghost_potent, parse_poly,
                    red_add, red_mul, red_pow, slope_sequence, tangible)
 from util import (critical_points_1d, eval_points, rand_coeff, rand_fraction,
                   rand_poly, rand_tangible_full, same_function_1d)
@@ -218,6 +219,98 @@ class TestAgainstFacetsReference:
                 cases.append(f)
         for f in cases:
             self.assert_same(f, hulls, rng)
+
+
+class TestClosedFormPlanes:
+    """The written-out normals of 2 and 3 points in 2-D and 3-D equal
+    the cofactor expansion that other dimensions run, offsets included."""
+
+    @staticmethod
+    def cofactor_plane(pts):
+        rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+        n = [(-1) ** j * tropc.essential._det([r[:j] + r[j + 1:]
+                                               for r in rows])
+             for j in range(len(pts))]
+        g = gcd(*n)
+        n = [a // g for a in n]
+        return n, sum(a * b for a, b in zip(n, pts[0]))
+
+    def test_random(self):
+        rng = random.Random(73)
+        for d in (1, 2, 3, 4):
+            done = 0
+            while done < 400:
+                # heights (the last coordinate) are scaled and may be large
+                pts = [tuple(rng.randint(-4, 4) for _ in range(d - 1))
+                       + (rng.choice((rng.randint(-4, 4),
+                                      rng.randint(-10**9, 10**9))),)
+                       for _ in range(d)]
+                diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
+                if len(tropc.essential._echelon(diffs)) < d - 1:
+                    continue
+                assert tropc.essential._plane(pts) == \
+                    self.cofactor_plane(pts), pts
+                done += 1
+
+
+def _hull_cases(count: int, seed: int):
+    """(f, g) pairs of arity 2 and 3 over every kind of support."""
+    rng = random.Random(seed)
+    kinds = ["random", "collinear", "coplanar", "flat", "fractional",
+             "single", "ghost"]
+    for i in range(count):
+        arity = (2, 3)[i % 2]
+        kind = kinds[i // 2 % len(kinds)]
+        f = _reference_case(rng, "random" if kind == "ghost" else kind,
+                            arity)
+        if kind == "ghost":
+            f = TropicalPolynomial(arity, {e: ghost(c.value)
+                                           for e, c in f.terms.items()})
+        yield f, _reference_case(rng, "random", f.arity)
+
+
+class TestEssentialPartsSkipTheLatticeWalk:
+    """Above arity 1 an essential part reads only the classification of
+    the hull complex: the lattice walk runs for closures and
+    classify_monomials, not for essential_part, equivalent or
+    is_ghost_potent."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        count = [0]
+
+        def counted(*args, _walk=tropc.essential._lattice_nd):
+            count[0] += 1
+            return _walk(*args)
+        monkeypatch.setattr(tropc.essential, "_lattice_nd", counted)
+        return count
+
+    def test_no_walk(self, walks):
+        seen = Counter()
+        for f, g in _hull_cases(700, 79):
+            essential_part(f)
+            equivalent(f, g)
+            equivalent(f, f + g)
+            is_ghost_potent(f)
+            assert walks[0] == 0, format_poly(f)
+            full_closure(f)  # the counter sees the walk of a closure
+            assert walks[0] == 1, format_poly(f)
+            walks[0] = 0
+            seen[f.arity] += 1
+        assert seen[2] >= 300 and seen[3] >= 300, seen
+
+    def test_matches_classification(self):
+        seen = Counter()
+        for f, _ in _hull_cases(700, 83):
+            kind = classify_monomials(f).classification
+            want = TropicalPolynomial(f.arity, {
+                e: c for e, c in f.terms.items() if kind[e] == "essential"})
+            got = essential_part(f)
+            assert got == want and got.terms == want.terms, format_poly(f)
+            seen["quasi"] += "quasi-essential" in kind.values()
+            seen["inessential"] += "inessential" in kind.values()
+            seen["ghost"] += got.is_ghost_poly()
+        assert min(seen.values()) >= 25, seen
 
 
 class TestPlaneBudget:

@@ -199,6 +199,15 @@ class TestCli:
         code, out, _ = run(capsys, "radical-member", "x + 1", "x + 0")
         assert code == 0 and out.strip() == "not a member"
 
+    def test_radical_member_multivariate_in_either_order(self, capsys):
+        # every argument is read over the largest arity, so a bivariate
+        # candidate and a bivariate generator are refused alike
+        for argv in (("x + 0", "y + 0"), ("x*y + 0", "x + 0"),
+                     ("x + 0", "x*y + 0")):
+            code, out, err = run(capsys, "radical-member", *argv)
+            assert code == 1 and out == "", argv
+            assert "ArityUnsupported" in err and "ArityMismatch" not in err
+
     def test_ghost_potent(self, capsys):
         code, out, _ = run(capsys, "ghost-potent", "1v*x + 0v")
         assert code == 0 and out.strip() == "true"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import tropc.sets
+from corner_reference import reference_corner_locus_2d as fraction_corner_locus
 from sets_reference import (reference_components_with_monomials,
                             reference_corner_locus_2d)
 from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
@@ -337,6 +338,93 @@ class TestAgainstSetsReference:
             seen["loci"] += len(got.segments) + len(got.rays)
         assert seen["random"] == seen["linear forms"] == 16, seen
         assert seen["terms > 30"] >= 3 and seen["loci"] >= 1000, seen
+
+
+def typed_locus(locus):
+    """The locus with the type of every container and coordinate next to
+    its value, so that an int or a list where the reference has a
+    ``Fraction`` or a tuple fails the comparison."""
+    def tag(value):
+        if isinstance(value, (tuple, list)):
+            return type(value), [tag(v) for v in value]
+        return type(value), value
+    return (locus.whole_plane,
+            *([[(k, tag(v)) for k, v in entry.items()] for entry in entries]
+              for entries in (locus.segments, locus.rays)))
+
+
+def wide_box(rng):
+    """A box that holds every dual vertex of the small inputs below, so
+    the box cuts every unbounded locus and each gives a ray."""
+    r = Fraction(rng.randint(200, 400), rng.choice((1, 3)))
+    return (-r, -r - 1, r, r + Fraction(1, 2))
+
+
+def zero_width_box(rng):
+    """A box of width zero in x, in y or in both."""
+    x0, y0 = rand_value(rng), rand_value(rng)
+    flat = rng.choice(("x", "y", "point"))
+    return (x0, y0, x0 if flat != "y" else x0 + rng.randint(1, 20),
+            y0 if flat != "x" else y0 + rng.randint(1, 20))
+
+
+def vertex_box(rng, f):
+    """A zero-width box through an end of a drawn locus, so the clip meets
+    its ends exactly: a point box or a line through it."""
+    locus = fraction_corner_locus(f, wide_box(rng))
+    ends = [seg[k] for seg in locus.segments for k in ("from", "to")]
+    if not ends:
+        return zero_width_box(rng)
+    x, y = rng.choice(ends)
+    return rng.choice(((x, y, x, y), (x, y - 3, x, y + 3),
+                       (x - 3, y, x + 3, y)))
+
+
+class TestAgainstCornerReference:
+    """The integer clip against the ``Fraction`` clip it replaced, in
+    ``corner_reference.py``: the same segments and rays in order, every
+    coordinate the same value and a ``Fraction``."""
+
+    BOXES = ("fixed", "fractional", "zero width", "wide", "vertex")
+
+    def test_random(self):
+        rng = random.Random(331)
+        seen = Counter()
+        for n in range(1500):
+            kind, f = rand_corner_input(rng, n)
+            if kind == "general" and n % 3 == 0:
+                kind = "fractional coefficients"
+                f = TropicalPolynomial(2, {
+                    e: (ghost if rng.random() < 0.3 else tangible)(
+                        Fraction(rng.randint(-40, 40), rng.randint(2, 9)))
+                    for e in f.terms})
+            box_kind = self.BOXES[n // 5 % len(self.BOXES)]
+            box = {"fixed": lambda: TestCornerLocus2D.BOX,
+                   "fractional": lambda: fractional_box(rng),
+                   "zero width": lambda: zero_width_box(rng),
+                   "wide": lambda: wide_box(rng),
+                   "vertex": lambda: vertex_box(rng, f)}[box_kind]()
+            got = corner_locus_2d(f, box)
+            want = fraction_corner_locus(f, box)
+            assert typed_locus(got) == typed_locus(want), (f, box)
+            seen[kind] += 1
+            seen[box_kind] += 1
+            seen[box_kind + " segments"] += len(got.segments)
+            seen[box_kind + " rays"] += len(got.rays)
+            seen["ghost terms"] += any(c.is_ghost() for c in f.terms.values())
+            if box_kind == "vertex":
+                seen["point rays"] += sum(
+                    r["from"] == (box[0], box[1]) for r in got.rays)
+        for kind in ("empty", "collinear", "all ghost",
+                     "fractional coefficients"):
+            assert seen[kind] >= 150, seen
+        assert seen["ghost terms"] >= 600, seen
+        for box_kind in self.BOXES:
+            assert seen[box_kind] == 300, seen
+        assert seen["wide rays"] >= 400 and seen["wide segments"] >= 400, seen
+        assert seen["zero width rays"] >= 20, seen
+        assert seen["vertex segments"] + seen["vertex rays"] >= 150, seen
+        assert seen["point rays"] >= 100, seen
 
 
 class TestCornerBudget:
