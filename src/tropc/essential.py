@@ -6,25 +6,30 @@ quasi-essential when it lies on the hull without being a vertex; and
 inessential when it lies strictly below.  The essential part is a canonical
 representative of functional equivalence, and the full closure adds every
 hull lattice point as a ghost term.  Full closure maps the polynomial
-semiring homomorphically onto the reduced one, so a reduced sum, product
-or power is the raw result closed once.
+semiring homomorphically onto the reduced one, so a reduced sum or product
+is the raw result closed once.  A reduced power is never expanded: the
+extended semiring has the Frobenius property (a + b)^k = a^k + b^k, ghost
+ties included, so the hull of f^k is f's dilated by k, vertex to vertex
+with the tags kept, and ``red_pow`` closes that dilated hull.
 
 Every hull runs on the polynomial's integer rows, with heights scaled over
 their least common denominator.  Univariate hulls come from one upper-hull
-sweep whose edges are walked once.  Higher arities build the facets of the
-Newton polytope and of the lifted points by beneath-beyond, testing each
-new point once against every current simplex; the plane through d = 2 or
-3 points is written out (the perpendicular in 2-D, the cross product in
-3-D), and other d expand cofactors.  Every hull fact, and the plane corner
-locus in ``sets``, is read off the points each facet touches.  Both give
-one integer complex (``_complex``): the classification, the hull lattice
-heights as integer pairs, the cells and the interior vertices.  The
-heights come from a function, which above arity 1 runs the lattice walk:
-closures and ``classify_monomials`` call it, while essential parts (and
-with them ``equivalent`` and ``is_ghost_potent``) read the classification
-alone.  Everything stays on integer rows; ``Fraction``s are built only for
-the public ``EssentialComplex`` of ``classify_monomials`` and the public
-``SlopeSequence``.
+sweep; a univariate closure is written straight off its vertices
+(``_close_1d``), one walk along each edge, and the classification needs
+no walk.  Higher arities build the facets of the Newton polytope and of
+the lifted points by beneath-beyond, testing each new point once against
+every current simplex; the plane through d = 2 or 3 points is written out
+(the perpendicular in 2-D, the cross product in 3-D), and other d expand
+cofactors.  Every hull fact, and the plane corner locus in ``sets``, is
+read off the points each facet touches.  Both give one integer complex
+(``_complex``): the classification, the hull lattice heights as integer
+pairs, the cells and the interior vertices.  The heights come from a
+function that runs the lattice walk (in one dimension, the closure's edge
+walk): closures above arity 1 and ``classify_monomials`` call it, while
+essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
+read the classification alone.  Everything stays on integer rows;
+``Fraction``s are built only for the public ``EssentialComplex`` of
+``classify_monomials`` and the public ``SlopeSequence``.
 """
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
-from .polynomial import Exponent, TropicalPolynomial
+from .polynomial import Exponent, Row, TropicalPolynomial
 
 ESSENTIAL = "essential"
 QUASI = "quasi-essential"
@@ -64,9 +69,9 @@ class EssentialComplex:
 # interior).  The classification is keyed in the order of the public view;
 # heights() gives the lattice, in that order too: lattice[v] = (t, w) is
 # the hull height t / (w * den) over the lattice point v, den being f's,
-# with w > 0.  Above arity 1 heights() runs the lattice walk, so callers
-# that read only the classification skip it.  The cells are the
-# subdivision (None above arity 2).
+# with w > 0.  heights() runs the lattice walk, so callers that read only
+# the classification skip it.  The cells are the subdivision (None above
+# arity 2).
 _Complex = Tuple[Dict[Exponent, str],
                 Callable[[], Dict[Exponent, Tuple[int, int]]],
                 Optional[List[List[Exponent]]], List[Exponent]]
@@ -82,7 +87,7 @@ def _hull_1d(f: TropicalPolynomial
     scale (f's den, the heights' least common denominator) and the vertices
     of the points' upper hull.  A middle point is dropped unless it makes a
     strict right turn, so collinear points are not vertices."""
-    points = sorted((e[0], s) for e, s, _ in f._rows)
+    points = sorted([(e[0], s) for e, s, _ in f._rows])
     hull: List[Tuple[int, int]] = []
     for x, y in points:
         while len(hull) >= 2:
@@ -95,35 +100,85 @@ def _hull_1d(f: TropicalPolynomial
     return points, f._den, hull
 
 
-def _complex_1d(f: TropicalPolynomial) -> _Complex:
-    """Each hull edge ``(x1, y1)-(x2, y2)`` of width w is walked once.  Over
-    a lattice x on it the hull height times ``w * den`` is the integer
-    ``t = y1 * w + (y2 - y1) * (x - x1)``: the ends of the edge are essential
-    terms, a term that ties it is quasi-essential, any other inessential."""
-    points, _, hull = _hull_1d(f)
-    heights = dict(points)
-    classification = dict.fromkeys([e for e, _, _ in f._rows], INESSENTIAL)
-    x0, y0 = hull[0]
-    classification[(x0,)] = ESSENTIAL
-    lattice = {(x0,): (y0, 1)}
-    cells: List[List[Exponent]] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        w = x2 - x1
-        cell = [(x1,)]
+def _walk_1d(vertices: List[Tuple[int, int, bool]], m: int) -> List[Row]:
+    """The rows of a full univariate closure over ``den * m``, ascending,
+    from the vertices ``(x, y, ghost)`` of an upper hull with heights
+    times den, m a multiple of every edge width: each vertex keeps its
+    height and tag, and each lattice point strictly inside an edge of
+    width w gets a ghost at the edge's height, ``y1 * m + (y2 - y1) *
+    (m / w) * j`` at the j-th point, accumulated along the edge."""
+    x1, y1, g = vertices[0]
+    rows = [((x1,), y1 * m, g)]
+    for x2, y2, g in vertices[1:]:
+        t, step = y1 * m, (y2 - y1) * (m // (x2 - x1))
         for x in range(x1 + 1, x2):
-            t = y1 * w + (y2 - y1) * (x - x1)
-            lattice[(x,)] = (t, w)
-            y = heights.get(x)
-            if y is not None and y * w == t:
+            t += step
+            rows.append(((x,), t, True))
+        rows.append(((x2,), y2 * m, g))
+        x1, y1 = x2, y2
+    return rows
+
+
+def _vertices_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]],
+                 k: int = 1) -> Tuple[List[Tuple[int, int, bool]], int]:
+    """The hull vertices with f's tags, exponents and heights times k, and
+    the lcm of the edge widths."""
+    ghosts = {x for (x,), _, g in f._rows if g}
+    vertices = [(x * k, y * k, x in ghosts) for x, y in hull]
+    return vertices, lcm(*[x2 - x1 for (x1, _, _), (x2, _, _)
+                           in zip(vertices, vertices[1:])])
+
+
+def _close_1d(f: TropicalPolynomial, k: int = 1
+              ) -> Tuple[TropicalPolynomial, bool]:
+    """The full closure of f^k, for a nonempty univariate f and k >= 1,
+    straight off the sweep, and whether every hull vertex is tangible.
+    The upper hull of f^k is f's dilated by k, vertices to vertices, and a
+    vertex keeps its tag: at k times a vertex v of f only the k-th power
+    of v's term reaches the top, every other product lies strictly below
+    (the Frobenius property (a + b)^k = a^k + b^k)."""
+    _, den, hull = _hull_1d(f)
+    vertices, m = _vertices_1d(f, hull, k)
+    return (TropicalPolynomial._from_rows(1, den * m, _walk_1d(vertices, m)),
+            not any(g for _, _, g in vertices))
+
+
+def _complex_1d(f: TropicalPolynomial) -> _Complex:
+    """The ends of each hull edge ``(x1, y1)-(x2, y2)`` are essential terms;
+    a term between them is quasi-essential when it ties the edge, that is
+    ``(y - y1) * w == (y2 - y1) * (x - x1)`` for the width w, and any other
+    term is inessential.  The classification takes one pass over the sorted
+    points; heights() runs the edge walk of the closure, the lattice[v]
+    being ``(t, m)`` with t the closure's row value over ``den * m``."""
+    points, _, hull = _hull_1d(f)
+    classification = dict.fromkeys([e for e, _, _ in f._rows], INESSENTIAL)
+    classification[(hull[0][0],)] = ESSENTIAL
+    cells: List[List[Exponent]] = []
+    i = 1
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        w, dy = x2 - x1, y2 - y1
+        cell = [(x1,)]
+        x, y = points[i]
+        while x < x2:
+            if (y - y1) * w == dy * (x - x1):
                 classification[(x,)] = QUASI
                 cell.append((x,))
+            i += 1
+            x, y = points[i]
+        i += 1
         end = (x2,)
         classification[end] = ESSENTIAL
-        lattice[end] = (y2, 1)
         cell.append(end)
         cells.append(cell)
-    return (classification, lambda: lattice, cells,
+    return (classification, partial(_lattice_1d, f, hull), cells,
             [(x,) for x, _ in hull[1:-1]])
+
+
+def _lattice_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]]
+                ) -> Dict[Exponent, Tuple[int, int]]:
+    """The closure's edge walk as lattice heights ``(t, m)``."""
+    vertices, m = _vertices_1d(f, hull)
+    return {e: (t, m) for e, t, _ in _walk_1d(vertices, m)}
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +313,22 @@ def _lift(f: TropicalPolynomial) -> tuple:
     return exps, affine, pivots, f._den, points
 
 
-def _complex_nd(f: TropicalPolynomial) -> _Complex:
+def _complex_nd(f: TropicalPolynomial, k: int = 1) -> _Complex:
     """A point is on the hull iff an upper facet touches it; a hull vertex
     iff the upper facets and Newton walls through it touch no other point
     together; and a Newton vertex iff its walls touch no other point
-    together (at k = 0 the single point is one)."""
+    together (with no pivot the single point is one).  With k > 1 the hull
+    is f's dilated by k, that of f^k: the exponents and every facet offset
+    are multiplied by k, so the classification is keyed by f's exponents
+    times k and the lattice walk runs over the dilated polytope, its
+    heights over f's den."""
     exps, affine, pivots, _, points = _lift(f)
-    k = len(pivots)
-    newton = _facets([p[:-1] for p in points]) if k else []
+    newton = _facets([p[:-1] for p in points]) if pivots else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
+    if k != 1:
+        exps = [tuple(k * a for a in e) for e in exps]
+        newton = [(n, k * b, c) for n, b, c in newton]
+        upper = [(n, k * b, c) for n, b, c in upper]
 
     classification = {}
     interior = []
@@ -317,9 +379,11 @@ def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
     return lattice
 
 
-def _complex(f: TropicalPolynomial) -> _Complex:
-    """The integer complex of a nonempty f: every hull any caller reads."""
-    return _complex_1d(f) if f.arity == 1 else _complex_nd(f)
+def _complex(f: TropicalPolynomial, k: int = 1) -> _Complex:
+    """The integer complex of a nonempty f: every hull any caller reads.
+    Above arity 1 it is that of f^k's hull, f's dilated by k; univariate
+    powers close off the sweep in ``_close_1d`` instead."""
+    return _complex_1d(f) if f.arity == 1 else _complex_nd(f, k)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +414,20 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
         r for r in f._rows if kind[r[0]] == ESSENTIAL])
 
 
-def _close(f: TropicalPolynomial, cx: _Complex) -> TropicalPolynomial:
-    """The full closure of f read off its integer complex, as rows over
-    ``den * m``, m the lcm of the lattice widths: f's essential terms, then
-    a ghost row at every other hull lattice point."""
+def _close(f: TropicalPolynomial, cx: _Complex, k: int = 1
+           ) -> TropicalPolynomial:
+    """The full closure of f^k read off the integer complex of its hull, as
+    rows over ``den * m``, den f's and m the lcm of the lattice widths: the
+    essential terms of f with exponents and values times k, then a ghost row
+    at every other hull lattice point.  The dilated rows stay over f's den,
+    which the lattice heights are over too."""
     kind, lattice = cx[0], cx[1]()
     ghosts = [(v, t, w) for v, (t, w) in lattice.items()
               if kind.get(v) != ESSENTIAL]
     m = lcm(*[w for _, _, w in ghosts])
-    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
+    rows = f._rows if k == 1 else [(tuple(k * a for a in e), k * s, g)
+                                   for e, s, g in f._rows]
+    rows = [(e, s * m, g) for e, s, g in rows if kind[e] == ESSENTIAL]
     rows += [(v, t * (m // w), True) for v, t, w in ghosts]
     return TropicalPolynomial._from_rows(f.arity, f._den * m, rows)
 
@@ -367,6 +436,8 @@ def _closure_and_guard(f: TropicalPolynomial
                        ) -> Tuple[TropicalPolynomial, bool]:
     """The full closure of a nonempty f and whether its essential part is
     tangible, from one hull."""
+    if f.arity == 1:
+        return _close_1d(f)
     cx = _complex(f)
     kind = cx[0]
     tangible_full = not any(g for e, _, g in f._rows if kind[e] == ESSENTIAL)
@@ -377,6 +448,8 @@ def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
     """Essential part plus a ghost term at every other hull lattice point."""
     if f.is_empty():
         return f
+    if f.arity == 1:
+        return _close_1d(f)[0]
     return _close(f, _complex(f))
 
 
@@ -402,7 +475,17 @@ def red_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
 
 
 def red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
-    return full_closure(f ** k)
+    """The full closure of f^k, from f's hull dilated by k and never from
+    an expansion: extended tropical arithmetic has the Frobenius property
+    (a + b)^k = a^k + b^k, ghost ties included, so the essential terms of
+    f^k are those of f raised to the k-th power, and full closures are
+    canonical.  k = 0 and the empty polynomial close the raw power, which
+    also raises the ValueError for a negative k."""
+    if k < 1 or f.is_empty():
+        return full_closure(f ** k)
+    if f.arity == 1:
+        return _close_1d(f, k)[0]
+    return _close(f, _complex(f, k), k)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ common root of the generators or points at a tangible constant generator as
 a proof of emptiness.  The univariate radical membership procedure decides
 containment of complement components and, on success, returns an exponent m
 with monomial combiners h_j such that f^m agrees with the combination
-sum h_j g_j as a function.  Both sides are raw results closed once, and
-full closures are canonical, so they agree as functions exactly when they
-are equal.  Everything here computes on the integer rows of polynomials;
-nothing reads ``terms`` or does ``TropicalNumber`` arithmetic.
+sum h_j g_j as a function.  The combination is the raw sum closed once;
+f^m is the reduced power, f's hull dilated by m by the Frobenius property
+(a + b)^m = a^m + b^m, never an expansion.  Full closures are canonical,
+so the two agree as functions exactly when they are equal.  Everything
+here computes on the integer rows of polynomials; nothing reads ``terms``
+or does ``TropicalNumber`` arithmetic.
 """
 from __future__ import annotations
 

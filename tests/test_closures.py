@@ -11,6 +11,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 import tropc.essential
 import tropc.polynomial
 from closure_reference import (reference_divides, reference_factor_full,
@@ -99,6 +101,61 @@ class TestAgainstClosureReference:
         assert all(seen[a, kind] >= 50 for a in (1, 2, 3) for kind in KINDS)
         assert min(seen["ghost"], seen["den > 1"], seen["lattice ghost"]) \
             >= 300, seen
+
+
+class TestFrobeniusPowers:
+    """red_pow closes f's hull dilated by k and never expands f ** k; it
+    gives the rows of the closed expansion and of the old Fraction path,
+    over the same den."""
+
+    def test_random(self):
+        rng = random.Random(89)
+        seen = Counter()
+        kinds = KINDS + ["empty"]
+        for n in range(1200):
+            arity = 1 + n % 3
+            kind = kinds[n // 3 % len(kinds)]
+            k = n // 24 % 9
+            if kind == "empty":
+                f = TropicalPolynomial(arity, {})
+            else:  # about 35% ghost terms, the kind's values kept
+                f = rand_case(rng, kind, arity, (8, 2, 1)[arity - 1])
+                f = TropicalPolynomial(arity, {
+                    e: (ghost if rng.random() < 0.35 else tangible)(c.value)
+                    for e, c in f.terms.items()})
+            got = red_pow(f, k)
+            assert same_rows(got, full_closure(f ** k)), (f, k)
+            assert same_rows(got, reference_red_pow(f, k)), (f, k)
+            seen[arity, kind] += 1
+            seen[arity, k] += 1
+            seen["den > 1"] += got._den > 1
+            seen["ghost vertex"] += not (
+                essential_part(f).is_tangible_poly())
+        assert all(seen[a, kind] >= 50 for a in (1, 2, 3) for kind in kinds)
+        assert all(seen[a, k] >= 30 for a in (1, 2, 3) for k in range(9))
+        assert min(seen["den > 1"], seen["ghost vertex"]) >= 300, seen
+
+    def test_pinned(self):
+        assert red_pow(P("x + 3"), 2) == P("x^2 + 3v*x + 6")
+        assert red_pow(P("x + 1v"), 3) == P("x^3 + 1v*x^2 + 2v*x + 3v")
+        assert red_pow(P("x*y + 0"), 2) == P("x^2*y^2 + 0v*x*y + 0")
+        assert red_pow(P("x + 3"), 0) == P("0")
+        assert red_pow(TropicalPolynomial(2, {}), 3).is_empty()
+        with pytest.raises(ValueError):
+            red_pow(P("x + 3"), -1)
+
+    def test_no_expansion(self, monkeypatch):
+        # the power is a dilated hull: no product or power is formed
+        cases = [(P("(x+y+0)^6 + 3*x^2*y^2 + 1v*x*y"), 32, 18721),
+                 (P("(x+y+z+0)^2 + 1*x*y*z + 2*x*y"), 16, 9401),
+                 (P("2*x^4 + 5*x^3 + 1/2v*x^2 + 3*x + 0"), 64, 257)]
+
+        def refuse(*args):
+            raise AssertionError("red_pow expanded a power")
+        for name in ("__mul__", "__pow__"):
+            monkeypatch.setattr(TropicalPolynomial, name, refuse)
+        for f, k, size in cases:
+            assert len(red_pow(f, k)._rows) == size, (f, k)
 
 
 def rand_univariate(rng, n):
@@ -288,3 +345,29 @@ class TestClosuresBuildNoFraction:
         monkeypatch.undo()
         for g_row, w_row in zip(got, want):
             assert all(same_rows(a, b) for a, b in zip(g_row, w_row))
+
+    def test_refused_on_univariate_closures_and_powers(self, monkeypatch):
+        # univariate closures off the sweep, and red_pow at k = 5 and 8 as
+        # dilated hulls in arities 1-3
+        cases = [P("2*x^4 + 5*x^3 + 1/2v*x^2 + 3*x + 0"), P("x^3 + 0"),
+                 P("x^9 + 1/3v*x^4 + -2/7*x"), P("5v*x^2 + 1/2*x + -1"),
+                 P("x^2 + 0*x + 0"), P("4/5v*x^6"),
+                 P("x*y + 1/2*x + y + 0"), P("x^2 + 1/3v*x*y + y^2 + 1"),
+                 P("x*z + 1/5*x^2*z^2 + 0 + y"), P("x + y + z + 1/2v")]
+        want = [(reference_full_closure(f), reference_red_pow(f, 5),
+                 reference_red_pow(f, 8)) for f in cases]
+        flags = [essential_part(f).is_tangible_poly() for f in cases]
+
+        def refuse(*args):
+            raise AssertionError("not on the closure path")
+        for module in (tropc.essential, tropc.polynomial):
+            for name in ("Fraction", "TropicalNumber"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        got = [(full_closure(f), red_pow(f, 5), red_pow(f, 8)) for f in cases]
+        guarded = [tropc.essential._closure_and_guard(f) for f in cases
+                   if f.arity == 1]
+        monkeypatch.undo()
+        for g_row, w_row in zip(got, want):
+            assert all(same_rows(a, b) for a, b in zip(g_row, w_row))
+        for (closed, flag), g_row, want_flag in zip(guarded, got, flags):
+            assert same_rows(closed, g_row[0]) and flag == want_flag

@@ -405,6 +405,66 @@ class TestAgainstHull1dReference:
         assert min(seen.values()) >= 100, seen
 
 
+class TestUnivariateClosureOffTheSweep:
+    """At arity 1 a closure is written straight off the hull vertices, and
+    the complex classifies without walking an edge."""
+
+    def test_against_the_complex(self):
+        # full_closure and _closure_and_guard against _close on the
+        # complex, and the tangible flag against the classification
+        rng = random.Random(61)
+        kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
+                 "single", "two"]
+        seen = Counter()
+        for i in range(2100):
+            f = _univariate_case(rng, kinds[i % len(kinds)])
+            cx = tropc.essential._complex_1d(f)
+            want = tropc.essential._close(f, cx)
+            tangible_full = not any(g for e, _, g in f._rows
+                                    if cx[0][e] == "essential")
+            closed, flag = tropc.essential._closure_and_guard(f)
+            for got in (full_closure(f), closed):
+                assert got._den == want._den, format_poly(f)
+                assert set(got._rows) == set(want._rows), format_poly(f)
+                assert [e for e, _, _ in got._rows] == sorted(
+                    e for e, _, _ in got._rows), format_poly(f)
+            assert flag == tangible_full, format_poly(f)
+            seen[kinds[i % len(kinds)], flag] += 1
+            seen["ghost row"] += not closed.is_tangible_poly()
+            seen["den > 1"] += closed._den > 1
+        assert all(seen[k, True] >= 50 for k in kinds), seen
+        assert all(seen[k, False] >= 50 for k in kinds
+                   if k not in ("tangible-full", "mixed")), seen
+        assert min(seen["ghost row"], seen["den > 1"]) >= 300, seen
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        count = [0]
+
+        def counted(*args, _walk=tropc.essential._walk_1d):
+            count[0] += 1
+            return _walk(*args)
+        monkeypatch.setattr(tropc.essential, "_walk_1d", counted)
+        return count
+
+    def test_essential_parts_skip_the_walk(self, walks):
+        rng = random.Random(67)
+        kinds = ["random", "tangible-full", "gaps", "collinear", "two"]
+        for i in range(500):
+            f = _univariate_case(rng, kinds[i % len(kinds)])
+            g = _univariate_case(rng, "random")
+            walks[0] = 0  # tangible-full cases are built by closures
+            essential_part(f)
+            equivalent(f, g)
+            equivalent(f, f + g)
+            is_ghost_potent(f)
+            assert walks[0] == 0, format_poly(f)
+            full_closure(f)
+            assert walks[0] == 1, format_poly(f)
+            classify_monomials(f)
+            assert walks[0] == 2, format_poly(f)
+
+
 class TestComplexIsShared:
     def test_subdivision_independent_of_earlier_calls(self):
         f = P("x^2*y + 2*x*y^2 + x + y + 1/2")

@@ -150,14 +150,19 @@ class TestAgainstReducedReference:
 
 @pytest.fixture
 def hull_builds(monkeypatch):
-    """Counts calls of the hull builder that every closure, essential part
-    and classification goes through."""
+    """Counts calls of the two hull builders: the univariate closure off the
+    sweep, and the complex that every other closure, essential part and
+    classification goes through."""
     count = [0]
 
-    def counted(f, _build=tropc.essential._complex):
-        count[0] += 1
-        return _build(f)
-    monkeypatch.setattr(tropc.essential, "_complex", counted)
+    def counted(build):
+        def wrapper(*args):
+            count[0] += 1
+            return build(*args)
+        return wrapper
+    for name in ("_complex", "_close_1d"):
+        monkeypatch.setattr(tropc.essential, name,
+                            counted(getattr(tropc.essential, name)))
 
     def builds(fn, *args):
         count[0] = 0
