@@ -222,6 +222,8 @@ def _cmd_curve2d(opts) -> int:
         raise PolySyntaxError("bad bounding box", 0)
     if len(bbox) != 4:
         raise PolySyntaxError("bounding box needs xmin,ymin,xmax,ymax", 0)
+    if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
+        raise PolySyntaxError("bounding box has xmin > xmax or ymin > ymax", 0)
     locus = corner_locus_2d(f, bbox)
     obj = {
         "whole_plane": locus.whole_plane,

@@ -10,7 +10,8 @@ semiring homomorphically onto the reduced one, so a reduced sum or product
 is the raw result closed once.  A reduced power is never expanded: the
 extended semiring has the Frobenius property (a + b)^k = a^k + b^k, ghost
 ties included, so the hull of f^k is f's dilated by k, vertex to vertex
-with the tags kept, and ``red_pow`` closes that dilated hull.
+with the tags kept, and ``red_pow`` is the full closure of f's dilation,
+the rows ``(k e, k s, g)``.
 
 Every hull runs on the polynomial's integer rows, with heights scaled over
 their least common denominator.  Univariate hulls come from one upper-hull
@@ -119,26 +120,20 @@ def _walk_1d(vertices: List[Tuple[int, int, bool]], m: int) -> List[Row]:
     return rows
 
 
-def _vertices_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]],
-                 k: int = 1) -> Tuple[List[Tuple[int, int, bool]], int]:
-    """The hull vertices with f's tags, exponents and heights times k, and
-    the lcm of the edge widths."""
+def _vertices_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]]
+                 ) -> Tuple[List[Tuple[int, int, bool]], int]:
+    """The hull vertices with f's tags, and the lcm of the edge widths."""
     ghosts = {x for (x,), _, g in f._rows if g}
-    vertices = [(x * k, y * k, x in ghosts) for x, y in hull]
+    vertices = [(x, y, x in ghosts) for x, y in hull]
     return vertices, lcm(*[x2 - x1 for (x1, _, _), (x2, _, _)
                            in zip(vertices, vertices[1:])])
 
 
-def _close_1d(f: TropicalPolynomial, k: int = 1
-              ) -> Tuple[TropicalPolynomial, bool]:
-    """The full closure of f^k, for a nonempty univariate f and k >= 1,
-    straight off the sweep, and whether every hull vertex is tangible.
-    The upper hull of f^k is f's dilated by k, vertices to vertices, and a
-    vertex keeps its tag: at k times a vertex v of f only the k-th power
-    of v's term reaches the top, every other product lies strictly below
-    (the Frobenius property (a + b)^k = a^k + b^k)."""
+def _close_1d(f: TropicalPolynomial) -> Tuple[TropicalPolynomial, bool]:
+    """The full closure of a nonempty univariate f straight off the sweep,
+    and whether every hull vertex (every essential term) is tangible."""
     _, den, hull = _hull_1d(f)
-    vertices, m = _vertices_1d(f, hull, k)
+    vertices, m = _vertices_1d(f, hull)
     return (TropicalPolynomial._from_rows(1, den * m, _walk_1d(vertices, m)),
             not any(g for _, _, g in vertices))
 
@@ -313,22 +308,14 @@ def _lift(f: TropicalPolynomial) -> tuple:
     return exps, affine, pivots, f._den, points
 
 
-def _complex_nd(f: TropicalPolynomial, k: int = 1) -> _Complex:
+def _complex_nd(f: TropicalPolynomial) -> _Complex:
     """A point is on the hull iff an upper facet touches it; a hull vertex
     iff the upper facets and Newton walls through it touch no other point
     together; and a Newton vertex iff its walls touch no other point
-    together (with no pivot the single point is one).  With k > 1 the hull
-    is f's dilated by k, that of f^k: the exponents and every facet offset
-    are multiplied by k, so the classification is keyed by f's exponents
-    times k and the lattice walk runs over the dilated polytope, its
-    heights over f's den."""
+    together (with no pivot the single point is one)."""
     exps, affine, pivots, _, points = _lift(f)
     newton = _facets([p[:-1] for p in points]) if pivots else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
-    if k != 1:
-        exps = [tuple(k * a for a in e) for e in exps]
-        newton = [(n, k * b, c) for n, b, c in newton]
-        upper = [(n, k * b, c) for n, b, c in upper]
 
     classification = {}
     interior = []
@@ -379,11 +366,9 @@ def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
     return lattice
 
 
-def _complex(f: TropicalPolynomial, k: int = 1) -> _Complex:
-    """The integer complex of a nonempty f: every hull any caller reads.
-    Above arity 1 it is that of f^k's hull, f's dilated by k; univariate
-    powers close off the sweep in ``_close_1d`` instead."""
-    return _complex_1d(f) if f.arity == 1 else _complex_nd(f, k)
+def _complex(f: TropicalPolynomial) -> _Complex:
+    """The integer complex of a nonempty f: every hull any caller reads."""
+    return _complex_1d(f) if f.arity == 1 else _complex_nd(f)
 
 
 # ---------------------------------------------------------------------------
@@ -414,34 +399,17 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
         r for r in f._rows if kind[r[0]] == ESSENTIAL])
 
 
-def _close(f: TropicalPolynomial, cx: _Complex, k: int = 1
-           ) -> TropicalPolynomial:
-    """The full closure of f^k read off the integer complex of its hull, as
+def _close(f: TropicalPolynomial, cx: _Complex) -> TropicalPolynomial:
+    """The full closure of f read off the integer complex of its hull, as
     rows over ``den * m``, den f's and m the lcm of the lattice widths: the
-    essential terms of f with exponents and values times k, then a ghost row
-    at every other hull lattice point.  The dilated rows stay over f's den,
-    which the lattice heights are over too."""
+    essential terms of f, then a ghost row at every other lattice point."""
     kind, lattice = cx[0], cx[1]()
     ghosts = [(v, t, w) for v, (t, w) in lattice.items()
               if kind.get(v) != ESSENTIAL]
     m = lcm(*[w for _, _, w in ghosts])
-    rows = f._rows if k == 1 else [(tuple(k * a for a in e), k * s, g)
-                                   for e, s, g in f._rows]
-    rows = [(e, s * m, g) for e, s, g in rows if kind[e] == ESSENTIAL]
+    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
     rows += [(v, t * (m // w), True) for v, t, w in ghosts]
     return TropicalPolynomial._from_rows(f.arity, f._den * m, rows)
-
-
-def _closure_and_guard(f: TropicalPolynomial
-                       ) -> Tuple[TropicalPolynomial, bool]:
-    """The full closure of a nonempty f and whether its essential part is
-    tangible, from one hull."""
-    if f.arity == 1:
-        return _close_1d(f)
-    cx = _complex(f)
-    kind = cx[0]
-    tangible_full = not any(g for e, _, g in f._rows if kind[e] == ESSENTIAL)
-    return _close(f, cx), tangible_full
 
 
 def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
@@ -475,17 +443,18 @@ def red_mul(f: TropicalPolynomial, g: TropicalPolynomial) -> TropicalPolynomial:
 
 
 def red_pow(f: TropicalPolynomial, k: int) -> TropicalPolynomial:
-    """The full closure of f^k, from f's hull dilated by k and never from
-    an expansion: extended tropical arithmetic has the Frobenius property
-    (a + b)^k = a^k + b^k, ghost ties included, so the essential terms of
-    f^k are those of f raised to the k-th power, and full closures are
-    canonical.  k = 0 and the empty polynomial close the raw power, which
-    also raises the ValueError for a negative k."""
-    if k < 1 or f.is_empty():
+    """The full closure of f^k, as that of f's dilation by k, the rows
+    ``(k e, k s, g)``, never of an expansion.  By the Frobenius property
+    (a + b)^k = a^k + b^k, ghost ties included, at k times a vertex v of
+    f's hull only the k-th power of v's term reaches the top and every
+    other product lies strictly below: the hull of f^k is f's dilated by
+    k, tags kept, and full closures are canonical.  k < 1 closes the raw
+    power, which raises the ValueError for a negative k."""
+    if k < 1:
         return full_closure(f ** k)
-    if f.arity == 1:
-        return _close_1d(f, k)[0]
-    return _close(f, _complex(f, k), k)
+    return full_closure(TropicalPolynomial._from_rows(
+        f.arity, f._den, [(tuple(k * a for a in e), k * s, g)
+                          for e, s, g in f._rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ a proof of emptiness.  The univariate radical membership procedure decides
 containment of complement components and, on success, returns an exponent m
 with monomial combiners h_j such that f^m agrees with the combination
 sum h_j g_j as a function.  The combination is the raw sum closed once;
-f^m is the reduced power, f's hull dilated by m by the Frobenius property
-(a + b)^m = a^m + b^m, never an expansion.  Full closures are canonical,
-so the two agree as functions exactly when they are equal.  Everything
-here computes on the integer rows of polynomials; nothing reads ``terms``
-or does ``TropicalNumber`` arithmetic.
+f^m is the reduced power, the closure of f's dilation by m by the
+Frobenius property (a + b)^m = a^m + b^m, never an expansion.  Full
+closures are canonical, so the two agree as functions exactly when they
+are equal.  Everything here computes on the integer rows of polynomials;
+nothing reads ``terms`` or does ``TropicalNumber`` arithmetic.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ from .core import TropicalNumber, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
-from .essential import (_closure_and_guard, essential_part, full_closure,
-                        red_pow)
+from .essential import _close_1d, essential_part, full_closure, red_pow
 from .polynomial import TropicalPolynomial
 from .sets import _components_with_monomials
 from .univariate import common_root
@@ -118,7 +117,7 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
         raise ArityUnsupported("radical membership is univariate")
     if f.is_empty():
         raise EmptyPolynomial("empty polynomial as radical candidate")
-    f, tangible_full = _closure_and_guard(f)
+    f, tangible_full = _close_1d(f)
     if not tangible_full:
         raise NotTangibleFull("radical candidates must be tangible-full")
 

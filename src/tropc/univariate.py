@@ -22,7 +22,7 @@ from .core import TropicalNumber, ghost, tangible
 from .errors import (ArityMismatch, ArityUnsupported,
                      ConstantTangibleAmongInputs, ConstantTangibleInput,
                      EmptyPolynomial, InternalInconsistency, NotTangibleFull)
-from .essential import _chain, _closure_and_guard, full_closure
+from .essential import _chain, _close_1d, full_closure
 from .polynomial import TropicalPolynomial, constant
 
 
@@ -145,7 +145,7 @@ def factor_tangible_full(f: TropicalPolynomial) -> Factorization:
         raise ArityUnsupported("factorization is univariate")
     if f.is_empty():
         raise EmptyPolynomial("nothing to factor")
-    closed, tangible_full = _closure_and_guard(f)
+    closed, tangible_full = _close_1d(f)
     if not tangible_full:
         raise NotTangibleFull("ghost vertex present")
     return _factor_closed(closed)

@@ -21,7 +21,7 @@ from tropc import (NEG_INFINITY, ArityUnsupported, EmptyPolynomial,
                    InternalInconsistency, NotFull, NotTangibleFull,
                    TropicalNumber, TropicalPolynomial, full_closure, ghost,
                    tangible)
-from tropc.essential import _closure_and_guard
+from tropc.essential import _close_1d
 from tropc.polynomial import variable
 from tropc.univariate import Factorization
 
@@ -82,7 +82,7 @@ def reference_factor_tangible_full(f: TropicalPolynomial) -> Factorization:
         raise ArityUnsupported("factorization is univariate")
     if f.is_empty():
         raise EmptyPolynomial("nothing to factor")
-    closed, tangible_full = _closure_and_guard(f)
+    closed, tangible_full = _close_1d(f)
     if not tangible_full:
         raise NotTangibleFull("ghost vertex present")
     return reference_factor_closed(closed)

@@ -22,7 +22,7 @@ from tropc import (ArityUnsupported, CertificateSearchExceeded, Component1D,
                    CornerLocus2D, EmptyPolynomial, IdealFG, NotTangibleFull,
                    RadicalCertificate, TropicalPolynomial, full_closure,
                    red_pow)
-from tropc.essential import _closure_and_guard
+from tropc.essential import _close_1d
 from tropc.ideals import MAX_CERTIFICATE_EXPONENT
 from tropc.sets import _component_sort_key
 from hull1d_reference import reference_envelope_vertices
@@ -169,7 +169,7 @@ def reference_radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
         raise ArityUnsupported("radical membership is univariate")
     if f.is_empty():
         raise EmptyPolynomial("empty polynomial as radical candidate")
-    f, tangible_full = _closure_and_guard(f)
+    f, tangible_full = _close_1d(f)
     if not tangible_full:
         raise NotTangibleFull("radical candidates must be tangible-full")
 

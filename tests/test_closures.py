@@ -10,6 +10,7 @@ slope sequences, division and syntactic ideal membership with the old
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -129,11 +130,14 @@ class TestFrobeniusPowers:
             seen[arity, kind] += 1
             seen[arity, k] += 1
             seen["den > 1"] += got._den > 1
+            seen["dilation den cut"] += k >= 2 and gcd(f._den, k) > 1
             seen["ghost vertex"] += not (
                 essential_part(f).is_tangible_poly())
         assert all(seen[a, kind] >= 50 for a in (1, 2, 3) for kind in kinds)
         assert all(seen[a, k] >= 30 for a in (1, 2, 3) for k in range(9))
         assert min(seen["den > 1"], seen["ghost vertex"]) >= 300, seen
+        # _from_rows lowers the dilated rows' den before the closure
+        assert seen["dilation den cut"] >= 200, seen
 
     def test_pinned(self):
         assert red_pow(P("x + 3"), 2) == P("x^2 + 3v*x + 6")
@@ -364,7 +368,7 @@ class TestClosuresBuildNoFraction:
             for name in ("Fraction", "TropicalNumber"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         got = [(full_closure(f), red_pow(f, 5), red_pow(f, 8)) for f in cases]
-        guarded = [tropc.essential._closure_and_guard(f) for f in cases
+        guarded = [tropc.essential._close_1d(f) for f in cases
                    if f.arity == 1]
         monkeypatch.undo()
         for g_row, w_row in zip(got, want):

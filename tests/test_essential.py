@@ -410,7 +410,7 @@ class TestUnivariateClosureOffTheSweep:
     the complex classifies without walking an edge."""
 
     def test_against_the_complex(self):
-        # full_closure and _closure_and_guard against _close on the
+        # full_closure and _close_1d against _close on the
         # complex, and the tangible flag against the classification
         rng = random.Random(61)
         kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
@@ -422,7 +422,7 @@ class TestUnivariateClosureOffTheSweep:
             want = tropc.essential._close(f, cx)
             tangible_full = not any(g for e, _, g in f._rows
                                     if cx[0][e] == "essential")
-            closed, flag = tropc.essential._closure_and_guard(f)
+            closed, flag = tropc.essential._close_1d(f)
             for got in (full_closure(f), closed):
                 assert got._den == want._den, format_poly(f)
                 assert set(got._rows) == set(want._rows), format_poly(f)

@@ -185,6 +185,15 @@ class TestCli:
                            "--bbox=-5,-5,5,5")
         assert reduced == closed != plain
 
+    def test_curve2d_inverted_box_refused(self, capsys):
+        for box in ("1,1,0,0", "0,1,1,0", "1,0,0,1"):
+            code, out, err = run(capsys, "curve2d", "x + y + 0",
+                                 "--bbox=" + box)
+            assert code == 2 and out == "" and "SyntaxError" in err, box
+        # a degenerate box is a segment, and stays allowed
+        code, out, _ = run(capsys, "curve2d", "x + y + 0", "--bbox=0,-5,0,5")
+        assert code == 0 and json.loads(out)["segments"]
+
     def test_nss(self, capsys):
         code, out, _ = run(capsys, "nss", "x + 1", "x + 5")
         assert code == 0 and out.strip() == "witness: 5v"

@@ -8,6 +8,7 @@ compare each with the old step-by-step path in ``reduced_reference.py``
 and pin how many hulls each builds.
 """
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -152,7 +153,8 @@ class TestAgainstReducedReference:
 def hull_builds(monkeypatch):
     """Counts calls of the two hull builders: the univariate closure off the
     sweep, and the complex that every other closure, essential part and
-    classification goes through."""
+    classification goes through.  Every module binding of either is
+    patched, since ``univariate`` and ``ideals`` import ``_close_1d``."""
     count = [0]
 
     def counted(build):
@@ -160,9 +162,15 @@ def hull_builds(monkeypatch):
             count[0] += 1
             return build(*args)
         return wrapper
+    modules = [m for n, m in sorted(sys.modules.items())
+               if m is not None and n.startswith("tropc.")]
     for name in ("_complex", "_close_1d"):
-        monkeypatch.setattr(tropc.essential, name,
-                            counted(getattr(tropc.essential, name)))
+        build = getattr(tropc.essential, name)
+        wrapper = counted(build)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is build:
+                    monkeypatch.setattr(module, attr, wrapper)
 
     def builds(fn, *args):
         count[0] = 0
