@@ -7,8 +7,9 @@ exactly when their read-only arities, dens and row sets are.  Every kernel
 reads and writes that form, and so do the hulls in ``essential``.
 Products, sums and substitution merge rows with ``_merge``: the sum in the
 semiring is the maximum, ghost on a tie.  ``evaluate`` and ``is_root``
-take the maximum over the rows in one pass (``_top``), so ``is_root``
-builds no value.
+read the point once and take the maximum over the rows in one pass
+(``_top``), so ``is_root`` builds no value; a one-variable point skips the
+dot product, each term's value being one ``e * x``.
 
 The rows are the only source of truth.  The public constructor validates
 its terms and builds the rows from them; a kernel's output, decompositions
@@ -100,11 +101,13 @@ class TropicalPolynomial:
     def __init__(self, arity: int,
                  terms: Optional[Mapping[Exponent, TropicalNumber]] = None):
         clean: Dict[Exponent, TropicalNumber] = {}
-        for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+        for given, coeff in (terms or {}).items():
+            exp = tuple(int(e) for e in given)
             if len(exp) != arity:
                 raise ArityMismatch(
                     f"exponent {exp} does not match arity {arity}")
+            if exp != tuple(given):
+                raise ValueError(f"non-integer exponent in {tuple(given)}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
             if coeff.is_neg_inf():
@@ -247,39 +250,64 @@ class TropicalPolynomial:
         """The maximum term value at the point in one pass over the rows:
         ``(numerator, denominator, ghost flag)``, or None for -inf.
 
-        The rows and the coordinates are scaled to integers over one common
-        denominator, so a term's value is its scaled row value plus the dot
-        product of its exponent with the scaled coordinates, a plain int.
-        A positive power of a -inf coordinate drops the term.  The maximum
-        is ghost when a ghost term or a ghost coordinate under a positive
-        power reaches it, or two terms tie at it, which is what a left fold
-        with ``trop_add`` gives.
+        The point is read once: each coordinate's tag and integer ratio,
+        with the common denominator of the rows and the coordinates grown
+        only by a coordinate whose denominator does not divide it.  Over
+        that denominator a term's value is its scaled row value plus the
+        dot product of its exponent with the scaled coordinates, a plain
+        int; at one variable the product is a single ``e * x``.  A positive
+        power of a -inf coordinate drops the term, once, before the row
+        loop.  The maximum is ghost when a ghost term or a ghost coordinate
+        under a positive power reaches it, or two terms tie at it, which is
+        what a left fold with ``trop_add`` gives; the coordinates are
+        looked at only for a new maximum.
         """
         point = tuple(point)
-        if len(point) != self._arity:
+        arity = self._arity
+        if len(point) != arity:
             raise ArityMismatch(
-                f"point of length {len(point)} for arity {self._arity}")
-        den, rows = self._den, self._rows
-        big = lcm(den, _den_of(point))
-        nums = [0 if c.tag == TAG_NEG_INF else
-                c.value.numerator * (big // c.value.denominator)
-                for c in point]
-        dead = [c.tag == TAG_NEG_INF for c in point]
-        lit = [c.tag == TAG_GHOST for c in point]
-        any_dead, any_lit = any(dead), any(lit)
+                f"point of length {len(point)} for arity {arity}")
+        den = big = self._den
+        rows = self._rows
+        ratios, dead, lit = [], [], []
+        for i, c in enumerate(point):
+            tag = c.tag
+            if tag == TAG_NEG_INF:
+                dead.append(i)
+                ratios.append((0, 1))
+                continue
+            if tag == TAG_GHOST:
+                lit.append(i)
+            n, d = c.value.as_integer_ratio()
+            if big % d:
+                big = lcm(big, d)
+            ratios.append((n, d))
+        if dead:
+            rows = [r for r in rows if not any(r[0][i] for i in dead)]
         m = big // den
         top = None
         top_ghost = False
+        if arity == 1:
+            n, d = ratios[0]
+            x, ghost_x = n * (big // d), bool(lit)
+            for (e,), s, g in rows:
+                s = s * m + e * x
+                if top is not None and s <= top:
+                    if s == top:
+                        top_ghost = True
+                    continue
+                top = s
+                top_ghost = g or ghost_x and e > 0
+            return None if top is None else (top, big, top_ghost)
+        nums = [n * (big // d) for n, d in ratios]
         for exp, s, g in rows:
-            if any_dead and any(map(mul, exp, dead)):
-                continue
             s = s * m + sum(map(mul, exp, nums))
             if top is not None and s <= top:
                 if s == top:
                     top_ghost = True
                 continue
             top = s
-            top_ghost = g or any_lit and any(map(mul, exp, lit))
+            top_ghost = g or bool(lit) and any(exp[i] for i in lit)
         return None if top is None else (top, big, top_ghost)
 
     def evaluate(self, point: Iterable[TropicalNumber]) -> TropicalNumber:
@@ -324,8 +352,13 @@ class TropicalPolynomial:
         """Fix some variables to constants, producing a polynomial in the rest.
 
         The remaining variables keep their relative order; a term whose
-        positive power meets -inf is dropped.
+        positive power meets -inf is dropped.  An index outside
+        ``range(arity)`` raises ``ArityMismatch``.
         """
+        for i in assignment:
+            if i not in range(self._arity):
+                raise ArityMismatch(
+                    f"variable index {i!r} for arity {self._arity}")
         keep = tuple(i for i in range(self._arity) if i not in assignment)
         d, rows = self._den, self._rows
         den = lcm(d, _den_of(assignment.values()))

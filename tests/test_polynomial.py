@@ -62,12 +62,14 @@ class TestStructure:
     def test_constructor_validates(self):
         with pytest.raises(ArityMismatch):
             TropicalPolynomial(2, {(1,): tangible(0)})
-        with pytest.raises(ValueError):
-            TropicalPolynomial(1, {(-1,): tangible(0)})
-        f = TropicalPolynomial(2, {(True, 0): tangible(1),
-                                   (0, 1): NEG_INFINITY})
-        assert f.terms == {(1, 0): tangible(1)}
-        assert all(type(a) is int for a in next(iter(f.terms)))
+        for exp in ((-1,), (1.5,), (Fraction(1, 2),), ("2",)):
+            with pytest.raises(ValueError):  # not truncated to an int
+                TropicalPolynomial(1, {exp: tangible(1), (2,): tangible(0)})
+        for exp in ((True, 0), (1.0, Fraction(0))):
+            f = TropicalPolynomial(2, {exp: tangible(1),
+                                       (0, 1): NEG_INFINITY})
+            assert f.terms == {(1, 0): tangible(1)}
+            assert all(type(a) is int for a in next(iter(f.terms)))
 
     def test_degree_bounds(self):
         f = P("x^3 + 2*x")
@@ -169,6 +171,15 @@ class TestEvaluation:
         assert not f.is_root((tangible(3), tangible(0)))
         assert (f * g).is_root(point)
         assert not (f * g).is_root((tangible(3), tangible(0)))
+
+    def test_substitute_refuses_unknown_variables(self):
+        f = P("x + y + 0")
+        for i in (-1, 2, 5):
+            with pytest.raises(ArityMismatch):
+                f.substitute({i: tangible(1)})
+            with pytest.raises(ArityMismatch):
+                f.substitute({0: tangible(1), i: tangible(1)})
+        assert f.substitute({1: tangible(1)}) == P("x + 1")
 
     def test_substitute_everything_is_evaluate(self):
         rng = random.Random(19)
@@ -345,10 +356,29 @@ class TestAgainstFoldReference:
             seen["ghost coordinate"] += any(c.is_ghost() for c in point)
             seen["fractional"] += any(c.value.denominator > 1
                                       for c in f.terms.values())
+            # at arity 0 the point is empty: off the one-variable path
+            everything = f.substitute(dict(enumerate(point)))
+            assert everything.is_root(()) == value.is_ghost_or_bottom()
+            assert constant(value, 0).evaluate(()) == value
+            # the branches of the one-pass kernel, on nonempty f
+            if f.is_empty():
+                continue
+            grows = any(f._den % c.value.denominator for c in point
+                        if not c.is_neg_inf())
+            dead = [i for i, c in enumerate(point) if c.is_neg_inf()]
+            seen["den grows"] += grows
+            seen["den grows, arity 1"] += grows and f.arity == 1
+            seen["-inf drops every row"] += all(
+                any(e[i] for i in dead) for e, _, _ in f._rows)
+            seen["ghost coordinate, arity 1"] += \
+                f.arity == 1 and point[0].is_ghost()
         assert all(seen[k, a] for k in kinds for a in (1, 2, 3))
         assert seen["ghost from ties"] == 400
         assert min(seen["-inf coordinate"], seen["ghost coordinate"],
                    seen["fractional"]) >= 100
+        assert min(seen["den grows"], seen["den grows, arity 1"],
+                   seen["-inf drops every row"],
+                   seen["ghost coordinate, arity 1"]) >= 50, seen
 
 
     def test_chains(self):
