@@ -286,6 +286,18 @@ def _cmd_member(opts) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _non_negative(text: str) -> int:
+    """The argparse type of ``--max-degree``: an integer of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="tropc",
@@ -294,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                " option: put it after --, as in tropc eval -- 'x + y' -inf,1")
     top.add_argument("--json", action="store_true",
                      help="emit JSON instead of text")
-    top.add_argument("--max-degree", type=int, default=64,
+    top.add_argument("--max-degree", type=_non_negative, default=64,
                      help="refuse polynomials above this total degree")
     top.add_argument("--reduced", action="store_true",
                      help="fully close polynomials after parsing")

@@ -93,9 +93,12 @@ class TropicalNumber:
         return TropicalNumber(self.tag, -self.value)
 
     def __pow__(self, k: int) -> "TropicalNumber":
+        """k-fold product; a negative k inverts, which -inf does not."""
         if k == 0:
             return TANGIBLE_ZERO
         if self.is_neg_inf():
+            if k < 0:
+                raise InversionOfNegInfinity("-inf has no negative power")
             return NEG_INFINITY
         return TropicalNumber(self.tag, k * self.value)
 

@@ -22,13 +22,19 @@ the lifted points by beneath-beyond, testing each new point once against
 every current simplex; the plane through d = 2 or 3 points is written out
 (the perpendicular in 2-D, the cross product in 3-D), and other d expand
 cofactors.  Every hull fact, and the plane corner locus in ``sets``, is
-read off the points each facet touches.  Both give one integer complex
-(``_complex``): the classification, the hull lattice heights as integer
-pairs, the cells and the interior vertices.  The heights come from a
-function that runs the lattice walk (in one dimension, the closure's edge
-walk): closures above arity 1 and ``classify_monomials`` call it, while
-essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
-read the classification alone.  Everything stays on integer rows;
+read off the points each facet touches.  An affinely independent support
+(k + 1 exponents spanning k dimensions: a single term, a binomial, most
+trinomials, and every dilation of one) skips beneath-beyond: it is its own
+Newton simplex and its lifted points form one upper cell, so every term is
+essential, and the planes are built only when the heights are read.  Both
+arities give one integer complex (``_complex``): the classification, the
+hull lattice heights as integer pairs, the cells and the interior
+vertices.  The heights come from a function that runs the lattice walk (in
+one dimension, the closure's edge walk; on a segment, the segment's own
+lattice points; otherwise the bounding box of the exponents): closures
+above arity 1 and ``classify_monomials`` call it, while essential parts
+(and with them ``equivalent`` and ``is_ghost_potent``) read the
+classification alone.  Everything stays on integer rows;
 ``Fraction``s are built only for the public ``EssentialComplex`` of
 ``classify_monomials`` and the public ``SlopeSequence``.
 """
@@ -239,18 +245,35 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     return n, _dot(n, p0)
 
 
+def _outward(points: List[Tuple[int, ...]], verts: tuple,
+             c: List[int]) -> tuple:
+    """The plane n . x = b through the points at verts, as (n, b, verts),
+    oriented so that n . c < b (d + 1) for c the integer centroid of a
+    start simplex of Z^d (d + 1 times its mean)."""
+    n, b = _plane([points[i] for i in verts])
+    return (n, b, verts) if _dot(n, c) < b * (len(c) + 1) else \
+        ([-a for a in n], -b, verts)
+
+
+def _upward(points: List[Tuple[int, ...]], verts) -> tuple:
+    """The one hyperplane through the points at verts, as (n, b, verts),
+    oriented to a positive last component."""
+    n, b = _plane([points[i] for i in verts])
+    return (n, b, verts) if n[-1] >= 0 else ([-a for a in n], -b, verts)
+
+
 def _facets(points: List[Tuple[int, ...]]) -> list:
     """Facets of the convex hull of integer points that span Z^d or one
     hyperplane of it, by beneath-beyond.
 
     Each facet is (outward normal, offset, indices of the points on it),
     with normal . x <= offset at every point; points on one hyperplane give
-    it once, oriented to a positive last component.  The hull starts from
-    the first d + 1 affinely independent points; each later point p is
-    tested once against every current simplex, and the simplices it sees
-    strictly (n . p > b, so points on a facet's plane change nothing) are
-    replaced by the cones from p over their horizon ridges, each oriented
-    away from the start's integer centroid c (d + 1 times the mean).
+    it once, oriented to a positive last component (``_upward``).  The
+    hull starts from the first d + 1 affinely independent points; each
+    later point p is tested once against every current simplex, and the
+    simplices it sees strictly (n . p > b, so points on a facet's plane
+    change nothing) are replaced by the cones from p over their horizon
+    ridges, each oriented away from the start's centroid (``_outward``).
     Simplices on one plane merge into one facet, whose contact set is read
     off all points.
     """
@@ -264,34 +287,27 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
             if len(start) > d:
                 break
     if len(start) == d:  # flat
-        n, b = _plane([points[i] for i in start])
-        planes = {(tuple(n), b) if n[-1] >= 0 else
-                  (tuple(-a for a in n), -b)}
+        n, b, _ = _upward(points, start)
+        planes = {(tuple(n), b)}
     else:
         c = [sum(col) for col in zip(*(points[i] for i in start))]
-
-        def simplex(verts):
-            n, b = _plane([points[i] for i in verts])
-            return (verts, n, b) if _dot(n, c) < b * (d + 1) else \
-                (verts, [-a for a in n], -b)
-
-        hull = [simplex(tuple(start[:j] + start[j + 1:]))
+        hull = [_outward(points, tuple(start[:j] + start[j + 1:]), c)
                 for j in range(d + 1)]
         for i in sorted(set(range(len(points))) - set(start)):
             p = points[i]
             seen, kept = [], []
             for fc in hull:
-                (seen if _dot(fc[1], p) > fc[2] else kept).append(fc)
+                (seen if _dot(fc[0], p) > fc[1] else kept).append(fc)
             if not seen:
                 continue
             once: Dict[tuple, bool] = {}
-            for verts, _, _ in seen:
+            for _, _, verts in seen:
                 for j in range(d):
                     ridge = verts[:j] + verts[j + 1:]
                     once[ridge] = ridge not in once
-            hull = kept + [simplex(tuple(sorted(r + (i,))))
+            hull = kept + [_outward(points, tuple(sorted(r + (i,))), c)
                            for r, one in once.items() if one]
-        planes = {(tuple(n), b) for _, n, b in hull}
+        planes = {(tuple(n), b) for n, b, _ in hull}
     return [(n, b, frozenset(i for i, p in enumerate(points)
                              if _dot(n, p) == b)) for n, b in planes]
 
@@ -312,8 +328,19 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     """A point is on the hull iff an upper facet touches it; a hull vertex
     iff the upper facets and Newton walls through it touch no other point
     together; and a Newton vertex iff its walls touch no other point
-    together (with no pivot the single point is one)."""
+    together (with no pivot the single point is one).
+
+    An affinely independent support (k + 1 exponents spanning k
+    dimensions, so the echelon basis has one pivot fewer than there are
+    terms) is its own Newton simplex, and its lifted points form one upper
+    cell: every term is an essential Newton vertex and no facet is built
+    (``_simplex_heights`` builds the planes when heights() is called)."""
     exps, affine, pivots, _, points = _lift(f)
+    if len(pivots) == len(exps) - 1:
+        return (dict.fromkeys(exps, ESSENTIAL),
+                partial(_simplex_heights, f.arity, exps, affine, pivots,
+                        points),
+                [list(exps)] if f.arity == 2 else None, [])
     newton = _facets([p[:-1] for p in points]) if pivots else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
 
@@ -340,16 +367,41 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
             subdivision, interior)
 
 
+def _simplex_heights(arity: int, exps: List[Exponent], affine,
+                     pivots: List[int], points: List[Tuple[int, ...]]
+                     ) -> Dict[Exponent, Tuple[int, int]]:
+    """The lattice walk of an affinely independent support, on the planes
+    ``_facets`` builds for it: the Newton wall through each k of the k + 1
+    points (in pivot coordinates), oriented away from their centroid, and
+    the one plane through the lifted points, oriented up."""
+    xs = [p[:-1] for p in points]
+    c = [sum(col) for col in zip(*xs)]
+    everyone = tuple(range(len(xs)))
+    newton = [_outward(xs, everyone[:j] + everyone[j + 1:], c)
+              for j in everyone] if pivots else []
+    return _lattice_nd(arity, exps, affine, pivots, newton,
+                       [_upward(points, everyone)])
+
+
 def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
                 newton: list, upper: list) -> Dict[Exponent, Tuple[int, int]]:
-    """The lattice walk: every lattice point of the exponents' bounding box
-    that lies in their affine hull and inside the Newton walls, with the
-    hull height over it as an integer pair."""
+    """The lattice walk: every lattice point of the exponents' affine hull
+    inside the Newton walls, with the hull height over it as an integer
+    pair, in the lexicographic order of the exponents' bounding box.  A
+    segment (k = 1) walks its own g + 1 lattice points, g the gcd of its
+    direction; other supports walk the box."""
     k = len(pivots)
-    box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
-           for c in range(arity)]
+    if k == 1:  # exps[0] and exps[-1] are the segment's ends
+        step = list(map(sub, exps[-1], exps[0]))
+        g = gcd(*step)
+        walk = (tuple(a + j * s // g for a, s in zip(exps[0], step))
+                for j in range(g + 1))
+    else:
+        box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
+               for c in range(arity)]
+        walk = iter_product(*box)
     lattice = {}
-    for v in iter_product(*box):
+    for v in walk:
         if k < arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
             continue
         x = tuple(v[c] for c in pivots)

@@ -16,15 +16,16 @@ import pytest
 
 import tropc.essential
 import tropc.polynomial
-from closure_reference import (reference_divides, reference_factor_full,
+from closure_reference import (reference_classify, reference_divides,
+                               reference_factor_full,
                                reference_factor_tangible_full,
                                reference_full_closure, reference_ideal_member,
                                reference_red_mul, reference_red_pow,
                                reference_residuation,
                                reference_roots_with_multiplicity,
                                reference_slope_sequence)
-from tropc import (IdealFG, TropicalPolynomial, divides, equivalent,
-                   essential_part, factor_full, factor_tangible_full,
+from tropc import (IdealFG, TropicalPolynomial, classify_monomials, divides,
+                   equivalent, essential_part, factor_full, factor_tangible_full,
                    full_closure, ghost, ideal_member_syntactic, parse_poly,
                    red_mul, red_pow, roots_with_multiplicity, slope_sequence,
                    tangible)
@@ -160,6 +161,65 @@ class TestFrobeniusPowers:
             monkeypatch.setattr(TropicalPolynomial, name, refuse)
         for f, k, size in cases:
             assert len(red_pow(f, k)._rows) == size, (f, k)
+
+
+def rand_segment(rng, arity):
+    """2-4 exponents on one line, with gaps and steps whose gcd may exceed
+    1, so the segment has lattice points outside the support; values with
+    denominators 1-7, affine along the line half the time (so middle terms
+    tie), and about 35% ghost terms."""
+    while True:
+        step = [rng.randint(-1, 1) * rng.choice((1, 1, 2))
+                for _ in range(arity)]
+        if any(step):
+            break
+    js = sorted(rng.sample(range(4), rng.randint(2, 4)))
+    pts = [[j * s for s in step] for j in js]
+    low = [min(col) - rng.randint(0, 2) for col in zip(*pts)]
+    a, b = value(rng), value(rng, (1, 2, 3))
+    flat = rng.random() < 0.5
+    return TropicalPolynomial(arity, {
+        tuple(x - lo for x, lo in zip(p, low)):
+            (ghost if rng.random() < 0.35 else tangible)(
+                a + b * j if flat else value(rng))
+        for j, p in zip(js, pts)})
+
+
+class TestSegmentWalk:
+    """A support on one line walks the lattice points of its own segment,
+    not its bounding box; the closures, powers and lattice heights are
+    those of the old box walk, in the same order."""
+
+    @pytest.fixture
+    def no_box(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a segment walked its bounding box")
+        monkeypatch.setattr(tropc.essential, "iter_product", refuse)
+
+    def test_pinned(self, no_box):
+        f = P("x*y*z + 0")
+        assert same_rows(red_pow(f, 16), reference_red_pow(f, 16))
+        assert len(red_pow(f, 4096)._rows) == 4097
+
+    def test_random(self, no_box):
+        rng = random.Random(101)
+        seen = Counter()
+        for n in range(600):
+            arity = 2 + n % 3
+            f = rand_segment(rng, arity)
+            k = 1 + n // 3 % (4, 3, 2)[arity - 2]
+            assert same_rows(full_closure(f), reference_full_closure(f)), f
+            assert same_rows(red_pow(f, k), reference_red_pow(f, k)), (f, k)
+            got = classify_monomials(f).hull_lattice_points
+            want = reference_classify(f).hull_lattice_points
+            assert list(got.items()) == list(want.items()), f
+            seen[arity] += 1
+            seen["quasi"] += "quasi-essential" in \
+                classify_monomials(f).classification.values()
+            seen["ghost"] += not f.is_tangible_poly()
+            seen["den > 1"] += f._den > 1
+            seen["lattice ghost"] += len(got) > len(f._rows)
+        assert min(seen.values()) >= 100, seen
 
 
 def rand_univariate(rng, n):

@@ -69,6 +69,14 @@ class TestExamples:
         assert trop_pow(ghost(2), 3) == ghost(6)
         assert trop_pow(NEG_INFINITY, 3) == NEG_INFINITY
         assert trop_pow(ghost(5), 0) == tangible(0)
+        assert trop_pow(NEG_INFINITY, 0) == tangible(0)
+        assert trop_pow(ghost(2), -3) == ghost(-6)
+        # a negative power inverts, and -inf has no inverse
+        for k in (-1, -2):
+            with pytest.raises(InversionOfNegInfinity):
+                trop_pow(NEG_INFINITY, k)
+            with pytest.raises(InversionOfNegInfinity):
+                NEG_INFINITY ** k
         assert trop_root(tangible(6), 3) == tangible(2)
         assert trop_root(ghost(5), 2) == ghost(Fraction(5, 2))
         with pytest.raises(RootOfNegInfinity):

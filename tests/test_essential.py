@@ -9,6 +9,8 @@ import pytest
 
 import tropc.essential
 import facets_reference
+from closure_reference import (reference_classify, reference_full_closure,
+                               reference_red_pow)
 from facets_reference import reference_complex_nd
 from hull1d_reference import reference_complex_1d, reference_envelope_vertices
 from lp_reference import reference_complex
@@ -137,23 +139,23 @@ class TestAgainstLpReference:
 
 class TestAgainstFacetsReference:
     """The beneath-beyond kernel gives the facets of the old k-subset
-    enumeration, and classify_monomials every field of the old complex."""
+    enumeration, and classify_monomials every field of the old complex.
+    The kernel is run on every point set the reference is handed, a
+    superset of those the complex hands it: an affinely independent
+    support builds no facet."""
 
     kernel = staticmethod(tropc.essential._facets)
 
     @pytest.fixture
     def hulls(self, monkeypatch):
-        """The points each kernel is handed, with its facets, in call order:
-        both complexes build the Newton hull first, then the lifted one."""
-        seen = {"kernel": [], "reference": []}
-        for module, name, key in (
-                (tropc.essential, "_facets", "kernel"),
-                (facets_reference, "reference_facets", "reference")):
-            def recorded(points, _kernel=getattr(module, name),
-                         _out=seen[key]):
-                _out.append((points, _kernel(points)))
-                return _out[-1][1]
-            monkeypatch.setattr(module, name, recorded)
+        """The points the reference is handed, with its facets, in call
+        order: it builds the Newton hull first, then the lifted one."""
+        seen = []
+
+        def recorded(points, _reference=facets_reference.reference_facets):
+            seen.append((points, _reference(points)))
+            return seen[-1][1]
+        monkeypatch.setattr(facets_reference, "reference_facets", recorded)
         return seen
 
     @staticmethod
@@ -170,21 +172,19 @@ class TestAgainstFacetsReference:
         return out
 
     def assert_same(self, f, hulls, rng):
-        """Every field of the complex and the facets of each hull; the
-        kernel also gets each point set in a random order, in which a point
-        may come after a facet has covered it."""
-        for calls in hulls.values():
-            calls.clear()
+        """Every field of the complex, and the kernel's facets of each
+        point set the reference got, in the given and in a random order,
+        in which a point may come after a facet has covered it."""
+        hulls.clear()
         got = _fields(classify_monomials(f))
         assert got == _fields(reference_complex_nd(f)), format_poly(f)
-        kernel, reference = (
-            [(points, self.facet_set(facets)) for points, facets in calls]
-            for calls in (hulls["kernel"], hulls["reference"]))
-        assert kernel and kernel == reference, format_poly(f)
-        for points, facets in kernel:
+        assert hulls, format_poly(f)
+        for points, facets in hulls:
+            want = self.facet_set(facets)
+            assert self.facet_set(self.kernel(points)) == want, points
             order = rng.sample(range(len(points)), len(points))
             shuffled = self.kernel([points[i] for i in order])
-            assert self.facet_set(shuffled, order) == facets, points
+            assert self.facet_set(shuffled, order) == want, points
 
     def test_random(self, hulls):
         rng = random.Random(61)
@@ -463,6 +463,105 @@ class TestUnivariateClosureOffTheSweep:
             assert walks[0] == 1, format_poly(f)
             classify_monomials(f)
             assert walks[0] == 2, format_poly(f)
+
+
+def _independent_case(rng: random.Random, arity: int,
+                      k: int) -> TropicalPolynomial:
+    """k + 1 affinely independent exponents in a small box (so the old
+    box walks stay cheap at arity 4), values with denominators 1-7 and
+    about 35% ghost terms."""
+    side = {2: 3, 3: 2, 4: 1}[arity]
+    while True:
+        exps = [tuple(rng.randint(0, side) for _ in range(arity))
+                for _ in range(k + 1)]
+        if len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])) == k:
+            break
+    return TropicalPolynomial(arity, {
+        e: (ghost if rng.random() < 0.35 else tangible)(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 7)))
+        for e in exps})
+
+
+def _dilated(f: TropicalPolynomial, m: int) -> TropicalPolynomial:
+    return TropicalPolynomial(f.arity, {
+        tuple(m * a for a in e): (ghost if c.is_ghost() else tangible)(
+            m * c.value) for e, c in f.terms.items()})
+
+
+class TestAffinelyIndependentSupports:
+    """A support of k + 1 affinely independent exponents is its own Newton
+    simplex with one upper cell, and its complex is read off the support
+    without building a facet; heights() builds the planes _facets would.
+    Outputs are the old paths' ones."""
+
+    def test_against_the_references(self):
+        rng = random.Random(97)
+        seen = Counter()
+        for i in range(360):
+            arity = (2, 3, 4)[i % 3]
+            k = i // 3 % (arity + 1)
+            m = 1 + i // 15 % 5
+            f = _independent_case(rng, arity, k)
+            g = _dilated(f, m)
+            cx, ref = classify_monomials(g), reference_complex_nd(g)
+            assert _fields(cx) == _fields(ref), format_poly(g)
+            for name in ("lifted_points", "classification",
+                         "hull_lattice_points"):  # key order too
+                assert list(getattr(cx, name)) == list(getattr(ref, name))
+            closed = full_closure(g)
+            want = reference_full_closure(g)
+            assert closed._den == want._den, format_poly(g)
+            assert set(closed._rows) == set(want._rows), format_poly(g)
+            kind = reference_classify(g).classification
+            assert essential_part(g) == TropicalPolynomial(arity, {
+                e: c for e, c in g.terms.items() if kind[e] == "essential"})
+            power, want = red_pow(f, m), reference_red_pow(f, m)
+            assert power._den == want._den, (format_poly(f), m)
+            assert set(power._rows) == set(want._rows), (format_poly(f), m)
+            # the cells handed out are fresh: mutating them changes no
+            # later answer
+            if cx.subdivision is not None:
+                cx.subdivision[0].append((9, 9))
+                cx.subdivision.append([])
+            assert _fields(classify_monomials(g)) == _fields(
+                reference_complex_nd(g)), format_poly(g)
+            seen[arity, k] += 1
+            seen["ghost"] += not g.is_tangible_poly()
+            seen["den > 1"] += g._den > 1
+            seen["lattice ghost"] += len(closed._rows) > len(g._rows)
+        assert all(seen[a, k] >= 20 for a in (2, 3, 4)
+                   for k in range(a + 1)), seen
+        assert min(seen["ghost"], seen["den > 1"],
+                   seen["lattice ghost"]) >= 100, seen
+
+    def test_both_paths_on_the_corpora(self, monkeypatch):
+        # the short path is taken exactly on affinely independent
+        # supports, and each path often on the seeded corpora above
+        calls = [0]
+
+        def counted(points, _facets=tropc.essential._facets):
+            calls[0] += 1
+            return _facets(points)
+        monkeypatch.setattr(tropc.essential, "_facets", counted)
+        rng = random.Random(61)
+        kinds = ["random", "random", "collinear", "coplanar", "flat",
+                 "fractional", "single"]
+        corpus = [p for pair in _hull_cases(700, 79) for p in pair]
+        corpus += [_reference_case(rng, kinds[i % len(kinds)],
+                                   (2, 3, 4)[i % 3]) for i in range(700)]
+        seen = Counter()
+        for f in corpus:
+            exps = sorted(f.terms)
+            independent = len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])) == \
+                len(exps) - 1
+            calls[0] = 0
+            tropc.essential._complex_nd(f)
+            assert (calls[0] == 0) == independent, format_poly(f)
+            seen[f.arity, independent] += 1
+        assert all(seen[a, short] >= 50 for a in (2, 3, 4)
+                   for short in (True, False)), seen
 
 
 class TestComplexIsShared:

@@ -236,6 +236,18 @@ class TestCli:
         code, _, err = run(capsys, "--max-degree", "3", "essential", "x^5")
         assert code == 1 and "MaxDegreeExceeded" in err
 
+    def test_max_degree_is_non_negative(self, capsys):
+        # a usage error (exit 2), not a MaxDegreeExceeded on a constant
+        for value in ("-1", "-64", "two", "1.5"):
+            code, out, err = run(capsys, "--max-degree", value, "eval",
+                                 "0", "1")
+            assert code == 2 and out == "", value
+            assert "--max-degree" in err and "non-negative" in err, value
+        code, out, _ = run(capsys, "--max-degree", "0", "eval", "3", "1")
+        assert code == 0 and out.strip() == "3"
+        code, _, err = run(capsys, "--max-degree", "0", "eval", "x", "1")
+        assert code == 1 and "MaxDegreeExceeded" in err
+
     def test_max_degree_refused_before_expanding(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "--max-degree", "8", "eval",
