@@ -26,15 +26,15 @@ read off the points each facet touches.  An affinely independent support
 (k + 1 exponents spanning k dimensions: a single term, a binomial, most
 trinomials, and every dilation of one) skips beneath-beyond: it is its own
 Newton simplex and its lifted points form one upper cell, so every term is
-essential, and the planes are built only when the heights are read.  Both
-arities give one integer complex (``_complex``): the classification, the
-hull lattice heights as integer pairs, the cells and the interior
-vertices.  The heights come from a function that runs the lattice walk (in
-one dimension, the closure's edge walk; on a segment, the segment's own
-lattice points; otherwise the bounding box of the exponents): closures
-above arity 1 and ``classify_monomials`` call it, while essential parts
-(and with them ``equivalent`` and ``is_ghost_potent``) read the
-classification alone.  Everything stays on integer rows;
+essential, and the planes are built only when the closure is written.
+Both arities give one integer complex (``_complex``): the classification,
+a function that writes the full closure (one row per hull lattice point,
+ascending, at the hull's height there, so ``classify_monomials`` reads the
+heights off it), the cells and the interior vertices.  Writing it runs the
+lattice walk (in one dimension, ``_close_1d``'s edge walk; on a segment,
+its own lattice points; otherwise the exponents' bounding box), which
+essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
+skip: they read the classification alone.  Everything stays on integer rows;
 ``Fraction``s are built only for the public ``EssentialComplex`` of
 ``classify_monomials`` and the public ``SlopeSequence``.
 """
@@ -72,16 +72,14 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
-# The integer complex of a nonempty f: (classification, heights, cells,
+# The integer complex of a nonempty f: (classification, close, cells,
 # interior).  The classification is keyed in the order of the public view;
-# heights() gives the lattice, in that order too: lattice[v] = (t, w) is
-# the hull height t / (w * den) over the lattice point v, den being f's,
-# with w > 0.  heights() runs the lattice walk, so callers that read only
-# the classification skip it.  The cells are the subdivision (None above
-# arity 2).
-_Complex = Tuple[Dict[Exponent, str],
-                Callable[[], Dict[Exponent, Tuple[int, int]]],
-                Optional[List[List[Exponent]]], List[Exponent]]
+# close() writes the full closure of f, one row per hull lattice point in
+# ascending exponent order, valued at the hull's height there.  close()
+# runs the lattice walk, so callers that read only the classification skip
+# it.  The cells are the subdivision (None above arity 2).
+_Complex = Tuple[Dict[Exponent, str], Callable[[], TropicalPolynomial],
+                 Optional[List[List[Exponent]]], List[Exponent]]
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +124,14 @@ def _walk_1d(vertices: List[Tuple[int, int, bool]], m: int) -> List[Row]:
     return rows
 
 
-def _vertices_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]]
-                 ) -> Tuple[List[Tuple[int, int, bool]], int]:
-    """The hull vertices with f's tags, and the lcm of the edge widths."""
-    ghosts = {x for (x,), _, g in f._rows if g}
-    vertices = [(x, y, x in ghosts) for x, y in hull]
-    return vertices, lcm(*[x2 - x1 for (x1, _, _), (x2, _, _)
-                           in zip(vertices, vertices[1:])])
-
-
 def _close_1d(f: TropicalPolynomial) -> Tuple[TropicalPolynomial, bool]:
     """The full closure of a nonempty univariate f straight off the sweep,
-    and whether every hull vertex (every essential term) is tangible."""
+    over ``den * m`` with m the lcm of the edge widths, and whether every
+    hull vertex (every essential term) is tangible."""
     _, den, hull = _hull_1d(f)
-    vertices, m = _vertices_1d(f, hull)
+    ghosts = {x for (x,), _, g in f._rows if g}
+    vertices = [(x, y, x in ghosts) for x, y in hull]
+    m = lcm(*[x2 - x1 for (x1, _), (x2, _) in zip(hull, hull[1:])])
     return (TropicalPolynomial._from_rows(1, den * m, _walk_1d(vertices, m)),
             not any(g for _, _, g in vertices))
 
@@ -149,8 +141,8 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
     a term between them is quasi-essential when it ties the edge, that is
     ``(y - y1) * w == (y2 - y1) * (x - x1)`` for the width w, and any other
     term is inessential.  The classification takes one pass over the sorted
-    points; heights() runs the edge walk of the closure, the lattice[v]
-    being ``(t, m)`` with t the closure's row value over ``den * m``."""
+    points; close() is ``_close_1d``, whose edge walk writes the rows
+    ascending."""
     points, _, hull = _hull_1d(f)
     classification = dict.fromkeys([e for e, _, _ in f._rows], INESSENTIAL)
     classification[(hull[0][0],)] = ESSENTIAL
@@ -171,15 +163,8 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
         classification[end] = ESSENTIAL
         cell.append(end)
         cells.append(cell)
-    return (classification, partial(_lattice_1d, f, hull), cells,
+    return (classification, lambda: _close_1d(f)[0], cells,
             [(x,) for x, _ in hull[1:-1]])
-
-
-def _lattice_1d(f: TropicalPolynomial, hull: List[Tuple[int, int]]
-                ) -> Dict[Exponent, Tuple[int, int]]:
-    """The closure's edge walk as lattice heights ``(t, m)``."""
-    vertices, m = _vertices_1d(f, hull)
-    return {e: (t, m) for e, t, _ in _walk_1d(vertices, m)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +319,13 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     dimensions, so the echelon basis has one pivot fewer than there are
     terms) is its own Newton simplex, and its lifted points form one upper
     cell: every term is an essential Newton vertex and no facet is built
-    (``_simplex_heights`` builds the planes when heights() is called)."""
+    (``_simplex_close`` builds the planes when close() is called); close()
+    is ``_close_nd``, which writes the rows ascending."""
     exps, affine, pivots, _, points = _lift(f)
     if len(pivots) == len(exps) - 1:
-        return (dict.fromkeys(exps, ESSENTIAL),
-                partial(_simplex_heights, f.arity, exps, affine, pivots,
-                        points),
+        kind = dict.fromkeys(exps, ESSENTIAL)
+        return (kind,
+                partial(_simplex_close, f, kind, exps, affine, pivots, points),
                 [list(exps)] if f.arity == 2 else None, [])
     newton = _facets([p[:-1] for p in points]) if pivots else []
     upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
@@ -363,14 +349,15 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     if f.arity == 2:
         subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
     return (classification,
-            partial(_lattice_nd, f.arity, exps, affine, pivots, newton, upper),
+            partial(_close_nd, f, classification, exps, affine, pivots,
+                    newton, upper),
             subdivision, interior)
 
 
-def _simplex_heights(arity: int, exps: List[Exponent], affine,
-                     pivots: List[int], points: List[Tuple[int, ...]]
-                     ) -> Dict[Exponent, Tuple[int, int]]:
-    """The lattice walk of an affinely independent support, on the planes
+def _simplex_close(f: TropicalPolynomial, kind: Dict[Exponent, str],
+                   exps: List[Exponent], affine, pivots: List[int],
+                   points: List[Tuple[int, ...]]) -> TropicalPolynomial:
+    """The full closure of an affinely independent support, on the planes
     ``_facets`` builds for it: the Newton wall through each k of the k + 1
     points (in pivot coordinates), oriented away from their centroid, and
     the one plane through the lifted points, oriented up."""
@@ -379,18 +366,20 @@ def _simplex_heights(arity: int, exps: List[Exponent], affine,
     everyone = tuple(range(len(xs)))
     newton = [_outward(xs, everyone[:j] + everyone[j + 1:], c)
               for j in everyone] if pivots else []
-    return _lattice_nd(arity, exps, affine, pivots, newton,
-                       [_upward(points, everyone)])
+    return _close_nd(f, kind, exps, affine, pivots, newton,
+                     [_upward(points, everyone)])
 
 
-def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
-                newton: list, upper: list) -> Dict[Exponent, Tuple[int, int]]:
-    """The lattice walk: every lattice point of the exponents' affine hull
-    inside the Newton walls, with the hull height over it as an integer
-    pair, in the lexicographic order of the exponents' bounding box.  A
-    segment (k = 1) walks its own g + 1 lattice points, g the gcd of its
-    direction; other supports walk the box."""
-    k = len(pivots)
+def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
+              exps: List[Exponent], affine, pivots: List[int],
+              newton: list, upper: list) -> TropicalPolynomial:
+    """The full closure of f, one row per lattice point of the exponents'
+    affine hull inside the Newton walls, ascending: a segment (k = 1) walks
+    its own g + 1 lattice points, g the gcd of its direction, and other
+    supports the exponents' bounding box.  The hull height t / (w * den)
+    over a point becomes a ghost row ``t * (m / w)`` over ``den * m``, m the
+    lcm of those w; an essential term keeps f's own row."""
+    arity, k = f.arity, len(pivots)
     if k == 1:  # exps[0] and exps[-1] are the segment's ends
         step = list(map(sub, exps[-1], exps[0]))
         g = gcd(*step)
@@ -400,7 +389,7 @@ def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
         box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
                for c in range(arity)]
         walk = iter_product(*box)
-    lattice = {}
+    heights = []
     for v in walk:
         if k < arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
             continue
@@ -414,8 +403,12 @@ def _lattice_nd(arity: int, exps: List[Exponent], affine, pivots: List[int],
             s = b - _dot(n, x)
             if t is None or s * w < t * n[-1]:
                 t, w = s, n[-1]
-        lattice[v] = (t, w)
-    return lattice
+        heights.append((v, t, w))
+    m = lcm(*[w for v, _, w in heights if kind.get(v) != ESSENTIAL])
+    own = {e: (e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL}
+    return TropicalPolynomial._from_rows(arity, f._den * m, [
+        own[v] if v in own else (v, t * (m // w), True)
+        for v, t, w in heights])
 
 
 def _complex(f: TropicalPolynomial) -> _Complex:
@@ -433,13 +426,13 @@ def classify_monomials(f: TropicalPolynomial,
     given for arities 1 and 2; ``with_subdivision`` changes nothing."""
     if f.is_empty():
         raise EmptyPolynomial("no monomials to classify")
-    kind, heights, cells, interior = _complex(f)
-    lattice = heights()
+    kind, close, cells, interior = _complex(f)
+    closed = close()
     den = f._den
     values = {e: s for e, s, _ in f._rows}
     return EssentialComplex(
         f.arity, {e: Fraction(values[e], den) for e in kind}, kind,
-        {v: Fraction(t, w * den) for v, (t, w) in lattice.items()},
+        {v: Fraction(s, closed._den) for v, s, _ in closed._rows},
         cells, interior)
 
 
@@ -451,26 +444,11 @@ def essential_part(f: TropicalPolynomial) -> TropicalPolynomial:
         r for r in f._rows if kind[r[0]] == ESSENTIAL])
 
 
-def _close(f: TropicalPolynomial, cx: _Complex) -> TropicalPolynomial:
-    """The full closure of f read off the integer complex of its hull, as
-    rows over ``den * m``, den f's and m the lcm of the lattice widths: the
-    essential terms of f, then a ghost row at every other lattice point."""
-    kind, lattice = cx[0], cx[1]()
-    ghosts = [(v, t, w) for v, (t, w) in lattice.items()
-              if kind.get(v) != ESSENTIAL]
-    m = lcm(*[w for _, _, w in ghosts])
-    rows = [(e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL]
-    rows += [(v, t * (m // w), True) for v, t, w in ghosts]
-    return TropicalPolynomial._from_rows(f.arity, f._den * m, rows)
-
-
 def full_closure(f: TropicalPolynomial) -> TropicalPolynomial:
     """Essential part plus a ghost term at every other hull lattice point."""
     if f.is_empty():
         return f
-    if f.arity == 1:
-        return _close_1d(f)[0]
-    return _close(f, _complex(f))
+    return _close_1d(f)[0] if f.arity == 1 else _complex(f)[1]()
 
 
 def is_full(f: TropicalPolynomial) -> bool:

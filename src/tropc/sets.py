@@ -187,7 +187,9 @@ def _point(p, q, d, t):
 def corner_locus_2d(f: TropicalPolynomial,
                     bbox: Tuple[Fraction, Fraction, Fraction, Fraction]
                     ) -> CornerLocus2D:
-    """Tie loci of the projected affine forms in the plane, clipped to bbox.
+    """Tie loci of the projected affine forms in the plane, clipped to bbox,
+    ``(xmin, ymin, xmax, ymax)`` with xmin <= xmax and ymin <= ymax (else a
+    ValueError), of exact numbers (a float raises TypeError).
 
     Each locus is the set where two monomials attain the maximum together;
     output segments carry exact rational endpoints and the pair of tying
@@ -209,10 +211,17 @@ def corner_locus_2d(f: TropicalPolynomial,
     """
     if f.arity != 2:
         raise ArityUnsupported("corner loci are planar")
+    if any(isinstance(v, float) for v in bbox):
+        # a binary float is not the rational it was written as
+        raise TypeError(f"inexact float in bbox {bbox!r}; pass ints, strs "
+                        "or Fractions")
+    lo_x, lo_y, hi_x, hi_y = map(Fraction, bbox)
+    if lo_x > hi_x or lo_y > hi_y:
+        raise ValueError("bbox has xmin > xmax or ymin > ymax")
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
-    box = [tuple((v.numerator, v.denominator) for v in
-                 (Fraction(bbox[c]), Fraction(bbox[c + 2]))) for c in (0, 1)]
+    box = [((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+           for lo, hi in ((lo_x, hi_x), (lo_y, hi_y))]
     exps, _, pivots, scale, points = _lift(f)
     # upper edge -> [(dual vertex numerators, their denominator, outward
     # normal or None) of each cell]

@@ -279,10 +279,10 @@ class TestEssentialPartsSkipTheLatticeWalk:
     def walks(self, monkeypatch):
         count = [0]
 
-        def counted(*args, _walk=tropc.essential._lattice_nd):
+        def counted(*args, _walk=tropc.essential._close_nd):
             count[0] += 1
             return _walk(*args)
-        monkeypatch.setattr(tropc.essential, "_lattice_nd", counted)
+        monkeypatch.setattr(tropc.essential, "_close_nd", counted)
         return count
 
     def test_no_walk(self, walks):
@@ -410,8 +410,8 @@ class TestUnivariateClosureOffTheSweep:
     the complex classifies without walking an edge."""
 
     def test_against_the_complex(self):
-        # full_closure and _close_1d against _close on the
-        # complex, and the tangible flag against the classification
+        # full_closure and _close_1d against the frozen Fraction closure,
+        # and the tangible flag against the complex's classification
         rng = random.Random(61)
         kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
                  "single", "two"]
@@ -419,7 +419,7 @@ class TestUnivariateClosureOffTheSweep:
         for i in range(2100):
             f = _univariate_case(rng, kinds[i % len(kinds)])
             cx = tropc.essential._complex_1d(f)
-            want = tropc.essential._close(f, cx)
+            want = reference_full_closure(f)
             tangible_full = not any(g for e, _, g in f._rows
                                     if cx[0][e] == "essential")
             closed, flag = tropc.essential._close_1d(f)
@@ -492,7 +492,7 @@ def _dilated(f: TropicalPolynomial, m: int) -> TropicalPolynomial:
 class TestAffinelyIndependentSupports:
     """A support of k + 1 affinely independent exponents is its own Newton
     simplex with one upper cell, and its complex is read off the support
-    without building a facet; heights() builds the planes _facets would.
+    without building a facet; close() builds the planes _facets would.
     Outputs are the old paths' ones."""
 
     def test_against_the_references(self):
@@ -562,6 +562,48 @@ class TestAffinelyIndependentSupports:
             seen[f.arity, independent] += 1
         assert all(seen[a, short] >= 50 for a in (2, 3, 4)
                    for short in (True, False)), seen
+
+
+class TestClosureRowsAscend:
+    """The complex writes the full closure with one row per hull lattice
+    point in ascending exponent order, on every path: the sweep at arity
+    1, an affinely independent support's simplex, and the walk of a
+    segment or of the bounding box.  classify_monomials reads the hull
+    lattice heights off those rows, key order included."""
+
+    @staticmethod
+    def path(f: TropicalPolynomial) -> str:
+        if f.arity == 1:
+            return "sweep"
+        exps = sorted(f.terms)
+        k = len(tropc.essential._echelon(
+            [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+        return "simplex" if k == len(exps) - 1 else \
+            "segment" if k == 1 else "box"
+
+    def test_corpora(self):
+        rng = random.Random(131)
+        kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
+                 "single", "two"]
+        corpus = [_univariate_case(rng, kinds[i % len(kinds)])
+                  for i in range(350)]
+        corpus += [p for pair in _hull_cases(300, 137) for p in pair]
+        corpus += [_independent_case(rng, a, k) for a in (2, 3, 4)
+                   for k in range(a + 1) for _ in range(15)]
+        corpus += [_reference_case(rng, kind, (2, 3, 4)[i % 3])
+                   for i in range(150)
+                   for kind in ("collinear", "coplanar", "flat")]
+        seen = Counter()
+        for f in corpus:
+            closed = full_closure(f)
+            exps = [e for e, _, _ in closed._rows]
+            assert all(a < b for a, b in zip(exps, exps[1:])), format_poly(f)
+            assert list(classify_monomials(f).hull_lattice_points.items()) \
+                == [(e, c.value) for e, c in closed.terms.items()], \
+                format_poly(f)
+            seen[self.path(f)] += 1
+        assert all(seen[p] >= 50
+                   for p in ("sweep", "simplex", "segment", "box")), seen
 
 
 class TestComplexIsShared:

@@ -133,6 +133,20 @@ class TestCornerLocus2D:
         assert corner_locus_2d(P("1v*x + 0v*y"), self.BOX).whole_plane
         assert corner_locus_2d(TropicalPolynomial(2, {}), self.BOX).whole_plane
 
+    def test_bad_boxes_raise(self):
+        # an inverted box, even for a polynomial that vanishes everywhere,
+        # and a float bound (a binary float is not the rational it was
+        # written as); a zero-width box stays allowed
+        for f in (P("x + y + 0"), P("1v*x + 0v*y"), TropicalPolynomial(2, {})):
+            for box in ((1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)):
+                with pytest.raises(ValueError):
+                    corner_locus_2d(f, box)
+            for box in ((0.1, 0, 1, 1), (0, 0, 1, 1.0)):
+                with pytest.raises(TypeError):
+                    corner_locus_2d(f, box)
+            box = (0, -5, 0, 5)
+            assert corner_locus_2d(f, box) == reference_corner_locus_2d(f, box)
+
     def test_segments_are_ties(self):
         rng = random.Random(101)
         for _ in range(40):
