@@ -106,6 +106,8 @@ class TropicalNumber:
         """Exact k-th root (divide the value by k); the tag is preserved."""
         if self.is_neg_inf():
             raise RootOfNegInfinity("-inf has no root")
+        if k == 0:
+            raise ValueError("zeroth root")
         return TropicalNumber(self.tag, self.value / k)
 
     # -- text and JSON forms -------------------------------------------

@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
-from .polynomial import Exponent, Row, TropicalPolynomial
+from .polynomial import Exponent, TropicalPolynomial
 
 ESSENTIAL = "essential"
 QUASI = "quasi-essential"
@@ -105,35 +105,33 @@ def _hull_1d(f: TropicalPolynomial
     return points, f._den, hull
 
 
-def _walk_1d(vertices: List[Tuple[int, int, bool]], m: int) -> List[Row]:
-    """The rows of a full univariate closure over ``den * m``, ascending,
-    from the vertices ``(x, y, ghost)`` of an upper hull with heights
-    times den, m a multiple of every edge width: each vertex keeps its
-    height and tag, and each lattice point strictly inside an edge of
-    width w gets a ghost at the edge's height, ``y1 * m + (y2 - y1) *
-    (m / w) * j`` at the j-th point, accumulated along the edge."""
-    x1, y1, g = vertices[0]
-    rows = [((x1,), y1 * m, g)]
-    for x2, y2, g in vertices[1:]:
+def _walk_1d(f: TropicalPolynomial, den: int, hull: List[Tuple[int, int]]
+             ) -> Tuple[TropicalPolynomial, bool]:
+    """The full closure of a nonempty univariate f off the vertices of its
+    sweep's upper hull (heights times den), over ``den * m`` with m the lcm
+    of the edge widths, and whether every hull vertex (every essential
+    term) is tangible.  The rows ascend: each vertex keeps its height and
+    tag, and each lattice point strictly inside an edge of width w gets a
+    ghost at the edge's height, ``y1 * m + (y2 - y1) * (m / w) * j`` at the
+    j-th point, accumulated along the edge."""
+    ghosts = {x for (x,), _, g in f._rows if g}
+    m = lcm(*[x2 - x1 for (x1, _), (x2, _) in zip(hull, hull[1:])])
+    x1, y1 = hull[0]
+    rows = [((x1,), y1 * m, x1 in ghosts)]
+    for x2, y2 in hull[1:]:
         t, step = y1 * m, (y2 - y1) * (m // (x2 - x1))
         for x in range(x1 + 1, x2):
             t += step
             rows.append(((x,), t, True))
-        rows.append(((x2,), y2 * m, g))
+        rows.append(((x2,), y2 * m, x2 in ghosts))
         x1, y1 = x2, y2
-    return rows
+    return (TropicalPolynomial._from_rows(1, den * m, rows),
+            ghosts.isdisjoint([x for x, _ in hull]))
 
 
 def _close_1d(f: TropicalPolynomial) -> Tuple[TropicalPolynomial, bool]:
-    """The full closure of a nonempty univariate f straight off the sweep,
-    over ``den * m`` with m the lcm of the edge widths, and whether every
-    hull vertex (every essential term) is tangible."""
-    _, den, hull = _hull_1d(f)
-    ghosts = {x for (x,), _, g in f._rows if g}
-    vertices = [(x, y, x in ghosts) for x, y in hull]
-    m = lcm(*[x2 - x1 for (x1, _), (x2, _) in zip(hull, hull[1:])])
-    return (TropicalPolynomial._from_rows(1, den * m, _walk_1d(vertices, m)),
-            not any(g for _, _, g in vertices))
+    """``_walk_1d`` on f's own sweep."""
+    return _walk_1d(f, *_hull_1d(f)[1:])
 
 
 def _complex_1d(f: TropicalPolynomial) -> _Complex:
@@ -141,9 +139,9 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
     a term between them is quasi-essential when it ties the edge, that is
     ``(y - y1) * w == (y2 - y1) * (x - x1)`` for the width w, and any other
     term is inessential.  The classification takes one pass over the sorted
-    points; close() is ``_close_1d``, whose edge walk writes the rows
-    ascending."""
-    points, _, hull = _hull_1d(f)
+    points; close() is ``_walk_1d`` on the same sweep, whose edge walk
+    writes the rows ascending."""
+    points, den, hull = _hull_1d(f)
     classification = dict.fromkeys([e for e, _, _ in f._rows], INESSENTIAL)
     classification[(hull[0][0],)] = ESSENTIAL
     cells: List[List[Exponent]] = []
@@ -163,7 +161,7 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
         classification[end] = ESSENTIAL
         cell.append(end)
         cells.append(cell)
-    return (classification, lambda: _close_1d(f)[0], cells,
+    return (classification, lambda: _walk_1d(f, den, hull)[0], cells,
             [(x,) for x, _ in hull[1:-1]])
 
 

@@ -59,6 +59,8 @@ def _tokenize(text: str) -> List[_Token]:
                 value = Fraction(m.group("num"))
             except ZeroDivisionError:
                 raise PolySyntaxError("zero denominator", pos)
+            except ValueError:  # past the interpreter's int digit limit
+                raise PolySyntaxError("number too long", pos)
             coeff = ghost(value) if m.group("ghost") else tangible(value)
             tokens.append(_Token("num", m.group(), pos, coeff))
         elif m.group("var"):

@@ -6,7 +6,9 @@ flag)``, one per exponent and none for ``-inf``; so polynomials are equal
 exactly when their read-only arities, dens and row sets are.  Every kernel
 reads and writes that form, and so do the hulls in ``essential``.
 Products, sums and substitution merge rows with ``_merge``: the sum in the
-semiring is the maximum, ghost on a tie.  ``evaluate`` and ``is_root``
+semiring is the maximum, ghost on a tie.  A power f ** k is multiplied out
+one factor at a time, each step pairing the rows of f^i with f's; a
+monomial's power is one row.  ``evaluate`` and ``is_root``
 read the point once and take the maximum over the rows in one pass
 (``_top``), so ``is_root`` builds no value; a one-variable point skips the
 dot product, each term's value being one ``e * x``.
@@ -223,22 +225,18 @@ class TropicalPolynomial:
                        for e1, s1, g1 in r1 for e2, s2, g2 in r2))
 
     def __pow__(self, k: int) -> "TropicalPolynomial":
+        """The k-fold product, multiplied out one factor at a time from a
+        copy of f; a monomial (or -inf) is the one row ``(k e, k s, g)``."""
         if k < 0:
             raise ValueError("negative power")
         if k == 0:
             return constant(tangible(0), self._arity)
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        while k > 1:
-            base = base * base
-            k >>= 1
-            if k & 1:
-                result = result * base
-        if result is self:  # f ** 1 is a copy, as every other power
-            return self._from_rows(self._arity, self._den, self._rows)
+        if len(self._rows) < 2:
+            return self._from_rows(self._arity, self._den, [
+                (tuple(k * x for x in e), k * s, g) for e, s, g in self._rows])
+        result = self._from_rows(self._arity, self._den, self._rows)
+        for _ in range(k - 1):
+            result = result * self
         return result
 
     def scale(self, c: TropicalNumber) -> "TropicalPolynomial":

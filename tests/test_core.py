@@ -82,6 +82,17 @@ class TestExamples:
         with pytest.raises(RootOfNegInfinity):
             trop_root(NEG_INFINITY, 2)
 
+    def test_zeroth_root_raises(self):
+        # a value error, as a negative polynomial power; -inf has no root
+        for a in (tangible(6), ghost(Fraction(-5, 2)), tangible(0)):
+            with pytest.raises(ValueError, match="zeroth root"):
+                a.root(0)
+            with pytest.raises(ValueError, match="zeroth root"):
+                trop_root(a, 0)
+        for k in (0, 2):
+            with pytest.raises(RootOfNegInfinity):
+                trop_root(NEG_INFINITY, k)
+
     def test_text_round_trip(self):
         for a in (tangible(Fraction(-5, 2)), ghost(3), NEG_INFINITY):
             assert TropicalNumber.parse(str(a)) == a

@@ -437,6 +437,24 @@ class TestUnivariateClosureOffTheSweep:
                    if k not in ("tangible-full", "mixed")), seen
         assert min(seen["ghost row"], seen["den > 1"]) >= 300, seen
 
+    def test_one_sweep_each(self, monkeypatch):
+        # the complex's close slot walks the sweep the classification made
+        sweeps = [0]
+
+        def counted(f, _hull=tropc.essential._hull_1d):
+            sweeps[0] += 1
+            return _hull(f)
+        monkeypatch.setattr(tropc.essential, "_hull_1d", counted)
+        rng = random.Random(71)
+        kinds = ["random", "tangible-full", "mixed", "gaps", "collinear",
+                 "single", "two"]
+        for i in range(700):
+            f = _univariate_case(rng, kinds[i % len(kinds)])
+            for read in (classify_monomials, full_closure, essential_part):
+                sweeps[0] = 0
+                read(f)
+                assert sweeps[0] == 1, (read.__name__, format_poly(f))
+
     @pytest.fixture
     def walks(self, monkeypatch):
         count = [0]

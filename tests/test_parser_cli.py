@@ -1,11 +1,15 @@
 """Text syntax round trips and the command line interface."""
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import tropc
 from tropc import (ArityMismatch, MaxDegreeExceeded, PolySyntaxError,
                    TropicalPolynomial, format_poly, ghost, parse_poly,
                    tangible)
@@ -13,6 +17,7 @@ from tropc.cli import run_cli
 from util import rand_poly
 
 P = parse_poly
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(tropc.__file__)))
 
 
 class TestParser:
@@ -56,6 +61,16 @@ class TestParser:
             P(text)
         assert err.value.position == pos
         assert err.value.name == "SyntaxError"
+
+    def test_over_long_numbers(self):
+        # past the interpreter's digit limit for int(); the position is
+        # the number's
+        for text, pos in (("1" * 5000, 0), ("x^" + "1" * 5000, 2),
+                          ("x + 1/" + "1" * 5000, 4)):
+            with pytest.raises(PolySyntaxError) as err:
+                P(text)
+            assert err.value.position == pos
+            assert "number too long" in str(err.value)
 
     def test_format_pinned(self):
         assert format_poly(P("0*x^2 + 0v*x + 2")) == "x^2 + 0v*x + 2"
@@ -225,6 +240,19 @@ class TestCli:
         code, out, err = run(capsys, "eval", "x - 1", "0")
         assert code == 2 and out == ""
         assert "SyntaxError" in err and "position 2" in err
+
+    def test_over_long_number_exit_2(self):
+        # a whole process, so that an escaping exception shows as a
+        # traceback on stderr
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for text in ("1" * 5000, "x^" + "1" * 5000):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropc.cli", "--json", "eval", text,
+                 "1"], capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: SyntaxError:")
+            assert "Traceback" not in proc.stderr
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "roots", "--single", "3")

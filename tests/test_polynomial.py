@@ -12,6 +12,7 @@ import pytest
 import tropc.polynomial
 from fold_reference import (reference_add, reference_evaluate,
                             reference_mul, reference_substitute)
+from power_reference import reference_pow
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, constant, essential_part, full_closure,
                    ghost, parse_poly, tangible, variable)
@@ -451,3 +452,73 @@ class TestCanonicalOutputs:
                 assert all(len(e) == p.arity and
                            all(type(a) is int and a >= 0 for a in e) and
                            not c.is_neg_inf() for e, c in p.terms.items())
+
+
+def _power_base(rng, kind):
+    """A base of arity 1-3: no term, one term or 2-4 terms, values over
+    dens 1-3, about 40% of them ghost."""
+    arity = rng.randint(1, 3)
+    count = {"empty": 0, "single": 1}.get(kind) or rng.randint(2, 4)
+    terms = {}
+    while len(terms) < count:
+        exp = tuple(rng.randint(0, 3) for _ in range(arity))
+        v = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        terms[exp] = ghost(v) if rng.random() < 0.4 else tangible(v)
+    return TropicalPolynomial(arity, terms)
+
+
+class TestPowerOneFactorAtATime:
+    """f ** k is a copy of f multiplied by f k - 1 times, and a monomial's
+    power is one row; both equal the frozen square-and-multiply."""
+
+    def test_against_square_and_multiply(self):
+        rng = random.Random(73)
+        kinds = ["random", "random", "empty", "single"]
+        seen = Counter()
+        for i in range(1500):
+            kind = kinds[i % len(kinds)]
+            f = _power_base(rng, kind)
+            big = f.arity >= 2 and len(f._rows) >= 3
+            k = rng.randint(0, 12 if big else 40)
+            got, want = f ** k, reference_pow(f, k)
+            assert got._den == want._den, (f, k)
+            assert len(got._rows) == len(got.terms) == len(want._rows)
+            assert set(got._rows) == set(want._rows), (f, k)
+            one = f ** 1
+            assert one is not f and one == f
+            with pytest.raises(ValueError):
+                f ** -rng.randint(1, 3)
+            seen["arity", f.arity] += 1
+            seen[kind] += 1
+            seen["ghost"] += not f.is_tangible_poly()
+            seen["den > 1"] += got._den > 1
+            seen["k <= 1"] += k <= 1
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        count = Counter()
+
+        def counted(f, g, _mul=TropicalPolynomial.__mul__):
+            count["products"] += 1
+            count["pairs"] += len(f._rows) * len(g._rows)
+            return _mul(f, g)
+        monkeypatch.setattr(TropicalPolynomial, "__mul__", counted)
+        return count
+
+    def test_pairs_of_a_power(self, products):
+        # square-and-multiply formed 5 products pairing 967,527 rows
+        f = P("x + y + z + 0")
+        products.clear()
+        power = f ** 32
+        assert products == {"products": 31, "pairs": 209_436}
+        assert len(power.terms) == 6545  # every monomial of degree <= 32
+
+    def test_monomial_power_is_one_row(self, products):
+        k = 10 ** 9
+        assert constant(tangible(3)) ** k == constant(tangible(3 * k))
+        mono = TropicalPolynomial(2, {(1, 2): ghost(Fraction(-1, 3))})
+        assert mono ** k == TropicalPolynomial(
+            2, {(k, 2 * k): ghost(Fraction(-k, 3))})
+        assert TropicalPolynomial(2, {}) ** k == TropicalPolynomial(2, {})
+        assert not products
