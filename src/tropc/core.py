@@ -130,9 +130,14 @@ class TropicalNumber:
 
     @staticmethod
     def parse(text: str) -> "TropicalNumber":
+        """A number as printed: ``-inf``, or an exact rational or decimal
+        with an optional ghost ``v``.  Exponent notation is refused before
+        ``Fraction`` would build 10^k in full."""
         text = text.strip()
         if text == "-inf":
             return NEG_INFINITY
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent notation in {text!r}")
         if text.endswith("v"):
             return ghost(Fraction(text[:-1]))
         return tangible(Fraction(text))

@@ -4,7 +4,8 @@ Grammar: terms joined by '+', a term is a product of factors (the '*' is
 optional), a factor is a number, a variable or a parenthesized expression,
 optionally raised to a nonnegative integer power with '^'.  Numbers are
 exact rationals like 3, -5/2; a trailing 'v' marks a ghost coefficient and
-'-inf' is the bottom element.  Variables are x, y, z or x1, x2, ...
+'-inf' is the bottom element.  Variables are x, y, z or x1, x2, ..., x1000;
+a larger index is refused before it is converted.
 Parenthesized products and powers are evaluated in the raw semiring.
 
 With ``max_degree`` set, a factor, power or product above that total degree
@@ -29,6 +30,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<var>[xyz]\d*)"
     r"|(?P<op>[-+*^()])"
 )
+
+# the largest variable index, xN with N at most this; checked on the digits
+# before they are converted, since the index becomes the arity
+_MAX_VARIABLES = 1000
 
 
 class _Token:
@@ -69,7 +74,11 @@ def _tokenize(text: str) -> List[_Token]:
                 if name[0] != "x":
                     raise PolySyntaxError(
                         f"unknown variable {name!r}", pos)
-                index = int(name[1:]) - 1
+                digits = name[1:].lstrip("0") or "0"
+                if (len(digits) > len(str(_MAX_VARIABLES))
+                        or int(digits) > _MAX_VARIABLES):
+                    raise PolySyntaxError("variable index too large", pos)
+                index = int(digits) - 1
                 if index < 0:
                     raise PolySyntaxError(
                         "variable indices start at 1", pos)

@@ -10,8 +10,10 @@ semiring is the maximum, ghost on a tie.  A power f ** k is multiplied out
 one factor at a time, each step pairing the rows of f^i with f's; a
 monomial's power is one row.  ``evaluate`` and ``is_root``
 read the point once and take the maximum over the rows in one pass
-(``_top``), so ``is_root`` builds no value; a one-variable point skips the
-dot product, each term's value being one ``e * x``.
+(``_top``), so ``is_root`` builds no value.  At one, two and three
+variables evaluation and products write out their row loops, unpacking
+each exponent, so a row makes no builtin call (no dot product, no
+``tuple(map(add, ...))``); other arities keep the general loops.
 
 The rows are the only source of truth.  The public constructor validates
 its terms and builds the rows from them; a kernel's output, decompositions
@@ -218,11 +220,26 @@ class TropicalPolynomial:
         return _merge(self._arity, den, r1 + r2)
 
     def __mul__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
+        """The product: every pair of rows, merged.  At one, two and three
+        variables the exponent sum is written out; at any other arity it
+        is ``tuple(map(add, e1, e2))``."""
         self._check_arity(other)
+        arity = self._arity
         den, r1, r2 = _common(self, other)
-        return _merge(self._arity, den,
-                      ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
-                       for e1, s1, g1 in r1 for e2, s2, g2 in r2))
+        if arity == 1:
+            pairs = (((a1 + a2,), s1 + s2, g1 or g2)
+                     for (a1,), s1, g1 in r1 for (a2,), s2, g2 in r2)
+        elif arity == 2:
+            pairs = (((a1 + a2, b1 + b2), s1 + s2, g1 or g2)
+                     for (a1, b1), s1, g1 in r1 for (a2, b2), s2, g2 in r2)
+        elif arity == 3:
+            pairs = (((a1 + a2, b1 + b2, c1 + c2), s1 + s2, g1 or g2)
+                     for (a1, b1, c1), s1, g1 in r1
+                     for (a2, b2, c2), s2, g2 in r2)
+        else:
+            pairs = ((tuple(map(add, e1, e2)), s1 + s2, g1 or g2)
+                     for e1, s1, g1 in r1 for e2, s2, g2 in r2)
+        return _merge(arity, den, pairs)
 
     def __pow__(self, k: int) -> "TropicalPolynomial":
         """The k-fold product, multiplied out one factor at a time from a
@@ -253,8 +270,11 @@ class TropicalPolynomial:
         only by a coordinate whose denominator does not divide it.  Over
         that denominator a term's value is its scaled row value plus the
         dot product of its exponent with the scaled coordinates, a plain
-        int; at one variable the product is a single ``e * x``.  A positive
-        power of a -inf coordinate drops the term, once, before the row
+        int.  At one, two and three variables the row loop is written out,
+        the product being ``a * x + b * y + c * z`` over the unpacked
+        exponent; at arity 0 and from four variables on it is
+        ``sum(map(mul, exp, nums))``.  A positive power of a -inf
+        coordinate drops the term, once per such coordinate, before the row
         loop.  The maximum is ghost when a ghost term or a ghost coordinate
         under a positive power reaches it, or two terms tie at it, which is
         what a left fold with ``trop_add`` gives; the coordinates are
@@ -280,33 +300,57 @@ class TropicalPolynomial:
             if big % d:
                 big = lcm(big, d)
             ratios.append((n, d))
-        if dead:
-            rows = [r for r in rows if not any(r[0][i] for i in dead)]
+        for i in dead:
+            rows = [r for r in rows if not r[0][i]]
         m = big // den
         top = None
         top_ghost = False
         if arity == 1:
             n, d = ratios[0]
-            x, ghost_x = n * (big // d), bool(lit)
-            for (e,), s, g in rows:
-                s = s * m + e * x
+            x, gx = n * (big // d), bool(lit)
+            for (a,), s, g in rows:
+                s = s * m + a * x
                 if top is not None and s <= top:
                     if s == top:
                         top_ghost = True
                     continue
                 top = s
-                top_ghost = g or ghost_x and e > 0
-            return None if top is None else (top, big, top_ghost)
-        nums = [n * (big // d) for n, d in ratios]
-        for exp, s, g in rows:
-            s = s * m + sum(map(mul, exp, nums))
-            if top is not None and s <= top:
-                if s == top:
-                    top_ghost = True
-                continue
-            top = s
-            top_ghost = g or bool(lit) and any(exp[i] for i in lit)
-        return None if top is None else (top, big, top_ghost)
+                top_ghost = g or a and gx
+        elif arity == 2:
+            (n1, d1), (n2, d2) = ratios
+            x, y = n1 * (big // d1), n2 * (big // d2)
+            gx, gy = 0 in lit, 1 in lit
+            for (a, b), s, g in rows:
+                s = s * m + a * x + b * y
+                if top is not None and s <= top:
+                    if s == top:
+                        top_ghost = True
+                    continue
+                top = s
+                top_ghost = g or a and gx or b and gy
+        elif arity == 3:
+            (n1, d1), (n2, d2), (n3, d3) = ratios
+            x, y, z = n1 * (big // d1), n2 * (big // d2), n3 * (big // d3)
+            gx, gy, gz = 0 in lit, 1 in lit, 2 in lit
+            for (a, b, c), s, g in rows:
+                s = s * m + a * x + b * y + c * z
+                if top is not None and s <= top:
+                    if s == top:
+                        top_ghost = True
+                    continue
+                top = s
+                top_ghost = g or a and gx or b and gy or c and gz
+        else:
+            nums = [n * (big // d) for n, d in ratios]
+            for exp, s, g in rows:
+                s = s * m + sum(map(mul, exp, nums))
+                if top is not None and s <= top:
+                    if s == top:
+                        top_ghost = True
+                    continue
+                top = s
+                top_ghost = g or bool(lit) and any(exp[i] for i in lit)
+        return None if top is None else (top, big, bool(top_ghost))
 
     def evaluate(self, point: Iterable[TropicalNumber]) -> TropicalNumber:
         top = self._top(point)

@@ -98,6 +98,15 @@ class TestExamples:
             assert TropicalNumber.parse(str(a)) == a
             assert TropicalNumber.from_json(a.to_json()) == a
 
+    def test_parse_refuses_exponent_notation(self):
+        # Fraction would build 10^k in full; the refusal comes first, so a
+        # huge exponent costs nothing
+        for text in ("1e999999999", "1E5", "-2e-3", "1e3v", " 5e0 "):
+            with pytest.raises(ValueError, match="exponent notation"):
+                TropicalNumber.parse(text)
+        assert TropicalNumber.parse("1.5") == tangible(Fraction(3, 2))
+        assert TropicalNumber.parse("-0.25v") == ghost(Fraction(-1, 4))
+
 
 class TestExactValues:
     def test_float_refused(self):

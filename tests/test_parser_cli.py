@@ -72,6 +72,20 @@ class TestParser:
             assert err.value.position == pos
             assert "number too long" in str(err.value)
 
+    def test_variable_index_limit(self):
+        # the index becomes the arity, so x1001 and beyond are refused on
+        # their digits, before any conversion
+        assert P("x1000").arity == 1000
+        assert P("x0001000 + x2").arity == 1000
+        for text in ("x1001", "x" + "1" * 5000, "x99999999999"):
+            with pytest.raises(PolySyntaxError) as err:
+                P(text)
+            assert err.value.position == 0
+            assert "variable index too large" in str(err.value)
+        with pytest.raises(PolySyntaxError) as err:
+            P("y + x1001")
+        assert err.value.position == 4
+
     def test_format_pinned(self):
         assert format_poly(P("0*x^2 + 0v*x + 2")) == "x^2 + 0v*x + 2"
         assert format_poly(P("x*y + 3")) == "x*y + 3"
@@ -250,6 +264,20 @@ class TestCli:
             proc = subprocess.run(
                 [sys.executable, "-m", "tropc.cli", "--json", "eval", text,
                  "1"], capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: SyntaxError:")
+            assert "Traceback" not in proc.stderr
+
+    def test_guardrails_exit_2(self):
+        # a huge exponent in a coordinate and a huge variable index are
+        # refused before the work, with no traceback
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for args in (("x + 0", "1e999999999"), ("x" + "1" * 5000, "1"),
+                     ("x1001", "1")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropc.cli", "--json", "eval", *args],
+                capture_output=True, text=True, env=env, timeout=60)
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error: SyntaxError:")
             assert "Traceback" not in proc.stderr

@@ -428,6 +428,133 @@ class TestAgainstFoldReference:
         assert min(seen.values()) >= 50, seen
 
 
+def _loop_case(rng, arity, kind):
+    """(f, g, point) at one arity.  ``tie2``/``tie3``: two or three
+    tangible terms share the maximum; ``ghost``: one tangible term holds
+    the maximum with a positive power of a ghost coordinate; ``dead``: two
+    or more -inf coordinates; ``random``: anything, ghost and -inf
+    coordinates included.  Values and coordinates have dens 1-7."""
+    exps = list(iter_product(range(4), repeat=arity))
+    rng.shuffle(exps)
+    point = [tangible(_value(rng)) for _ in range(arity)]
+    if kind in ("tie2", "tie3", "ghost") and arity:
+        if kind == "ghost":
+            j = rng.randrange(arity)
+            point[j] = ghost(point[j].value)
+            exps.sort(key=lambda e: e[j] == 0)
+            ties = 1
+        else:
+            ties = int(kind[-1])
+            if rng.random() < 0.4:
+                # a ghost coordinate under exponent 0 in every tied term
+                j = rng.randrange(arity)
+                point[j] = ghost(point[j].value)
+                exps.sort(key=lambda e: e[j] > 0)
+        top, terms = _value(rng), {}
+        for exp in exps[:ties + rng.randint(0, 4)]:
+            at = sum(e * c.value for e, c in zip(exp, point))
+            if len(terms) < ties:
+                terms[exp] = tangible(top - at)
+            else:
+                v = top - rng.randint(1, 5) - at
+                terms[exp] = ghost(v) if rng.random() < 0.4 else tangible(v)
+        items = list(terms.items())
+        rng.shuffle(items)  # the tied terms come at any place in the rows
+        f = TropicalPolynomial(arity, dict(items))
+    else:
+        if kind == "dead" and arity >= 2:
+            for i in rng.sample(range(arity), rng.randint(2, arity)):
+                point[i] = NEG_INFINITY
+        else:
+            point = [_coordinate(rng) for _ in range(arity)]
+        f = TropicalPolynomial(arity, {
+            exp: (ghost if rng.random() < 0.4 else tangible)(
+                _value(rng)) for exp in exps[:rng.randint(1, 6)]})
+    g = TropicalPolynomial(arity, {
+        exp: (ghost if rng.random() < 0.4 else tangible)(_value(rng))
+        for exp in exps[:rng.randint(0, 5)]})
+    return f, g, tuple(point)
+
+
+def _loop_branches(f, point):
+    """The branches the row loop of ``_top`` takes on f at the point, in
+    the order of f's rows (the first live row, a new maximum above an
+    earlier one, a tie with the maximum and a row below it), and the
+    exponents of the terms at the maximum."""
+    top, taken, values = None, set(), {}
+    for exp, c in ((e, f.terms[e]) for e, _, _ in f._rows):
+        if any(e and p.is_neg_inf() for e, p in zip(exp, point)):
+            continue
+        s = values[exp] = c.value + sum(
+            e * p.value for e, p in zip(exp, point) if e)
+        taken.add("first" if top is None else "raise" if s > top else
+                  "tie" if s == top else "below")
+        top = s if top is None else max(top, s)
+    return taken, [e for e, s in values.items() if s == top]
+
+
+class TestWrittenOutLoops:
+    """Evaluation and products at arities 0-5: the written-out loops at
+    one, two and three variables and the general loops elsewhere equal the
+    folds."""
+
+    def test_against_folds(self):
+        rng = random.Random(79)
+        kinds = ["random", "random", "tie2", "tie3", "ghost", "dead"]
+        seen = Counter()
+        for i in range(3000):
+            arity, kind = i % 6, kinds[i // 6 % len(kinds)]
+            f, g, point = _loop_case(rng, arity, kind)
+            value = reference_evaluate(f, point)
+            assert f.evaluate(point) == value, (f, point)
+            root = f.is_root(point)
+            assert type(root) is bool and root == value.is_ghost_or_bottom()
+            assert g.is_root(point) == \
+                reference_evaluate(g, point).is_ghost_or_bottom()
+            assert f * g == reference_mul(f, g)
+            assert g * f == reference_mul(g, f)
+            k = rng.randint(0, 3 if arity >= 4 else 4)
+            ref = constant(tangible(0), arity)
+            for _ in range(k):
+                ref = reference_mul(ref, f)
+            assert f ** k == ref
+            # what the case reached
+            branches, top = _loop_branches(f, point)
+            loop = arity if arity in (1, 2, 3) else "general"
+            for branch in branches:
+                seen[loop, branch] += 1
+            seen["arity", arity] += 1
+            seen["general loop, arity >= 4"] += arity >= 4 and bool(branches)
+            seen["-inf drops every row"] += not branches
+            seen["two or more -inf coordinates"] += \
+                sum(c.is_neg_inf() for c in point) >= 2
+            ties = sum(not f.terms[e].is_ghost() for e in top)
+            if ties >= 2:
+                seen["tie of", min(ties, 3), arity] += 1
+            lit = [j for j, c in enumerate(point) if c.is_ghost()]
+            if len(top) == 1 and not f.terms[top[0]].is_ghost():
+                decides = any(top[0][j] for j in lit)
+                if decides and arity in (2, 3):
+                    seen["ghost coordinate decides", arity] += 1
+                    assert value.is_ghost()
+            if top and any(all(e[j] == 0 for e in top) for j in lit):
+                seen["ghost coordinate under exponent 0"] += 1
+            for c in point:
+                if not c.is_neg_inf():
+                    seen["den", c.value.denominator] += 1
+        floors = [(loop, branch) for loop in (1, 2, 3, "general")
+                  for branch in ("first", "raise", "tie", "below")]
+        floors += [("arity", a) for a in range(6)]
+        floors += [("tie of", n, a) for n in (2, 3) for a in range(1, 6)]
+        floors += [("ghost coordinate decides", 2),
+                   ("ghost coordinate decides", 3),
+                   "general loop, arity >= 4",
+                   "-inf drops every row", "two or more -inf coordinates",
+                   "ghost coordinate under exponent 0"]
+        floors += [("den", d) for d in range(1, 8)]
+        assert min(seen[key] for key in floors) >= 50, seen
+
+
 class TestCanonicalOutputs:
     """Products, substitutions, essential parts, full closures and the
     decompositions skip the constructor's checks; each equals a checked
