@@ -53,11 +53,12 @@ def _load_polys(texts: Sequence[str], opts) -> List[TropicalPolynomial]:
             for text, f in zip(texts, fs)]
 
 
-def _parse_point(text: str, opts) -> List[TropicalNumber]:
-    parts = _read_arg(text, opts).split(",")
+def _parse_point(text: str) -> List[TropicalNumber]:
+    """Comma-separated numbers; a bad one is a syntax error at its
+    position."""
     out = []
     consumed = 0
-    for part in parts:
+    for part in text.split(","):
         try:
             out.append(TropicalNumber.parse(part))
         except (ValueError, ZeroDivisionError):
@@ -90,7 +91,7 @@ def _emit(opts, text_lines, json_obj):
 
 def _cmd_eval(opts) -> int:
     f = _load_poly(opts.poly, opts)
-    point = _parse_point(opts.point, opts)
+    point = _parse_point(_read_arg(opts.point, opts))
     value = f.evaluate(point)
     _emit(opts, [format_number(value)],
           {"value": value.to_json(), "is_root": value.is_ghost_or_bottom()})
@@ -216,12 +217,10 @@ def _cmd_comset(opts) -> int:
 
 def _cmd_curve2d(opts) -> int:
     f = _load_poly(opts.poly, opts, arity=2)
-    try:
-        bbox = tuple(Fraction(v) for v in opts.bbox.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise PolySyntaxError("bad bounding box", 0)
-    if len(bbox) != 4:
+    bounds = _parse_point(opts.bbox)
+    if len(bounds) != 4 or not all(c.is_tangible() for c in bounds):
         raise PolySyntaxError("bounding box needs xmin,ymin,xmax,ymax", 0)
+    bbox = tuple(c.value for c in bounds)
     if bbox[0] > bbox[2] or bbox[1] > bbox[3]:
         raise PolySyntaxError("bounding box has xmin > xmax or ymin > ymax", 0)
     locus = corner_locus_2d(f, bbox)

@@ -5,6 +5,12 @@ the shared bottom element ``-inf``.  Addition is maximum with respect to the
 total order (tangible below its own ghost); adding an element to itself
 ghosts it, so the semiring is not idempotent.  Multiplication is classical
 addition of values, with ghostness absorbing.
+
+A tie ghosts, so values must stay exact: every value from outside (a
+constructor argument, a parsed or JSON value, a corner-locus bound) is
+read by ``_exact``, which refuses a float, since a binary float is not the
+rational it was written as, and exponent notation in a string, before
+``Fraction`` would build 10^k in full.
 """
 from __future__ import annotations
 
@@ -21,6 +27,17 @@ TAG_NEG_INF = "ninf"
 RationalLike = Union[int, str, Fraction]
 
 
+def _exact(value: RationalLike) -> Fraction:
+    """An outside value as an exact rational: no float, no exponent
+    notation."""
+    if isinstance(value, float):
+        raise TypeError(f"inexact float value {value!r}; pass an int, "
+                        "a str or a Fraction")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise ValueError(f"exponent notation in {value!r}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True, slots=True)
 class TropicalNumber:
     tag: str
@@ -32,12 +49,7 @@ class TropicalNumber:
                 raise ValueError("-inf carries no value")
         elif self.tag in (TAG_TANGIBLE, TAG_GHOST):
             if not isinstance(self.value, Fraction):
-                if isinstance(self.value, float):
-                    # a binary float is not the rational it was written as
-                    raise TypeError(
-                        f"inexact float value {self.value!r}; pass an int, "
-                        "a str or a Fraction")
-                object.__setattr__(self, "value", Fraction(self.value))
+                object.__setattr__(self, "value", _exact(self.value))
         else:
             raise ValueError(f"unknown tag {self.tag!r}")
 
@@ -126,21 +138,18 @@ class TropicalNumber:
     def from_json(obj) -> "TropicalNumber":
         if obj["tag"] == "ninf":
             return NEG_INFINITY
-        return TropicalNumber(obj["tag"], Fraction(obj["value"]))
+        return TropicalNumber(obj["tag"], obj["value"])
 
     @staticmethod
     def parse(text: str) -> "TropicalNumber":
         """A number as printed: ``-inf``, or an exact rational or decimal
-        with an optional ghost ``v``.  Exponent notation is refused before
-        ``Fraction`` would build 10^k in full."""
+        with an optional ghost ``v``; exponent notation is refused."""
         text = text.strip()
         if text == "-inf":
             return NEG_INFINITY
-        if "e" in text or "E" in text:
-            raise ValueError(f"exponent notation in {text!r}")
         if text.endswith("v"):
-            return ghost(Fraction(text[:-1]))
-        return tangible(Fraction(text))
+            return ghost(text[:-1])
+        return tangible(text)
 
 
 NEG_INFINITY = TropicalNumber(TAG_NEG_INF)

@@ -185,7 +185,11 @@ class _Parser:
 def parse_poly(text: str, arity: Optional[int] = None,
                max_degree: Optional[int] = None) -> TropicalPolynomial:
     """Parse ``text``; with ``max_degree``, raise ``MaxDegreeExceeded``
-    before building any sub-expression of larger total degree."""
+    before building any sub-expression of larger total degree, and
+    ``ArityMismatch`` for an ``arity`` above the variable limit."""
+    if arity is not None and arity > _MAX_VARIABLES:
+        raise ArityMismatch(
+            f"arity {arity} is above the limit of {_MAX_VARIABLES}")
     tokens = _tokenize(text)
     used = [tok.payload for tok in tokens if tok.kind == "var"]
     needed = max(used) + 1 if used else 1

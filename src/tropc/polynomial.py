@@ -104,6 +104,8 @@ class TropicalPolynomial:
 
     def __init__(self, arity: int,
                  terms: Optional[Mapping[Exponent, TropicalNumber]] = None):
+        if type(arity) is not int or arity < 0:
+            raise ValueError(f"arity {arity!r} is not a non-negative int")
         clean: Dict[Exponent, TropicalNumber] = {}
         for given, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in given)

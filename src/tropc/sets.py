@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .core import TropicalNumber
+from .core import TropicalNumber, _exact
 from .errors import ArityMismatch, ArityUnsupported
 from .essential import _facets, _hull_1d, _lift
 from .polynomial import TropicalPolynomial, _sort_key
@@ -189,7 +189,8 @@ def corner_locus_2d(f: TropicalPolynomial,
                     ) -> CornerLocus2D:
     """Tie loci of the projected affine forms in the plane, clipped to bbox,
     ``(xmin, ymin, xmax, ymax)`` with xmin <= xmax and ymin <= ymax (else a
-    ValueError), of exact numbers (a float raises TypeError).
+    ValueError), of exact numbers (a float raises TypeError, exponent
+    notation in a string ValueError).
 
     Each locus is the set where two monomials attain the maximum together;
     output segments carry exact rational endpoints and the pair of tying
@@ -211,11 +212,7 @@ def corner_locus_2d(f: TropicalPolynomial,
     """
     if f.arity != 2:
         raise ArityUnsupported("corner loci are planar")
-    if any(isinstance(v, float) for v in bbox):
-        # a binary float is not the rational it was written as
-        raise TypeError(f"inexact float in bbox {bbox!r}; pass ints, strs "
-                        "or Fractions")
-    lo_x, lo_y, hi_x, hi_y = map(Fraction, bbox)
+    lo_x, lo_y, hi_x, hi_y = map(_exact, bbox)
     if lo_x > hi_x or lo_y > hi_y:
         raise ValueError("bbox has xmin > xmax or ymin > ymax")
     if f.is_empty() or f.is_ghost_poly():

@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropc import (NEG_INFINITY, InversionOfNegInfinity, RootOfNegInfinity,
-                   TropicalNumber, compare, ghost, ghost_of, project,
+                   TropicalNumber, TropicalPolynomial, compare,
+                   corner_locus_2d, ghost, ghost_of, parse_poly, project,
                    tangible, trop_add, trop_inv, trop_mul, trop_pow,
                    trop_root)
+from util import rand_number, rand_poly
 
 
 def fractions():
@@ -119,6 +121,61 @@ class TestExactValues:
         assert tangible("1/10").value == Fraction(1, 10)
         assert ghost(3).value == Fraction(3)
         assert TropicalNumber("g", 2) == ghost(2)
+
+    def test_every_entry_point_reads_exactly(self):
+        # one rule for every value from outside: exponent notation is
+        # refused before Fraction would build 10^k in full (10^6 here, so
+        # a missing refusal costs a fraction of a second, not a hang), and
+        # a float, a JSON one included, is refused as inexact
+        big = "1e1000000"
+
+        def poly_json(value):
+            return {"arity": 1, "terms": [
+                {"exp": [1], "coeff": {"tag": "t", "value": value}}]}
+
+        cases = [
+            (ValueError, lambda: tangible(big)),
+            (ValueError, lambda: ghost("2E1000000")),
+            (ValueError, lambda: TropicalNumber("t", big)),
+            (ValueError, lambda: TropicalNumber.from_json(
+                {"tag": "t", "value": big})),
+            (ValueError, lambda: TropicalPolynomial.from_json(poly_json(big))),
+            (ValueError, lambda: corner_locus_2d(
+                parse_poly("x + y + 0"), (big, 0, "1e1000001", 1))),
+            (TypeError, lambda: TropicalNumber.from_json(
+                {"tag": "t", "value": 0.1})),
+            (TypeError, lambda: TropicalPolynomial.from_json(poly_json(0.1))),
+        ]
+        for error, call in cases:
+            with pytest.raises(error):
+                call()
+        for value, exact in ((7, Fraction(7)), (Fraction(-1, 3),
+                             Fraction(-1, 3)), ("-5/2", Fraction(-5, 2)),
+                             ("1.5", Fraction(3, 2)), (" 3 ", Fraction(3))):
+            for make in (tangible, ghost):
+                assert make(value).value == exact
+            assert TropicalNumber.from_json(
+                {"tag": "g", "value": value}) == ghost(exact)
+            assert TropicalPolynomial.from_json(poly_json(value)).terms == {
+                (1,): tangible(exact)}
+        f = parse_poly("x + y + 0")
+        assert corner_locus_2d(f, ("-5/2", " -3 ", 4, "1.5")) == (
+            corner_locus_2d(f, (Fraction(-5, 2), -3, 4, Fraction(3, 2))))
+
+    def test_json_round_trip_unchanged(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            a = rand_number(rng)
+            assert TropicalNumber.from_json(a.to_json()) == a
+        for _ in range(100):
+            f = rand_poly(rng, rng.randint(1, 3), 4, 6, nonempty=False)
+            obj = f.to_json()
+            assert TropicalPolynomial.from_json(obj) == f
+            # a -inf coefficient is dropped on the way back in
+            obj["terms"].append({"exp": [9] * f.arity,
+                                 "coeff": NEG_INFINITY.to_json()})
+            g = TropicalPolynomial.from_json(obj)
+            assert g == f and g.to_json() == f.to_json()
 
     def test_frozen_with_slots(self):
         a = tangible(1)

@@ -86,6 +86,14 @@ class TestParser:
             P("y + x1001")
         assert err.value.position == 4
 
+    def test_requested_arity_limit(self):
+        # a requested arity is capped like a variable index, before any
+        # N-entry exponent tuple is built
+        assert P("x", arity=1000).arity == 1000
+        for arity in (1001, 10 ** 11):
+            with pytest.raises(ArityMismatch):
+                P("x + 0", arity=arity)
+
     def test_format_pinned(self):
         assert format_poly(P("0*x^2 + 0v*x + 2")) == "x^2 + 0v*x + 2"
         assert format_poly(P("x*y + 3")) == "x*y + 3"
@@ -281,6 +289,27 @@ class TestCli:
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error: SyntaxError:")
             assert "Traceback" not in proc.stderr
+
+    def test_bad_bbox_exit_2(self):
+        # a bound is read like a coordinate: exponent notation is refused
+        # before the work, a ghost, -inf or missing bound is not a box, and
+        # "-" is a bad bound, not a read of stdin
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        for box, message in (("1e1000000,0,1e1000001,1", "bad coordinate"),
+                             ("0v,0,1,1", "needs xmin,ymin,xmax,ymax"),
+                             ("-inf,0,1,1", "needs xmin,ymin,xmax,ymax"),
+                             ("1,2,3", "needs xmin,ymin,xmax,ymax"),
+                             ("a,0,1,1", "bad coordinate 'a' at position 0"),
+                             ("-", "bad coordinate '-' at position 0")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "tropc.cli", "curve2d",
+                 "--bbox=" + box, "x + y + 0"], input="0,0,1,1",
+                capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2 and proc.stdout == "", box
+            assert proc.stderr.startswith("error: SyntaxError:"), box
+            assert message in proc.stderr, (box, proc.stderr)
+            assert "Traceback" not in proc.stderr, box
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "roots", "--single", "3")

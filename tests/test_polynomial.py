@@ -72,6 +72,20 @@ class TestStructure:
             assert f.terms == {(1, 0): tangible(1)}
             assert all(type(a) is int for a in next(iter(f.terms)))
 
+    def test_arity_is_a_non_negative_int(self):
+        # checked even with no terms to compare it against, and through
+        # from_json too
+        for arity in (-1, "2", 2.0, None, True):
+            with pytest.raises(ValueError):
+                TropicalPolynomial(arity, {})
+        with pytest.raises(ValueError):
+            TropicalPolynomial.from_json({"arity": -1, "terms": []})
+        with pytest.raises(ValueError):
+            TropicalPolynomial(-1, {(): tangible(0)})
+        assert TropicalPolynomial(0, {(): tangible(1)}).arity == 0
+        assert TropicalPolynomial.from_json(
+            {"arity": 3, "terms": []}) == TropicalPolynomial(3, {})
+
     def test_degree_bounds(self):
         f = P("x^3 + 2*x")
         assert f.degree_bounds() == (1, 3)
