@@ -17,24 +17,31 @@ Every hull runs on the polynomial's integer rows, with heights scaled over
 their least common denominator.  Univariate hulls come from one upper-hull
 sweep; a univariate closure is written straight off its vertices
 (``_close_1d``), one walk along each edge, and the classification needs
-no walk.  Higher arities build the facets of the Newton polytope and of
-the lifted points by beneath-beyond, testing each new point once against
-every current simplex; the plane through d = 2 or 3 points is written out
-(the perpendicular in 2-D, the cross product in 3-D), and other d expand
-cofactors.  Every hull fact, and the plane corner locus in ``sets``, is
-read off the points each facet touches.  An affinely independent support
-(k + 1 exponents spanning k dimensions: a single term, a binomial, most
-trinomials, and every dilation of one) skips beneath-beyond: it is its own
-Newton simplex and its lifted points form one upper cell, so every term is
-essential, and the planes are built only when the closure is written.
-Both arities give one integer complex (``_complex``): the classification,
-a function that writes the full closure (one row per hull lattice point,
-ascending, at the hull's height there, so ``classify_monomials`` reads the
-heights off it), the cells and the interior vertices.  Writing it runs the
-lattice walk (in one dimension, ``_close_1d``'s edge walk; on a segment,
-its own lattice points; otherwise the exponents' bounding box), which
-essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
-skip: they read the classification alone.  Everything stays on integer rows;
+no walk.  Higher arities build the facets of the lifted points once
+(``_hull``), by beneath-beyond, testing each new point once against every
+current simplex; the plane through d = 2 or 3 points is written out (the
+perpendicular in 2-D, the cross product in 3-D), other d expand
+cofactors, and the visibility, contact and closure tests unpack 2 or 3
+coordinates.  The lifted polytope is cut out by upper facets (last normal
+component > 0), lower (< 0) and vertical ones (0).  A flat lift, whose
+facets are one plane, is that plane in both orientations with the Newton
+walls, the facets of the exponents, beside it: the one case that runs
+beneath-beyond twice.  Every hull fact, and the plane corner locus in
+``sets``, is read off the points each facet touches.  An affinely
+independent support (k + 1 exponents spanning k dimensions: a single
+term, a binomial, most trinomials, and every dilation of one) skips
+beneath-beyond: it is its own Newton simplex and its lifted points form
+one upper cell, so every term is essential, and the planes are built only
+when the closure is written.  Both arities give one integer complex
+(``_complex``): the classification, a function that writes the full
+closure (one row per hull lattice point, ascending, at the hull's height
+there, so ``classify_monomials`` reads the heights off it), the cells and
+the interior vertices.  Writing it runs the lattice walk (in one
+dimension, ``_close_1d``'s edge walk; on a segment, its own lattice
+points; otherwise the box of the pivot coordinates of the exponents'
+affine hull, lifted to the hull), which essential parts (and with them
+``equivalent`` and ``is_ghost_potent``) skip: they read the
+classification alone.  Everything stays on integer rows;
 ``Fraction``s are built only for the public ``EssentialComplex`` of
 ``classify_monomials`` and the public ``SlopeSequence``.
 """
@@ -47,7 +54,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product as iter_product
 from math import gcd, lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
@@ -173,6 +180,22 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def _dots(v, rows) -> List[int]:
+    """v . r for every r in rows, each as long as v; written out at 1, 2
+    and 3 coordinates."""
+    k = len(v)
+    if k == 1:
+        a, = v
+        return [a * x for x, in rows]
+    if k == 2:
+        a, b = v
+        return [a * x + b * y for x, y in rows]
+    if k == 3:
+        a, b, c = v
+        return [a * x + b * y + c * z for x, y, z in rows]
+    return [_dot(v, r) for r in rows]
+
+
 def _reduce(basis: List[Tuple[int, List[int]]], row: List[int]) -> List[int]:
     """Eliminate the pivot coordinates of an echelon basis from row."""
     for c, b in basis:
@@ -183,14 +206,17 @@ def _reduce(basis: List[Tuple[int, List[int]]], row: List[int]) -> List[int]:
 
 def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
     """Integer echelon basis of the span of rows, as (pivot, row) pairs;
-    the span projects one-to-one onto the pivot coordinates."""
+    the span projects one-to-one onto the pivot coordinates.  It stops at
+    full rank, where every later row would reduce to zero."""
     basis: List[Tuple[int, List[int]]] = []
     for row in rows:
-        row = _reduce(basis, list(row))
+        row = _reduce(basis, row)
         if any(row):
-            g = gcd(*row)
-            basis.append((next(i for i, x in enumerate(row) if x),
+            g = gcd(*row)  # the pivot is the first nonzero coordinate
+            basis.append((row.index(next(filter(None, row))),
                           [x // g for x in row]))
+            if len(basis) == len(row):
+                break
     return basis
 
 
@@ -207,25 +233,28 @@ def _det(m: List[List[int]]) -> int:
 def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     """The hyperplane n . x = b through d affinely independent points of
     Z^d: n is the gcd-reduced vector of cofactors of their differences.
-    For d = 2 and 3 the cofactors are written out: the perpendicular of
-    the one difference, the cross product of the two."""
-    p0 = pts[0]
+    For d = 1, 2 and 3 the cofactors are written out: the empty one, the
+    perpendicular of the one difference, the cross product of the two."""
     d = len(pts)
+    if d == 1:
+        return [1], pts[0][0]
     if d == 3:
-        (a0, a1, a2), (b0, b1, b2) = ([x - y for x, y in zip(p, p0)]
-                                      for p in pts[1:])
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = pts
+        a0, a1, a2 = x1 - x0, y1 - y0, z1 - z0
+        b0, b1, b2 = x2 - x0, y2 - y0, z2 - z0
         n = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
     elif d == 2:
         (x0, y0), (x1, y1) = pts
         n = [y1 - y0, x0 - x1]
     else:
+        p0 = pts[0]
         rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
         n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
              for j in range(d)]
     g = gcd(*n)
     if g > 1:
         n = [a // g for a in n]
-    return n, _dot(n, p0)
+    return n, _dot(n, pts[0])
 
 
 def _outward(points: List[Tuple[int, ...]], verts: tuple,
@@ -233,15 +262,21 @@ def _outward(points: List[Tuple[int, ...]], verts: tuple,
     """The plane n . x = b through the points at verts, as (n, b, verts),
     oriented so that n . c < b (d + 1) for c the integer centroid of a
     start simplex of Z^d (d + 1 times its mean)."""
-    n, b = _plane([points[i] for i in verts])
-    return (n, b, verts) if _dot(n, c) < b * (len(c) + 1) else \
+    n, b = _plane([*map(points.__getitem__, verts)])
+    if len(c) == 2:
+        side = n[0] * c[0] + n[1] * c[1]
+    elif len(c) == 3:
+        side = n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
+    else:
+        side = _dot(n, c)
+    return (n, b, verts) if side < b * (len(c) + 1) else \
         ([-a for a in n], -b, verts)
 
 
 def _upward(points: List[Tuple[int, ...]], verts) -> tuple:
     """The one hyperplane through the points at verts, as (n, b, verts),
     oriented to a positive last component."""
-    n, b = _plane([points[i] for i in verts])
+    n, b = _plane([*map(points.__getitem__, verts)])
     return (n, b, verts) if n[-1] >= 0 else ([-a for a in n], -b, verts)
 
 
@@ -258,12 +293,14 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
     change nothing) are replaced by the cones from p over their horizon
     ridges, each oriented away from the start's centroid (``_outward``).
     Simplices on one plane merge into one facet, whose contact set is read
-    off all points.
+    off all points.  The visibility and contact tests are written out at
+    d = 2 and 3.
     """
-    d = len(points[0])
+    p0 = points[0]
+    d = len(p0)
     start, basis = [0], []
-    for i, p in enumerate(points):
-        row = _reduce(basis, [a - b for a, b in zip(p, points[0])])
+    for i in range(1, len(points)):
+        row = _reduce(basis, list(map(sub, points[i], p0)))
         if any(row):
             basis.append((next(c for c, x in enumerate(row) if x), row))
             start.append(i)
@@ -277,22 +314,64 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
         hull = [_outward(points, tuple(start[:j] + start[j + 1:]), c)
                 for j in range(d + 1)]
         for i in sorted(set(range(len(points))) - set(start)):
-            p = points[i]
-            seen, kept = [], []
-            for fc in hull:
-                (seen if _dot(fc[0], p) > fc[1] else kept).append(fc)
-            if not seen:
+            if d == 2:
+                x, y = points[i]
+                over = [n0 * x + n1 * y > b for (n0, n1), b, _ in hull]
+            elif d == 3:
+                x, y, z = points[i]
+                over = [n0 * x + n1 * y + n2 * z > b
+                        for (n0, n1, n2), b, _ in hull]
+            else:
+                over = [_dot(n, points[i]) > b for n, b, _ in hull]
+            if not any(over):
                 continue
             once: Dict[tuple, bool] = {}
-            for _, _, verts in seen:
-                for j in range(d):
-                    ridge = verts[:j] + verts[j + 1:]
-                    once[ridge] = ridge not in once
-            hull = kept + [_outward(points, tuple(sorted(r + (i,))), c)
-                           for r, one in once.items() if one]
+            for (_, _, verts), seen in zip(hull, over):
+                if seen:
+                    for j in range(d):
+                        ridge = verts[:j] + verts[j + 1:]
+                        once[ridge] = ridge not in once
+            hull = [fc for fc, seen in zip(hull, over) if not seen] + [
+                _outward(points, tuple(sorted(r + (i,))), c)
+                for r, one in once.items() if one]
         planes = {(tuple(n), b) for n, b, _ in hull}
-    return [(n, b, frozenset(i for i, p in enumerate(points)
-                             if _dot(n, p) == b)) for n, b in planes]
+    return [(n, b, frozenset([i for i, s in enumerate(_dots(n, points))
+                              if s == b])) for n, b in planes]
+
+
+def _flat(n: tuple, b: int, on, walls: list) -> list:
+    """The facets of a flat lift: its plane n . x = b through the points on,
+    in both orientations, then each Newton wall (n', b', contact) of the
+    projected points as ((n', 0), b', contact)."""
+    return [(n, b, on), (tuple([-a for a in n]), -b, on)] + [
+        ((*w, 0), t, c) for w, t, c in walls]
+
+
+def _hull(points: List[Tuple[int, ...]]) -> list:
+    """The facets of lifted points whose projections (all coordinates but
+    the last) span Z^k, as (normal, offset, contact set): upper facets
+    (last normal component > 0), lower (< 0) and vertical ones (0), which
+    together cut out the lifted polytope.  Affinely independent points
+    (k + 1 of them) are their own simplex, a flat lift built without
+    beneath-beyond: the plane through them and, through each k of them, a
+    Newton wall oriented away from their centroid.  Other points take
+    ``_facets``, and a flat lift among them, where that gives one plane,
+    takes its walls from ``_facets`` of the projections."""
+    if len(points) == len(points[0]):  # k + 1 points
+        xs = [p[:-1] for p in points]
+        c = [sum(col) for col in zip(*xs)]
+        everyone = tuple(range(len(xs)))
+        walls = []
+        for j in everyone if xs[0] else ():  # a single point has none
+            w, t, on = _outward(xs, everyone[:j] + everyone[j + 1:], c)
+            walls.append((w, t, frozenset(on)))
+        n, b, _ = _upward(points, everyone)
+        return _flat(tuple(n), b, frozenset(everyone), walls)
+    facets = _facets(points)
+    if len(facets) > 1:
+        return facets
+    (n, b, on), = facets
+    return _flat(n, b, on, _facets([p[:-1] for p in points]))
 
 
 def _lift(f: TropicalPolynomial) -> tuple:
@@ -301,110 +380,159 @@ def _lift(f: TropicalPolynomial) -> tuple:
     times scale, f's den."""
     rows = sorted(f._rows)
     exps = [e for e, _, _ in rows]
-    affine = _echelon([list(map(sub, e, exps[0])) for e in exps])
+    affine = _echelon([list(map(sub, e, exps[0])) for e in exps[1:]])
     pivots = [c for c, _ in affine]
-    points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
+    cols = list(zip(*exps))
+    points = list(zip(*[cols[c] for c in pivots], [s for _, s, _ in rows]))
     return exps, affine, pivots, f._den, points
 
 
 def _complex_nd(f: TropicalPolynomial) -> _Complex:
-    """A point is on the hull iff an upper facet touches it; a hull vertex
-    iff the upper facets and Newton walls through it touch no other point
-    together; and a Newton vertex iff its walls touch no other point
-    together (with no pivot the single point is one).
+    """Every hull fact read off one list of facets of the lifted points
+    (``_hull``: one beneath-beyond run, two on a flat lift): a point is on
+    the hull iff an upper facet touches it; a hull vertex iff the contact
+    sets of all facets through it, upper, lower and vertical, meet in it
+    alone; and, being a vertex, a Newton vertex (so not an interior vertex)
+    iff a lower facet touches it.  close() is ``_close_nd`` on the same
+    facets.
 
     An affinely independent support (k + 1 exponents spanning k
     dimensions, so the echelon basis has one pivot fewer than there are
     terms) is its own Newton simplex, and its lifted points form one upper
     cell: every term is an essential Newton vertex and no facet is built
-    (``_simplex_close`` builds the planes when close() is called); close()
-    is ``_close_nd``, which writes the rows ascending."""
+    until close() is called; close() is ``_close_nd``, which writes the
+    rows ascending."""
     exps, affine, pivots, _, points = _lift(f)
     if len(pivots) == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
         return (kind,
-                partial(_simplex_close, f, kind, exps, affine, pivots, points),
+                lambda: _close_nd(f, kind, exps, affine, pivots,
+                                  _hull(points)),
                 [list(exps)] if f.arity == 2 else None, [])
-    newton = _facets([p[:-1] for p in points]) if pivots else []
-    upper = [fc for fc in _facets(points) if fc[0][-1] > 0]
+    facets = _hull(points)
+    through: List[list] = [[] for _ in exps]
+    for _, _, c in facets:
+        for i in c:
+            through[i].append(c)
+    upper = frozenset().union(*[c for n, _, c in facets if n[-1] > 0])
+    lower = frozenset().union(*[c for n, _, c in facets if n[-1] < 0])
 
     classification = {}
     interior = []
-    everyone = frozenset(range(len(exps)))
     for i, e in enumerate(exps):
-        on_walls = everyone.intersection(*(c for _, _, c in newton if i in c))
-        roofs = [c for _, _, c in upper if i in c]
-        if not roofs:
+        if i not in upper:
             classification[e] = INESSENTIAL
-        elif len(on_walls.intersection(*roofs)) > 1:
+        elif len(frozenset.intersection(*through[i])) > 1:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-            if len(on_walls) > 1:
+            if i not in lower:
                 interior.append(e)
 
     subdivision = None
     if f.arity == 2:
-        subdivision = sorted(sorted(exps[i] for i in c) for _, _, c in upper)
+        subdivision = sorted(sorted(exps[i] for i in c)
+                             for n, _, c in facets if n[-1] > 0)
     return (classification,
             partial(_close_nd, f, classification, exps, affine, pivots,
-                    newton, upper),
+                    facets),
             subdivision, interior)
 
 
-def _simplex_close(f: TropicalPolynomial, kind: Dict[Exponent, str],
-                   exps: List[Exponent], affine, pivots: List[int],
-                   points: List[Tuple[int, ...]]) -> TropicalPolynomial:
-    """The full closure of an affinely independent support, on the planes
-    ``_facets`` builds for it: the Newton wall through each k of the k + 1
-    points (in pivot coordinates), oriented away from their centroid, and
-    the one plane through the lifted points, oriented up."""
-    xs = [p[:-1] for p in points]
-    c = [sum(col) for col in zip(*xs)]
-    everyone = tuple(range(len(xs)))
-    newton = [_outward(xs, everyone[:j] + everyone[j + 1:], c)
-              for j in everyone] if pivots else []
-    return _close_nd(f, kind, exps, affine, pivots, newton,
-                     [_upward(points, everyone)])
+def _lattice(exps: List[Exponent], affine, pivots: List[int]):
+    """The lattice points v of the exponents' affine hull whose pivot
+    coordinates lie in the exponents' box, ascending, each with its pivot
+    coordinates x.  A segment (k = 1) walks its own g + 1 lattice points,
+    g the gcd of its direction.  Other supports walk the box of their
+    pivot coordinates in ascending coordinate order, which is the
+    ascending order of the hull's points (two of them first differ at a
+    pivot), and lift each box point to the hull.  With the basis made
+    diagonal on the pivots (row j is d_j at its own pivot and 0 at the
+    others), a free coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j,
+    on den, the lcm of the d_j; a box point is kept when every free
+    coordinate is an integer."""
+    e0, k = exps[0], len(pivots)
+    if not k:
+        yield e0, ()
+        return
+    if k == 1:  # exps[0] and exps[-1] are the segment's ends
+        g = gcd(*map(sub, exps[-1], e0))
+        steps = [(b - a) // g for a, b in zip(e0, exps[-1])]
+        c = pivots[0]
+        for v in zip(*[[a + j * s for j in range(g + 1)]
+                       for a, s in zip(e0, steps)]):
+            yield v, (v[c],)
+        return
+    cols = list(zip(*exps))
+    order = sorted(pivots)
+    box = [range(min(cols[c]), max(cols[c]) + 1) for c in order]
+    if k == len(e0):  # every coordinate is a pivot
+        get = itemgetter(*pivots)
+        for v in iter_product(*box):
+            yield v, get(v)
+        return
+    rows = [b for _, b in affine]
+    for j, c in enumerate(pivots):
+        rows = [r if i == j or not r[c] else
+                [rows[j][c] * a - r[c] * b for a, b in zip(r, rows[j])]
+                for i, r in enumerate(rows)]
+    den = lcm(*[r[c] for r, c in zip(rows, pivots)])
+    x0 = [e0[c] for c in pivots]
+    free = []
+    for c in range(len(e0)):
+        if c not in pivots:
+            coef = [den // r[p] * r[c] for r, p in zip(rows, pivots)]
+            free.append((c, coef, den * e0[c] - _dot(coef, x0)))
+    get = itemgetter(*[order.index(c) for c in pivots])
+    for u in iter_product(*box):
+        x = get(u)
+        v = list(u)
+        for c, coef, base in free:  # ascending c: v[:c] is in place
+            s = base + _dot(coef, x)
+            if s % den:
+                break
+            v.insert(c, s // den)
+        else:
+            yield tuple(v), x
 
 
 def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
               exps: List[Exponent], affine, pivots: List[int],
-              newton: list, upper: list) -> TropicalPolynomial:
+              facets: list) -> TropicalPolynomial:
     """The full closure of f, one row per lattice point of the exponents'
-    affine hull inside the Newton walls, ascending: a segment (k = 1) walks
-    its own g + 1 lattice points, g the gcd of its direction, and other
-    supports the exponents' bounding box.  The hull height t / (w * den)
-    over a point becomes a ghost row ``t * (m / w)`` over ``den * m``, m the
-    lcm of those w; an essential term keeps f's own row."""
-    arity, k = f.arity, len(pivots)
-    if k == 1:  # exps[0] and exps[-1] are the segment's ends
-        step = list(map(sub, exps[-1], exps[0]))
-        g = gcd(*step)
-        walk = (tuple(a + j * s // g for a, s in zip(exps[0], step))
-                for j in range(g + 1))
-    else:
-        box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)
-               for c in range(arity)]
-        walk = iter_product(*box)
+    affine hull (``_lattice``) over which the lifted polytope has points,
+    ascending: every vertical facet holds there, and the least upper
+    height is at least the greatest lower one.  The hull height
+    t / (w * den) over a point, the least (b - n . x) / n_k over the upper
+    facets compared by cross-multiplication, becomes a ghost row
+    ``t * (m / w)`` over ``den * m``, m the lcm of those w; an essential
+    term keeps f's own row.  The dot products are ``_dots``, written out at
+    1 to 3 pivot coordinates."""
+    # vertical facets first, then upper, then lower: t / w is final by the
+    # time the lower facets are read
+    facets = [fc for fc in facets if not fc[0][-1]] + \
+        [fc for fc in facets if fc[0][-1] > 0] + \
+        [fc for fc in facets if fc[0][-1] < 0]
+    normals = [n[:-1] for n, _, _ in facets]
+    offsets = [b for _, b, _ in facets]
+    lasts = [n[-1] for n, _, _ in facets]
     heights = []
-    for v in walk:
-        if k < arity and any(_reduce(affine, list(map(sub, v, exps[0])))):
-            continue
-        x = tuple(v[c] for c in pivots)
-        if any(_dot(n, x) > b for n, b, _ in newton):
-            continue
-        # the least (b - n . x) / n_k over the upper facets, compared by
-        # cross-multiplication; _dot stops at the end of x
-        t, w = None, 1
-        for n, b, _ in upper:
-            s = b - _dot(n, x)
-            if t is None or s * w < t * n[-1]:
-                t, w = s, n[-1]
-        heights.append((v, t, w))
+    for v, x in _lattice(exps, affine, pivots):
+        t = None
+        for s, b, h in zip(_dots(x, normals), offsets, lasts):
+            s = b - s
+            if h > 0:
+                if t is None or s * w < t * h:
+                    t, w = s, h
+            elif t * h > s * w if h else s < 0:
+                # outside a wall (h = 0), or the least upper height t / w
+                # under a lower facet (h < 0)
+                break
+        else:
+            heights.append((v, t, w))
     m = lcm(*[w for v, _, w in heights if kind.get(v) != ESSENTIAL])
     own = {e: (e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL}
-    return TropicalPolynomial._from_rows(arity, f._den * m, [
+    return TropicalPolynomial._from_rows(f.arity, f._den * m, [
         own[v] if v in own else (v, t * (m // w), True)
         for v, t, w in heights])
 

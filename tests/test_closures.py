@@ -105,6 +105,39 @@ class TestAgainstClosureReference:
             >= 300, seen
 
 
+class TestCoplanarSupports:
+    """A support spanning a plane inside three or four variables walks the
+    box of its two pivot coordinates and lifts each point to the plane,
+    keeping the integral ones: the closures and powers are the old box
+    walk's rows over the same den."""
+
+    def test_random(self):
+        rng = random.Random(103)
+        seen = Counter()
+        for n in range(120):
+            arity = 3 + n % 2
+            u, w = ([rng.randint(-2, 2) for _ in range(arity)]
+                    for _ in range(2))
+            raw = {tuple(i * a + j * b for a, b in zip(u, w))
+                   for i in range(3) for j in range(3) if rng.random() < 0.6}
+            raw = raw or {(0,) * arity}
+            low = [min(col) for col in zip(*raw)]
+            flat = [value(rng, (1, 2, 3)) for _ in range(arity + 1)]
+            f = TropicalPolynomial(arity, {
+                tuple(x - lo for x, lo in zip(e, low)): coeff(
+                    rng, flat[0] + sum(a * x for a, x in zip(flat[1:], e))
+                    if n % 3 == 0 else value(rng))
+                for e in raw})
+            k = rng.randint(1, 2)
+            assert same_rows(full_closure(f), reference_full_closure(f)), f
+            assert same_rows(red_pow(f, k), reference_red_pow(f, k)), (f, k)
+            exps = sorted(f.terms)
+            dim = len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+            seen[arity, dim] += 1
+        assert seen[3, 2] >= 40 and seen[4, 2] >= 40, seen
+
+
 class TestFrobeniusPowers:
     """red_pow closes f's hull dilated by k and never expands f ** k; it
     gives the rows of the closed expansion and of the old Fraction path,

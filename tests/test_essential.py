@@ -3,6 +3,7 @@ import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product as iter_product
 from math import gcd
 
 import pytest
@@ -11,17 +12,19 @@ import tropc.essential
 import facets_reference
 from closure_reference import (reference_classify, reference_full_closure,
                                reference_red_pow)
+from corner_reference import reference_corner_locus_2d
 from facets_reference import reference_complex_nd
 from hull1d_reference import reference_complex_1d, reference_envelope_vertices
 from lp_reference import reference_complex
 from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
                    MonomialInput, NEG_INFINITY, TropicalPolynomial,
-                   classify_monomials, divides, equivalent, essential_part,
-                   format_poly, full_closure, ghost, is_full,
+                   classify_monomials, corner_locus_2d, divides, equivalent,
+                   essential_part, format_poly, full_closure, ghost, is_full,
                    is_ghost_potent, parse_poly,
                    red_add, red_mul, red_pow, slope_sequence, tangible)
-from util import (critical_points_1d, eval_points, rand_coeff, rand_fraction,
-                  rand_poly, rand_tangible_full, same_function_1d)
+from util import (critical_points_1d, eval_points, hull_builds, rand_coeff,
+                  rand_fraction, rand_poly, rand_tangible_full,
+                  same_function_1d)
 
 P = parse_poly
 
@@ -221,6 +224,75 @@ class TestAgainstFacetsReference:
             self.assert_same(f, hulls, rng)
 
 
+def _paraboloid(arity: int, d: int) -> TropicalPolynomial:
+    """Every monomial of degree <= d in arity 2 or 3 variables, at height
+    -(i^2 + ij + j^2) or -(i^2 + ij + j^2 + jk + k^2): every term is a
+    vertex of the lifted hull."""
+    return TropicalPolynomial(arity, {
+        e: tangible(-sum(a * b for a, b in zip(e, e)) - sum(
+            a * b for a, b in zip(e, e[1:])))
+        for e in iter_product(range(d + 1), repeat=arity) if sum(e) <= d})
+
+
+class TestPinnedDegenerateCases:
+    """Hulls whose facts sit on degenerate facets, pinned against the
+    frozen paths: every field of classify_monomials against the two-hull
+    complex of ``closure_reference`` and, below 40 terms, the k-subset
+    enumeration of ``facets_reference``; the closure's den and rows in
+    order; and in two variables the corner locus's segments and rays in
+    order, against ``corner_reference``."""
+
+    BOX = (Fraction(-60), Fraction(-60), Fraction(60), Fraction(60))
+
+    @pytest.mark.parametrize("name, f", [
+        # a vertical facet over y = 0: (1, 0) tops it, inside the edge
+        ("vertical facet", P("x^2 + 5*x + 0 + y")),
+        # collinear heights over y = 0, where a flat lift meets its wall:
+        # (1, 0) lies inside that edge
+        ("straight ridge", P("x^2 + 1*x + 2 + y")),
+        # the same edge as the ridge of an upper and a lower facet
+        ("straight ridge, not flat", P("x^2 + 1*x + 2 + y + 5*x*y")),
+        ("flat lift", P("(x + 1*y + 0v)^3 + 2v*x*y")),
+        ("collinear in three variables",
+         P("2*x^3*y^3*z^3 + 1v*x^2*y^2*z^2 + 3*x*y*z + 0")),
+        ("all ghost", P("0v*x^2 + 1v*x*y + 0v*y^2 + 2v*x + 0v")),
+        ("paraboloid, d = 12", _paraboloid(2, 12)),
+        ("paraboloid in three variables, d = 6", _paraboloid(3, 6)),
+    ])
+    def test_against_the_references(self, name, f):
+        cx = classify_monomials(f)
+        references = [reference_classify(f)]
+        if len(f.terms) < 40:
+            references.append(reference_complex_nd(f))
+        for ref in references:
+            assert _fields(cx) == _fields(ref), name
+            for field in ("lifted_points", "classification",
+                          "hull_lattice_points"):
+                assert list(getattr(cx, field).items()) == \
+                    list(getattr(ref, field).items()), (name, field)
+        closed, want = full_closure(f), reference_full_closure(f)
+        assert closed._den == want._den, name
+        assert closed._rows == sorted(want._rows), name
+        if f.arity == 2:
+            got = corner_locus_2d(f, self.BOX)
+            want = reference_corner_locus_2d(f, self.BOX)
+            assert got.whole_plane == want.whole_plane, name
+            assert got.segments == want.segments, name
+            assert got.rays == want.rays, name
+
+    def test_pinned_facts(self):
+        vertical = classify_monomials(P("x^2 + 5*x + 0 + y"))
+        assert vertical.classification[(1, 0)] == "essential"
+        assert vertical.interior_vertices == [(1, 0)]
+        for text in ("x^2 + 1*x + 2 + y", "x^2 + 1*x + 2 + y + 5*x*y"):
+            ridge = classify_monomials(P(text))
+            assert ridge.classification[(1, 0)] == "quasi-essential", text
+            assert ridge.interior_vertices == [], text
+        for arity, d in ((2, 12), (3, 6)):
+            cx = classify_monomials(_paraboloid(arity, d))
+            assert set(cx.classification.values()) == {"essential"}
+
+
 class TestClosedFormPlanes:
     """The written-out normals of 2 and 3 points in 2-D and 3-D equal
     the cofactor expansion that other dimensions run, offsets included."""
@@ -334,8 +406,9 @@ class TestPlaneBudget:
         assert self.planes(monkeypatch, "(x + 1*y + 3*z + 0)^5") == (56, 225)
 
     def test_two_variables(self, monkeypatch):
-        # not flat: the lifted points have two upper facets
-        assert self.planes(monkeypatch, "(x + y + 1*x*y + 0)^6") == (49, 309)
+        # not flat: the lifted points have two upper facets, and their one
+        # hull gives the Newton walls too
+        assert self.planes(monkeypatch, "(x + y + 1*x*y + 0)^6") == (49, 214)
 
 
 def _univariate_case(rng: random.Random, kind: str) -> TropicalPolynomial:
@@ -555,7 +628,9 @@ class TestAffinelyIndependentSupports:
 
     def test_both_paths_on_the_corpora(self, monkeypatch):
         # the short path is taken exactly on affinely independent
-        # supports, and each path often on the seeded corpora above
+        # supports, and each path often on the seeded corpora above; every
+        # other complex runs beneath-beyond once on its lifted points, and
+        # a flat lift once more on the projected ones, for its Newton walls
         calls = [0]
 
         def counted(points, _facets=tropc.essential._facets):
@@ -577,9 +652,14 @@ class TestAffinelyIndependentSupports:
             calls[0] = 0
             tropc.essential._complex_nd(f)
             assert (calls[0] == 0) == independent, format_poly(f)
+            assert calls[0] == hull_builds(f), format_poly(f)
             seen[f.arity, independent] += 1
+            if calls[0]:
+                seen[f.arity, "flat" if calls[0] == 2 else "lifted"] += 1
         assert all(seen[a, short] >= 50 for a in (2, 3, 4)
                    for short in (True, False)), seen
+        assert all(seen[a, "lifted"] >= 50 and seen[a, "flat"] >= 5
+                   for a in (2, 3, 4)), seen
 
 
 class TestClosureRowsAscend:

@@ -5,16 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import tropc.essential
 import tropc.sets
 from corner_reference import reference_corner_locus_2d as fraction_corner_locus
 from sets_reference import (reference_components_with_monomials,
                             reference_corner_locus_2d)
 from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
-                   TropicalPolynomial, comset1d, comset_leq, comset_meet,
-                   corner_locus_2d, ghost, parse_poly, red_mul, tangible,
-                   zset_contains)
+                   TropicalPolynomial, classify_monomials, comset1d,
+                   comset_leq, comset_meet, corner_locus_2d, format_poly,
+                   ghost, parse_poly, red_mul, tangible, zset_contains)
 from tropc.sets import _components_with_monomials
-from util import critical_points_1d, rand_poly
+from util import critical_points_1d, hull_builds, rand_poly
 
 P = parse_poly
 
@@ -439,6 +440,39 @@ class TestAgainstCornerReference:
         assert seen["zero width rays"] >= 20, seen
         assert seen["vertex segments"] + seen["vertex rays"] >= 150, seen
         assert seen["point rays"] >= 100, seen
+
+
+class TestOneHullPerLocus:
+    """The tie loci are read off one hull of the lifted points, run twice
+    only on a flat lift (the second run gives the Newton walls): each
+    cell's edges come from the facets it meets, with no hull per cell."""
+
+    def test_corpus(self, monkeypatch):
+        calls = [0]
+
+        def counted(points, _facets=tropc.essential._facets):
+            calls[0] += 1
+            return _facets(points)
+        monkeypatch.setattr(tropc.essential, "_facets", counted)
+        rng = random.Random(347)
+        seen = Counter()
+        cases = [rand_corner_input(rng, n) for n in range(600)]
+        cases += [rand_large_support(rng, n) for n in range(30)]
+        for n in range(100):  # flat lifts: heights affine in the exponent
+            a, b, c = (rand_value(rng) for _ in range(3))
+            cases.append(("flat", TropicalPolynomial(2, {
+                e: (ghost if rng.random() < 0.3 else tangible)(
+                    a + b * e[0] + c * e[1])
+                for e in rand_corner_input(rng, 3)[1].terms})))
+        for kind, f in cases:
+            calls[0] = 0
+            got = corner_locus_2d(f, TestCornerLocus2D.BOX)
+            want = 0 if got.whole_plane else hull_builds(f)
+            assert calls[0] == want, format_poly(f)
+            seen[want] += 1
+            seen["cells"] += want == 1 and \
+                len(classify_monomials(f).subdivision) > 1
+        assert min(seen[0], seen[1], seen[2], seen["cells"]) >= 50, seen
 
 
 class TestCornerBudget:

@@ -8,6 +8,7 @@ from typing import List, Optional
 
 from tropc import (NEG_INFINITY, TropicalNumber, TropicalPolynomial, ghost,
                    red_mul, tangible)
+from tropc.essential import _echelon
 
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, denominators=(1, 1, 2, 3)):
@@ -113,3 +114,19 @@ def same_function_1d(f: TropicalPolynomial, g: TropicalPolynomial) -> bool:
 def poly_key(f: TropicalPolynomial):
     return (f.arity, tuple(sorted(
         (e, c.tag, c.value) for e, c in f.terms.items())))
+
+
+def hull_builds(f: TropicalPolynomial) -> int:
+    """The beneath-beyond runs one hull of f's lifted points takes: none
+    for an affinely independent support (k + 1 exponents spanning k
+    dimensions, a single term included), two for another flat lift
+    (heights affine in the exponent), whose second run gives the Newton
+    walls, and one otherwise.  Ranks are taken over the integer rows."""
+    rows = sorted(f._rows)
+    e0, s0, _ = rows[0]
+    support = [[a - b for a, b in zip(e, e0)] for e, _, _ in rows]
+    k = len(_echelon(support))
+    if k == len(rows) - 1:
+        return 0
+    lifted = [d + [s - s0] for d, (_, s, _) in zip(support, rows)]
+    return 2 if len(_echelon(lifted)) == k else 1
