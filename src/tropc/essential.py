@@ -21,9 +21,10 @@ no walk.  Higher arities build the facets of the lifted points once
 (``_hull``), by beneath-beyond, testing each new point once against every
 current simplex; the plane through d = 2 or 3 points is written out (the
 perpendicular in 2-D, the cross product in 3-D), other d expand
-cofactors, and the visibility, contact and closure tests unpack 2 or 3
-coordinates.  The lifted polytope is cut out by upper facets (last normal
-component > 0), lower (< 0) and vertical ones (0).  A flat lift, whose
+cofactors, and the visibility, contact and closure tests take their dot
+products from ``_dots``, which unpacks 1 to 3 coordinates.  The lifted
+polytope is cut out by upper facets (last normal component > 0), lower
+(< 0) and vertical ones (0).  A flat lift, whose
 facets are one plane, is that plane in both orientations with the Newton
 walls, the facets of the exponents, beside it: the one case that runs
 beneath-beyond twice.  Every hull fact, and the plane corner locus in
@@ -212,8 +213,8 @@ def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
     for row in rows:
         row = _reduce(basis, row)
         if any(row):
-            g = gcd(*row)  # the pivot is the first nonzero coordinate
-            basis.append((row.index(next(filter(None, row))),
+            g = gcd(*row)
+            basis.append((next(i for i, x in enumerate(row) if x),
                           [x // g for x in row]))
             if len(basis) == len(row):
                 break
@@ -235,9 +236,10 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     Z^d: n is the gcd-reduced vector of cofactors of their differences.
     For d = 1, 2 and 3 the cofactors are written out: the empty one, the
     perpendicular of the one difference, the cross product of the two."""
+    p0 = pts[0]
     d = len(pts)
     if d == 1:
-        return [1], pts[0][0]
+        return [1], p0[0]
     if d == 3:
         (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = pts
         a0, a1, a2 = x1 - x0, y1 - y0, z1 - z0
@@ -247,14 +249,13 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
         (x0, y0), (x1, y1) = pts
         n = [y1 - y0, x0 - x1]
     else:
-        p0 = pts[0]
         rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
         n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
              for j in range(d)]
     g = gcd(*n)
     if g > 1:
         n = [a // g for a in n]
-    return n, _dot(n, pts[0])
+    return n, _dot(n, p0)
 
 
 def _outward(points: List[Tuple[int, ...]], verts: tuple,
@@ -262,21 +263,15 @@ def _outward(points: List[Tuple[int, ...]], verts: tuple,
     """The plane n . x = b through the points at verts, as (n, b, verts),
     oriented so that n . c < b (d + 1) for c the integer centroid of a
     start simplex of Z^d (d + 1 times its mean)."""
-    n, b = _plane([*map(points.__getitem__, verts)])
-    if len(c) == 2:
-        side = n[0] * c[0] + n[1] * c[1]
-    elif len(c) == 3:
-        side = n[0] * c[0] + n[1] * c[1] + n[2] * c[2]
-    else:
-        side = _dot(n, c)
-    return (n, b, verts) if side < b * (len(c) + 1) else \
+    n, b = _plane([points[i] for i in verts])
+    return (n, b, verts) if _dot(n, c) < b * (len(c) + 1) else \
         ([-a for a in n], -b, verts)
 
 
 def _upward(points: List[Tuple[int, ...]], verts) -> tuple:
     """The one hyperplane through the points at verts, as (n, b, verts),
     oriented to a positive last component."""
-    n, b = _plane([*map(points.__getitem__, verts)])
+    n, b = _plane([points[i] for i in verts])
     return (n, b, verts) if n[-1] >= 0 else ([-a for a in n], -b, verts)
 
 
@@ -293,14 +288,12 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
     change nothing) are replaced by the cones from p over their horizon
     ridges, each oriented away from the start's centroid (``_outward``).
     Simplices on one plane merge into one facet, whose contact set is read
-    off all points.  The visibility and contact tests are written out at
-    d = 2 and 3.
+    off all points.  The visibility and contact tests are ``_dots``.
     """
-    p0 = points[0]
-    d = len(p0)
+    d = len(points[0])
     start, basis = [0], []
-    for i in range(1, len(points)):
-        row = _reduce(basis, list(map(sub, points[i], p0)))
+    for i, p in enumerate(points):
+        row = _reduce(basis, [a - b for a, b in zip(p, points[0])])
         if any(row):
             basis.append((next(c for c, x in enumerate(row) if x), row))
             start.append(i)
@@ -313,16 +306,10 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
         c = [sum(col) for col in zip(*(points[i] for i in start))]
         hull = [_outward(points, tuple(start[:j] + start[j + 1:]), c)
                 for j in range(d + 1)]
+        normals = [n for n, _, _ in hull]
         for i in sorted(set(range(len(points))) - set(start)):
-            if d == 2:
-                x, y = points[i]
-                over = [n0 * x + n1 * y > b for (n0, n1), b, _ in hull]
-            elif d == 3:
-                x, y, z = points[i]
-                over = [n0 * x + n1 * y + n2 * z > b
-                        for (n0, n1, n2), b, _ in hull]
-            else:
-                over = [_dot(n, points[i]) > b for n, b, _ in hull]
+            over = [s > b for s, (_, b, _) in
+                    zip(_dots(points[i], normals), hull)]
             if not any(over):
                 continue
             once: Dict[tuple, bool] = {}
@@ -334,6 +321,7 @@ def _facets(points: List[Tuple[int, ...]]) -> list:
             hull = [fc for fc, seen in zip(hull, over) if not seen] + [
                 _outward(points, tuple(sorted(r + (i,))), c)
                 for r, one in once.items() if one]
+            normals = [n for n, _, _ in hull]
         planes = {(tuple(n), b) for n, b, _ in hull}
     return [(n, b, frozenset([i for i, s in enumerate(_dots(n, points))
                               if s == b])) for n, b in planes]
@@ -382,8 +370,7 @@ def _lift(f: TropicalPolynomial) -> tuple:
     exps = [e for e, _, _ in rows]
     affine = _echelon([list(map(sub, e, exps[0])) for e in exps[1:]])
     pivots = [c for c, _ in affine]
-    cols = list(zip(*exps))
-    points = list(zip(*[cols[c] for c in pivots], [s for _, s, _ in rows]))
+    points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
     return exps, affine, pivots, f._den, points
 
 
@@ -466,11 +453,6 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     cols = list(zip(*exps))
     order = sorted(pivots)
     box = [range(min(cols[c]), max(cols[c]) + 1) for c in order]
-    if k == len(e0):  # every coordinate is a pivot
-        get = itemgetter(*pivots)
-        for v in iter_product(*box):
-            yield v, get(v)
-        return
     rows = [b for _, b in affine]
     for j, c in enumerate(pivots):
         rows = [r if i == j or not r[c] else
@@ -486,14 +468,14 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     get = itemgetter(*[order.index(c) for c in pivots])
     for u in iter_product(*box):
         x = get(u)
-        v = list(u)
+        v = u
         for c, coef, base in free:  # ascending c: v[:c] is in place
             s = base + _dot(coef, x)
             if s % den:
                 break
-            v.insert(c, s // den)
+            v = v[:c] + (s // den,) + v[c:]
         else:
-            yield tuple(v), x
+            yield v, x
 
 
 def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
@@ -502,7 +484,11 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
     """The full closure of f, one row per lattice point of the exponents'
     affine hull (``_lattice``) over which the lifted polytope has points,
     ascending: every vertical facet holds there, and the least upper
-    height is at least the greatest lower one.  The hull height
+    height is at least the greatest lower one.  Only the lower facets that
+    meet the upper hull in k or more points are read: a lower facet bounds
+    the polytope's shadow only along a ridge it shares with an upper facet
+    (over a Newton facet with no wall), and such a ridge holds k of their
+    common points; the walls bound the rest.  The hull height
     t / (w * den) over a point, the least (b - n . x) / n_k over the upper
     facets compared by cross-multiplication, becomes a ghost row
     ``t * (m / w)`` over ``den * m``, m the lcm of those w; an essential
@@ -510,9 +496,11 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
     1 to 3 pivot coordinates."""
     # vertical facets first, then upper, then lower: t / w is final by the
     # time the lower facets are read
-    facets = [fc for fc in facets if not fc[0][-1]] + \
-        [fc for fc in facets if fc[0][-1] > 0] + \
-        [fc for fc in facets if fc[0][-1] < 0]
+    upper = [fc for fc in facets if fc[0][-1] > 0]
+    top = frozenset().union(*[c for _, _, c in upper])
+    facets = [fc for fc in facets if not fc[0][-1]] + upper + [
+        fc for fc in facets
+        if fc[0][-1] < 0 and len(fc[2] & top) >= len(pivots)]
     normals = [n[:-1] for n, _, _ in facets]
     offsets = [b for _, b, _ in facets]
     lasts = [n[-1] for n, _, _ in facets]
