@@ -16,35 +16,36 @@ the rows ``(k e, k s, g)``.
 Every hull runs on the polynomial's integer rows, with heights scaled over
 their least common denominator.  Univariate hulls come from one upper-hull
 sweep; a univariate closure is written straight off its vertices
-(``_close_1d``), one walk along each edge, and the classification needs
-no walk.  Higher arities build the facets of the lifted points once
-(``_hull``), by beneath-beyond, testing each new point once against every
-current simplex; the plane through d = 2 or 3 points is written out (the
-perpendicular in 2-D, the cross product in 3-D), other d expand
-cofactors, and the visibility, contact and closure tests take their dot
-products from ``_dots``, which unpacks 1 to 3 coordinates.  The lifted
-polytope is cut out by upper facets (last normal component > 0), lower
-(< 0) and vertical ones (0).  A flat lift, whose
-facets are one plane, is that plane in both orientations with the Newton
-walls, the facets of the exponents, beside it: the one case that runs
-beneath-beyond twice.  Every hull fact, and the plane corner locus in
+(``_close_1d``), one walk along each edge, and the classification needs no
+walk.  Higher arities build the facets of the lifted points and everything
+below them once (``_hull``), by beneath-beyond with the downward direction
+as a vertex at infinity, so every facet is an upper facet or a Newton wall
+(a vertical facet over a facet of the Newton polytope), and no lower facet
+is built.  The start simplex is the k + 1 exponents the echelon pass of
+``_lift`` keeps, plus the direction; the other points go in a fixed
+pseudo-random order, and each is tested once against every current
+simplex.  The
+plane through d = 2 or 3 points is written out (the perpendicular in 2-D,
+the cross product in 3-D), other d expand cofactors, and the visibility,
+contact and closure tests take their dot products from ``_dots``, which
+unpacks 1 to 3 coordinates.  Every hull fact, and the plane corner locus in
 ``sets``, is read off the points each facet touches.  An affinely
-independent support (k + 1 exponents spanning k dimensions: a single
-term, a binomial, most trinomials, and every dilation of one) skips
-beneath-beyond: it is its own Newton simplex and its lifted points form
-one upper cell, so every term is essential, and the planes are built only
-when the closure is written.  Both arities give one integer complex
-(``_complex``): the classification, a function that writes the full
-closure (one row per hull lattice point, ascending, at the hull's height
-there, so ``classify_monomials`` reads the heights off it), the cells and
-the interior vertices.  Writing it runs the lattice walk (in one
-dimension, ``_close_1d``'s edge walk; on a segment, its own lattice
-points; otherwise the box of the pivot coordinates of the exponents'
-affine hull, lifted to the hull), which essential parts (and with them
-``equivalent`` and ``is_ghost_potent``) skip: they read the
-classification alone.  Everything stays on integer rows;
-``Fraction``s are built only for the public ``EssentialComplex`` of
-``classify_monomials`` and the public ``SlopeSequence``.
+independent support (k + 1 exponents spanning k dimensions: a single term,
+a binomial, most trinomials, and every dilation of one) is its own Newton
+simplex and its lifted points form one upper cell, so every term is
+essential, and its hull, the start simplex alone, is built only when the
+closure is written.  Both arities give one integer complex (``_complex``):
+the classification, a function that writes the full closure (one row per
+hull lattice point, ascending, at the hull's height there, so
+``classify_monomials`` reads the heights off it), the cells and the
+interior vertices.  Writing it runs the lattice walk (in one dimension,
+``_close_1d``'s edge walk; on a segment, its own lattice points; otherwise
+the box of the pivot coordinates of the exponents' affine hull, lifted to
+the hull), which essential parts (and with them ``equivalent`` and
+``is_ghost_potent``) skip: they read the classification alone.  Everything
+stays on integer rows; ``Fraction``s are built only for the public
+``EssentialComplex`` of ``classify_monomials`` and the public
+``SlopeSequence``.
 """
 from __future__ import annotations
 
@@ -205,20 +206,30 @@ def _reduce(basis: List[Tuple[int, List[int]]], row: List[int]) -> List[int]:
     return row
 
 
-def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
-    """Integer echelon basis of the span of rows, as (pivot, row) pairs;
-    the span projects one-to-one onto the pivot coordinates.  It stops at
-    full rank, where every later row would reduce to zero."""
+def _kept(rows: List[List[int]]
+          ) -> Tuple[List[int], List[Tuple[int, List[int]]]]:
+    """The indices of the rows that raise the rank of the rows before them,
+    and an integer echelon basis of the span as (pivot, row) pairs: each
+    kept row reduced by the basis so far and divided by its gcd.  The span
+    projects one-to-one onto the pivot coordinates.  It stops at full rank,
+    where every later row would reduce to zero."""
+    kept: List[int] = []
     basis: List[Tuple[int, List[int]]] = []
-    for row in rows:
+    for i, row in enumerate(rows):
         row = _reduce(basis, row)
         if any(row):
             g = gcd(*row)
-            basis.append((next(i for i, x in enumerate(row) if x),
+            kept.append(i)
+            basis.append((next(c for c, x in enumerate(row) if x),
                           [x // g for x in row]))
             if len(basis) == len(row):
                 break
-    return basis
+    return kept, basis
+
+
+def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
+    """Integer echelon basis of the span of rows, as (pivot, row) pairs."""
+    return _kept(rows)[1]
 
 
 def _det(m: List[List[int]]) -> int:
@@ -258,129 +269,89 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     return n, _dot(n, p0)
 
 
-def _outward(points: List[Tuple[int, ...]], verts: tuple,
-             c: List[int]) -> tuple:
-    """The plane n . x = b through the points at verts, as (n, b, verts),
-    oriented so that n . c < b (d + 1) for c the integer centroid of a
-    start simplex of Z^d (d + 1 times its mean)."""
-    n, b = _plane([points[i] for i in verts])
-    return (n, b, verts) if _dot(n, c) < b * (len(c) + 1) else \
-        ([-a for a in n], -b, verts)
+def _hull(points: List[Tuple[int, ...]], start: List[int]) -> list:
+    """The facets of P = conv(points) + cone(-e_h), the lifted points and
+    everything below them, as (outward normal, offset, contact set): the
+    upper facets (last normal component > 0) and the Newton walls (0), with
+    normal . x <= offset on P.  The projections of the points (all
+    coordinates but the last) span Z^k, and the k + 1 points at start,
+    ascending, are affinely independent there.
 
-
-def _upward(points: List[Tuple[int, ...]], verts) -> tuple:
-    """The one hyperplane through the points at verts, as (n, b, verts),
-    oriented to a positive last component."""
-    n, b = _plane([points[i] for i in verts])
-    return (n, b, verts) if n[-1] >= 0 else ([-a for a in n], -b, verts)
-
-
-def _facets(points: List[Tuple[int, ...]]) -> list:
-    """Facets of the convex hull of integer points that span Z^d or one
-    hyperplane of it, by beneath-beyond.
-
-    Each facet is (outward normal, offset, indices of the points on it),
-    with normal . x <= offset at every point; points on one hyperplane give
-    it once, oriented to a positive last component (``_upward``).  The
-    hull starts from the first d + 1 affinely independent points; each
-    later point p is tested once against every current simplex, and the
+    Beneath-beyond runs on the points and the downward direction, held as
+    a vertex at infinity, index -1.  A simplex through it is a wall: the
+    plane (``_plane``) of its k real points' projections with a 0 height
+    coefficient appended.  Any other simplex is the plane through its k + 1
+    points.  Each is oriented away from z, the start's centroid lowered by
+    1, which lies inside P.  The hull starts from the start points and the
+    direction; the other points go in a fixed pseudo-random order of their
+    indices, and each is tested once against every current simplex: the
     simplices it sees strictly (n . p > b, so points on a facet's plane
-    change nothing) are replaced by the cones from p over their horizon
-    ridges, each oriented away from the start's centroid (``_outward``).
-    Simplices on one plane merge into one facet, whose contact set is read
-    off all points.  The visibility and contact tests are ``_dots``.
-    """
-    d = len(points[0])
-    start, basis = [0], []
-    for i, p in enumerate(points):
-        row = _reduce(basis, [a - b for a, b in zip(p, points[0])])
-        if any(row):
-            basis.append((next(c for c, x in enumerate(row) if x), row))
-            start.append(i)
-            if len(start) > d:
-                break
-    if len(start) == d:  # flat
-        n, b, _ = _upward(points, start)
-        planes = {(tuple(n), b)}
-    else:
-        c = [sum(col) for col in zip(*(points[i] for i in start))]
-        hull = [_outward(points, tuple(start[:j] + start[j + 1:]), c)
-                for j in range(d + 1)]
+    change nothing) are replaced by the cones from it over their horizon
+    ridges.  Simplices on one plane merge into one facet, whose contact set
+    (real points only) is read off all points with ``_dots``; when nothing
+    was left to insert, each start facet touches its own vertices."""
+    k = len(points[0]) - 1
+    z = [sum(col) for col in zip(*(points[i] for i in start))]
+    z[-1] -= 1
+
+    def outward(verts: tuple) -> tuple:
+        if verts[0] < 0:
+            n, b = _plane([points[i][:-1] for i in verts[1:]])
+            n.append(0)
+        else:
+            n, b = _plane([points[i] for i in verts])
+        return (n, b, verts) if _dot(n, z) < b * (k + 1) else \
+            ([-a for a in n], -b, verts)
+
+    simplex = (-1, *start)
+    hull = [outward(simplex[:j] + simplex[j + 1:])
+            for j in range(k + 2 if k else 1)]  # a single point has no wall
+    rest = sorted(set(range(len(points))) - set(start),
+                  key=lambda i: (i * 2654435761) & 0xffffffff)
+    if not rest:
+        return [(tuple(n), b, frozenset(v for v in verts if v >= 0))
+                for n, b, verts in hull]
+    normals = [n for n, _, _ in hull]
+    for i in rest:
+        over = [s > b for s, (_, b, _) in
+                zip(_dots(points[i], normals), hull)]
+        if not any(over):
+            continue
+        once: Dict[tuple, bool] = {}
+        for (_, _, verts), seen in zip(hull, over):
+            if seen:
+                for j in range(k + 1):
+                    ridge = verts[:j] + verts[j + 1:]
+                    once[ridge] = ridge not in once
+        hull = [fc for fc, seen in zip(hull, over) if not seen] + [
+            outward(tuple(sorted(r + (i,)))) for r, one in once.items() if one]
         normals = [n for n, _, _ in hull]
-        for i in sorted(set(range(len(points))) - set(start)):
-            over = [s > b for s, (_, b, _) in
-                    zip(_dots(points[i], normals), hull)]
-            if not any(over):
-                continue
-            once: Dict[tuple, bool] = {}
-            for (_, _, verts), seen in zip(hull, over):
-                if seen:
-                    for j in range(d):
-                        ridge = verts[:j] + verts[j + 1:]
-                        once[ridge] = ridge not in once
-            hull = [fc for fc, seen in zip(hull, over) if not seen] + [
-                _outward(points, tuple(sorted(r + (i,))), c)
-                for r, one in once.items() if one]
-            normals = [n for n, _, _ in hull]
-        planes = {(tuple(n), b) for n, b, _ in hull}
+    planes = {(tuple(n), b) for n, b, _ in hull}
     return [(n, b, frozenset([i for i, s in enumerate(_dots(n, points))
                               if s == b])) for n, b in planes]
 
 
-def _flat(n: tuple, b: int, on, walls: list) -> list:
-    """The facets of a flat lift: its plane n . x = b through the points on,
-    in both orientations, then each Newton wall (n', b', contact) of the
-    projected points as ((n', 0), b', contact)."""
-    return [(n, b, on), (tuple([-a for a in n]), -b, on)] + [
-        ((*w, 0), t, c) for w, t, c in walls]
-
-
-def _hull(points: List[Tuple[int, ...]]) -> list:
-    """The facets of lifted points whose projections (all coordinates but
-    the last) span Z^k, as (normal, offset, contact set): upper facets
-    (last normal component > 0), lower (< 0) and vertical ones (0), which
-    together cut out the lifted polytope.  Affinely independent points
-    (k + 1 of them) are their own simplex, a flat lift built without
-    beneath-beyond: the plane through them and, through each k of them, a
-    Newton wall oriented away from their centroid.  Other points take
-    ``_facets``, and a flat lift among them, where that gives one plane,
-    takes its walls from ``_facets`` of the projections."""
-    if len(points) == len(points[0]):  # k + 1 points
-        xs = [p[:-1] for p in points]
-        c = [sum(col) for col in zip(*xs)]
-        everyone = tuple(range(len(xs)))
-        walls = []
-        for j in everyone if xs[0] else ():  # a single point has none
-            w, t, on = _outward(xs, everyone[:j] + everyone[j + 1:], c)
-            walls.append((w, t, frozenset(on)))
-        n, b, _ = _upward(points, everyone)
-        return _flat(tuple(n), b, frozenset(everyone), walls)
-    facets = _facets(points)
-    if len(facets) > 1:
-        return facets
-    (n, b, on), = facets
-    return _flat(n, b, on, _facets([p[:-1] for p in points]))
-
-
 def _lift(f: TropicalPolynomial) -> tuple:
     """Ascending exponents, the echelon basis of their affine hull (k rows)
-    and its pivots, and the lifted points: pivot coordinates, then height
-    times scale, f's den."""
+    and its pivots, f's den, the lifted points (pivot coordinates, then
+    height times den) and the k + 1 exponents the echelon pass kept, the
+    start simplex of ``_hull``."""
     rows = sorted(f._rows)
     exps = [e for e, _, _ in rows]
-    affine = _echelon([list(map(sub, e, exps[0])) for e in exps[1:]])
+    kept, affine = _kept([list(map(sub, e, exps[0])) for e in exps[1:]])
     pivots = [c for c, _ in affine]
     points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
-    return exps, affine, pivots, f._den, points
+    return exps, affine, pivots, f._den, points, [0] + [i + 1 for i in kept]
 
 
 def _complex_nd(f: TropicalPolynomial) -> _Complex:
-    """Every hull fact read off one list of facets of the lifted points
-    (``_hull``: one beneath-beyond run, two on a flat lift): a point is on
-    the hull iff an upper facet touches it; a hull vertex iff the contact
-    sets of all facets through it, upper, lower and vertical, meet in it
-    alone; and, being a vertex, a Newton vertex (so not an interior vertex)
-    iff a lower facet touches it.  close() is ``_close_nd`` on the same
+    """Every hull fact read off the facets of one beneath-beyond run
+    (``_hull``): a point is on the hull iff an upper facet touches it; a
+    hull vertex iff the contact sets of the facets through it, upper
+    facets and walls, meet in it alone; and, being a vertex, an interior
+    vertex iff the walls through it meet in more than one point (the
+    intersection starts from all points, so a term on no wall is interior,
+    unless it is the only one).  close() is ``_close_nd`` on the same
     facets.
 
     An affinely independent support (k + 1 exponents spanning k
@@ -389,37 +360,40 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     cell: every term is an essential Newton vertex and no facet is built
     until close() is called; close() is ``_close_nd``, which writes the
     rows ascending."""
-    exps, affine, pivots, _, points = _lift(f)
+    exps, affine, pivots, _, points, start = _lift(f)
     if len(pivots) == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
         return (kind,
                 lambda: _close_nd(f, kind, exps, affine, pivots,
-                                  _hull(points)),
+                                  _hull(points, start)),
                 [list(exps)] if f.arity == 2 else None, [])
-    facets = _hull(points)
-    through: List[list] = [[] for _ in exps]
-    for _, _, c in facets:
+    facets = _hull(points, start)
+    roofs: List[list] = [[] for _ in exps]
+    walls: List[list] = [[] for _ in exps]
+    for n, _, c in facets:
+        through = roofs if n[-1] else walls
         for i in c:
             through[i].append(c)
-    upper = frozenset().union(*[c for n, _, c in facets if n[-1] > 0])
-    lower = frozenset().union(*[c for n, _, c in facets if n[-1] < 0])
 
+    everyone = frozenset(range(len(exps)))
     classification = {}
     interior = []
     for i, e in enumerate(exps):
-        if i not in upper:
+        if not roofs[i]:
             classification[e] = INESSENTIAL
-        elif len(frozenset.intersection(*through[i])) > 1:
+            continue
+        newton = everyone.intersection(*walls[i])
+        if len(newton.intersection(*roofs[i])) > 1:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-            if i not in lower:
+            if len(newton) > 1:
                 interior.append(e)
 
     subdivision = None
     if f.arity == 2:
         subdivision = sorted(sorted(exps[i] for i in c)
-                             for n, _, c in facets if n[-1] > 0)
+                             for n, _, c in facets if n[-1])
     return (classification,
             partial(_close_nd, f, classification, exps, affine, pivots,
                     facets),
@@ -482,25 +456,16 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
               exps: List[Exponent], affine, pivots: List[int],
               facets: list) -> TropicalPolynomial:
     """The full closure of f, one row per lattice point of the exponents'
-    affine hull (``_lattice``) over which the lifted polytope has points,
-    ascending: every vertical facet holds there, and the least upper
-    height is at least the greatest lower one.  Only the lower facets that
-    meet the upper hull in k or more points are read: a lower facet bounds
-    the polytope's shadow only along a ridge it shares with an upper facet
-    (over a Newton facet with no wall), and such a ridge holds k of their
-    common points; the walls bound the rest.  The hull height
-    t / (w * den) over a point, the least (b - n . x) / n_k over the upper
-    facets compared by cross-multiplication, becomes a ghost row
-    ``t * (m / w)`` over ``den * m``, m the lcm of those w; an essential
-    term keeps f's own row.  The dot products are ``_dots``, written out at
-    1 to 3 pivot coordinates."""
-    # vertical facets first, then upper, then lower: t / w is final by the
-    # time the lower facets are read
-    upper = [fc for fc in facets if fc[0][-1] > 0]
-    top = frozenset().union(*[c for _, _, c in upper])
-    facets = [fc for fc in facets if not fc[0][-1]] + upper + [
-        fc for fc in facets
-        if fc[0][-1] < 0 and len(fc[2] & top) >= len(pivots)]
+    affine hull (``_lattice``) inside the Newton polytope, ascending: a
+    point is kept iff every wall holds there.  Its hull height t / (w * den),
+    the least (b - n . x) / n_k over the upper facets compared by
+    cross-multiplication, becomes a ghost row ``t * (m / w)`` over
+    ``den * m``, m the lcm of those w; an essential term keeps f's own row.
+    The dot products are ``_dots``, written out at 1 to 3 pivot
+    coordinates."""
+    # walls first: a point outside one is dropped before the heights
+    facets = [fc for fc in facets if not fc[0][-1]] + [
+        fc for fc in facets if fc[0][-1]]
     normals = [n[:-1] for n, _, _ in facets]
     offsets = [b for _, b, _ in facets]
     lasts = [n[-1] for n, _, _ in facets]
@@ -509,12 +474,10 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
         t = None
         for s, b, h in zip(_dots(x, normals), offsets, lasts):
             s = b - s
-            if h > 0:
+            if h:
                 if t is None or s * w < t * h:
                     t, w = s, h
-            elif t * h > s * w if h else s < 0:
-                # outside a wall (h = 0), or the least upper height t / w
-                # under a lower facet (h < 0)
+            elif s < 0:  # outside a wall
                 break
         else:
             heights.append((v, t, w))

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber, _exact
 from .errors import ArityMismatch, ArityUnsupported
-from .essential import _hull, _hull_1d, _lift, _plane
+from .essential import _hull, _hull_1d, _lift
 from .polynomial import TropicalPolynomial, _sort_key
 
 # An open interval with exact rational endpoints; None means unbounded.
@@ -219,17 +219,17 @@ def corner_locus_2d(f: TropicalPolynomial,
         return CornerLocus2D(True, [], [])
     box = [((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
            for lo, hi in ((lo_x, hi_x), (lo_y, hi_y))]
-    exps, _, pivots, scale, points = _lift(f)
-    facets = _hull(points)
+    exps, _, pivots, scale, points, start = _lift(f)
+    facets = _hull(points, start)
     touching: List[list] = [[] for _ in points]
-    for _, _, on in facets:
+    for n, _, on in facets:
         for i in on:
-            touching[i].append(on)
+            touching[i].append((n, on))
     # upper edge -> [(dual vertex numerators, their denominator, outward
     # normal or None) of each cell]
     ends: Dict[FrozenSet[int], list] = {}
     for n, _, on in facets:
-        if n[-1] <= 0:
+        if not n[-1]:
             continue
         v = [0, 0]
         for c, a in zip(pivots, n):
@@ -238,18 +238,14 @@ def corner_locus_2d(f: TropicalPolynomial,
         if len(pivots) == 1:  # a collinear support: the cell is an edge
             ends[on] = [(v, q, None)]
             continue
-        # an edge is where another facet, not the cell's own plane, meets
-        # two or more of its points; its outward normal w is the
-        # perpendicular through two of them, turned away from the rest
-        for edge in {on & c for i in on for c in touching[i] if c != on}:
-            if len(edge) < 2:
-                continue
-            i, j = sorted(edge)[:2]
-            w, off = _plane([points[i][:-1], points[j][:-1]])
-            x, y, _ = points[min(on - edge)]
-            if w[0] * x + w[1] * y > off:
-                w = [-w[0], -w[1]]
-            ends.setdefault(edge, []).append((v, q, w))
+        # an edge is where another upper facet or a wall meets two or more
+        # of the cell's points; on the Newton boundary it is a wall's, and
+        # the wall's normal is the edge's outward normal (an inner edge has
+        # a second cell, and its normal is never read)
+        edges = {on & c: m[:2] for i in on for m, c in touching[i] if c != on}
+        for edge, w in edges.items():
+            if len(edge) >= 2:
+                ends.setdefault(edge, []).append((v, q, w))
     terms = sorted(exps, key=_sort_key, reverse=True)
     rank = {e: r for r, e in enumerate(terms)}
     ties = {tuple(sorted((rank[exps[i]], rank[exps[j]]))): cells

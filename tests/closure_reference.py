@@ -29,8 +29,9 @@ from tropc import (NEG_INFINITY, ArityMismatch, ArityUnsupported,
                    EmptyPolynomial, InternalInconsistency, MonomialInput,
                    NotTangibleFull, SlopeSequence, TropicalNumber,
                    TropicalPolynomial, equivalent, ghost, tangible)
+from facets_reference import full_hull_facets as _facets
 from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
-                             _dot, _facets, _hull_1d, _lift, _reduce)
+                             _dot, _hull_1d, _lift, _reduce)
 from tropc.ideals import IdealFG
 from tropc.polynomial import Exponent, variable
 from tropc.univariate import Factorization
@@ -79,7 +80,7 @@ def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
 
 
 def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
-    exps, affine, pivots, scale, points = _lift(f)
+    exps, affine, pivots, scale, points, _ = _lift(f)
     values = _values(f)
     lifted = {e: values[e] for e in exps}
     k = len(pivots)

@@ -15,7 +15,8 @@ from typing import Dict, FrozenSet, Tuple
 
 from tropc import CornerLocus2D, TropicalPolynomial
 from tropc.errors import ArityUnsupported
-from tropc.essential import _facets, _lift
+from facets_reference import full_hull_facets as _facets
+from tropc.essential import _lift
 from tropc.polynomial import _sort_key
 
 
@@ -55,7 +56,7 @@ def reference_corner_locus_2d(f: TropicalPolynomial,
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
     box = [(Fraction(bbox[c]), Fraction(bbox[c + 2])) for c in (0, 1)]
-    exps, _, pivots, scale, points = _lift(f)
+    exps, _, pivots, scale, points, _ = _lift(f)
     # upper edge -> [(dual vertex, outward normal or None) of each cell]
     ends: Dict[FrozenSet[int], list] = {}
     for n, _, on in _facets(points) if pivots else ():

@@ -1,11 +1,16 @@
-"""The facet enumeration that built hulls of arity >= 2 before the
-beneath-beyond kernel.
+"""The two facet enumerations that built hulls of arity >= 2 before the
+upper-hull kernel.
 
 Copied unchanged apart from the names.  ``reference_facets`` tries every
 k-subset of the points and checks each candidate hyperplane against every
 point, about m^(k+1) work for m points in Z^k; ``reference_complex_nd``
 decides vertices by the ranks of the normals through each point.
-``test_essential.py`` holds the kernel and ``classify_monomials`` to them.
+``full_hull_facets`` is the beneath-beyond kernel that followed it: it
+builds the whole hull (upper, lower and vertical facets) in ascending
+order, and gives a flat set of points its one plane.  ``test_essential.py``
+holds the kernel and ``classify_monomials`` to them, and
+``closure_reference`` and ``corner_reference`` run ``full_hull_facets`` on
+the lifted points and on their projections.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from math import lcm
 from typing import Dict, FrozenSet, List, Tuple
 
 from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
-                             _dot, _echelon, _reduce)
+                             _dot, _dots, _echelon, _plane, _reduce)
 from tropc.polynomial import TropicalPolynomial
 
 
@@ -69,6 +74,76 @@ def reference_facets(points: List[Tuple[int, ...]]) -> list:
 
     grow(0, (), {(): 1})
     return [(n, b, c) for c, (n, b) in found.items()]
+
+
+def full_hull_outward(points: List[Tuple[int, ...]], verts: tuple,
+                      c: List[int]) -> tuple:
+    """The plane n . x = b through the points at verts, as (n, b, verts),
+    oriented so that n . c < b (d + 1) for c the integer centroid of a
+    start simplex of Z^d (d + 1 times its mean)."""
+    n, b = _plane([points[i] for i in verts])
+    return (n, b, verts) if _dot(n, c) < b * (len(c) + 1) else \
+        ([-a for a in n], -b, verts)
+
+
+def full_hull_upward(points: List[Tuple[int, ...]], verts) -> tuple:
+    """The one hyperplane through the points at verts, as (n, b, verts),
+    oriented to a positive last component."""
+    n, b = _plane([points[i] for i in verts])
+    return (n, b, verts) if n[-1] >= 0 else ([-a for a in n], -b, verts)
+
+
+def full_hull_facets(points: List[Tuple[int, ...]]) -> list:
+    """Facets of the convex hull of integer points that span Z^d or one
+    hyperplane of it, by beneath-beyond.
+
+    Each facet is (outward normal, offset, indices of the points on it),
+    with normal . x <= offset at every point; points on one hyperplane give
+    it once, oriented to a positive last component (``full_hull_upward``).
+    The hull starts from the first d + 1 affinely independent points; each
+    later point p is tested once against every current simplex, and the
+    simplices it sees strictly (n . p > b, so points on a facet's plane
+    change nothing) are replaced by the cones from p over their horizon
+    ridges, each oriented away from the start's centroid
+    (``full_hull_outward``).  Simplices on one plane merge into one facet,
+    whose contact set is read off all points.  The visibility and contact
+    tests are ``_dots``.
+    """
+    d = len(points[0])
+    start, basis = [0], []
+    for i, p in enumerate(points):
+        row = _reduce(basis, [a - b for a, b in zip(p, points[0])])
+        if any(row):
+            basis.append((next(c for c, x in enumerate(row) if x), row))
+            start.append(i)
+            if len(start) > d:
+                break
+    if len(start) == d:  # flat
+        n, b, _ = full_hull_upward(points, start)
+        planes = {(tuple(n), b)}
+    else:
+        c = [sum(col) for col in zip(*(points[i] for i in start))]
+        hull = [full_hull_outward(points, tuple(start[:j] + start[j + 1:]), c)
+                for j in range(d + 1)]
+        normals = [n for n, _, _ in hull]
+        for i in sorted(set(range(len(points))) - set(start)):
+            over = [s > b for s, (_, b, _) in
+                    zip(_dots(points[i], normals), hull)]
+            if not any(over):
+                continue
+            once: Dict[tuple, bool] = {}
+            for (_, _, verts), seen in zip(hull, over):
+                if seen:
+                    for j in range(d):
+                        ridge = verts[:j] + verts[j + 1:]
+                        once[ridge] = ridge not in once
+            hull = [fc for fc, seen in zip(hull, over) if not seen] + [
+                full_hull_outward(points, tuple(sorted(r + (i,))), c)
+                for r, one in once.items() if one]
+            normals = [n for n, _, _ in hull]
+        planes = {(tuple(n), b) for n, b, _ in hull}
+    return [(n, b, frozenset([i for i, s in enumerate(_dots(n, points))
+                              if s == b])) for n, b in planes]
 
 
 def reference_complex_nd(f: TropicalPolynomial) -> EssentialComplex:

@@ -22,8 +22,8 @@ from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
                    essential_part, format_poly, full_closure, ghost, is_full,
                    is_ghost_potent, parse_poly,
                    red_add, red_mul, red_pow, slope_sequence, tangible)
-from util import (critical_points_1d, eval_points, hull_builds, rand_coeff,
-                  rand_fraction, rand_poly, rand_tangible_full,
+from util import (critical_points_1d, eval_points, hull_builds, is_flat_lift,
+                  rand_coeff, rand_fraction, rand_poly, rand_tangible_full,
                   same_function_1d)
 
 P = parse_poly
@@ -140,14 +140,26 @@ class TestAgainstLpReference:
         assert all(seen[(a, k)] for a in (2, 3) for k in range(a + 1))
 
 
-class TestAgainstFacetsReference:
-    """The beneath-beyond kernel gives the facets of the old k-subset
-    enumeration, and classify_monomials every field of the old complex.
-    The kernel is run on every point set the reference is handed, a
-    superset of those the complex hands it: an affinely independent
-    support builds no facet."""
+def _paraboloid(arity: int, d: int, sign: int = -1) -> TropicalPolynomial:
+    """Every monomial of degree <= d in arity 2 or 3 variables, at height
+    -(i^2 + ij + j^2) or -(i^2 + ij + j^2 + jk + k^2): every term is a
+    vertex of the lifted hull.  Its convex twin (sign 1) has one upper
+    facet, and only its Newton vertices are essential."""
+    return TropicalPolynomial(arity, {
+        e: tangible(sign * (sum(a * b for a, b in zip(e, e)) + sum(
+            a * b for a, b in zip(e, e[1:]))))
+        for e in iter_product(range(d + 1), repeat=arity) if sum(e) <= d})
 
-    kernel = staticmethod(tropc.essential._facets)
+
+class TestAgainstFacetsReference:
+    """The upper-hull kernel gives the upper facets of the old k-subset
+    enumeration of the lifted points and, as its Newton walls, that
+    enumeration's facets of their projections with a 0 height coefficient
+    appended; classify_monomials gives every field of the old complex.
+    Supports of hundreds of terms, where the enumeration is too slow, are
+    held to the full-hull beneath-beyond kernel instead."""
+
+    kernel = staticmethod(tropc.essential._hull)
 
     @pytest.fixture
     def hulls(self, monkeypatch):
@@ -174,20 +186,33 @@ class TestAgainstFacetsReference:
         assert len(out) == len(facets)  # no facet twice
         return out
 
+    def assert_kernel(self, f, lifted, newton, rng):
+        """The kernel's facets of f's lifted points are the upper ones of
+        lifted and the facets newton of the projections, each with a 0
+        appended, in the given and in a random order, in which a point may
+        come after a facet has covered it."""
+        _, _, _, _, points, start = tropc.essential._lift(f)
+        want = self.facet_set([fc for fc in lifted if fc[0][-1] > 0])
+        want |= self.facet_set([((*n, 0), b, c) for n, b, c in newton])
+        assert self.facet_set(self.kernel(points, start)) == want, points
+        order = rng.sample(range(len(points)), len(points))
+        where = {i: j for j, i in enumerate(order)}
+        shuffled = self.kernel([points[i] for i in order],
+                               sorted(where[i] for i in start))
+        assert self.facet_set(shuffled, order) == want, points
+        return points
+
     def assert_same(self, f, hulls, rng):
-        """Every field of the complex, and the kernel's facets of each
-        point set the reference got, in the given and in a random order,
-        in which a point may come after a facet has covered it."""
+        """Every field of the complex, and the kernel's facets against the
+        reference's facets of the lifted points and of their
+        projections."""
         hulls.clear()
         got = _fields(classify_monomials(f))
         assert got == _fields(reference_complex_nd(f)), format_poly(f)
         assert hulls, format_poly(f)
-        for points, facets in hulls:
-            want = self.facet_set(facets)
-            assert self.facet_set(self.kernel(points)) == want, points
-            order = rng.sample(range(len(points)), len(points))
-            shuffled = self.kernel([points[i] for i in order])
-            assert self.facet_set(shuffled, order) == want, points
+        newton = hulls[0][1] if len(hulls) == 2 else []
+        points = self.assert_kernel(f, hulls[-1][1], newton, rng)
+        assert points == hulls[-1][0], format_poly(f)
 
     def test_random(self, hulls):
         rng = random.Random(61)
@@ -223,15 +248,20 @@ class TestAgainstFacetsReference:
         for f in cases:
             self.assert_same(f, hulls, rng)
 
-
-def _paraboloid(arity: int, d: int) -> TropicalPolynomial:
-    """Every monomial of degree <= d in arity 2 or 3 variables, at height
-    -(i^2 + ij + j^2) or -(i^2 + ij + j^2 + jk + k^2): every term is a
-    vertex of the lifted hull."""
-    return TropicalPolynomial(arity, {
-        e: tangible(-sum(a * b for a, b in zip(e, e)) - sum(
-            a * b for a, b in zip(e, e[1:])))
-        for e in iter_product(range(d + 1), repeat=arity) if sum(e) <= d})
+    @pytest.mark.parametrize("f, terms", [
+        pytest.param(_paraboloid(2, 24), 325, id="concave paraboloid"),
+        pytest.param(_paraboloid(2, 24, 1), 325, id="convex paraboloid"),
+        pytest.param(P("(x+y+z+0)^8"), 165, id="flat"),
+        pytest.param(P("(x + 2*y + -1*z + 3)^5*(z + 1/2*x*y + 0)^4"), 310,
+                     id="raw product"),
+    ])
+    def test_against_the_full_hull_kernel(self, f, terms):
+        assert len(f.terms) == terms
+        points = tropc.essential._lift(f)[4]
+        self.assert_kernel(
+            f, facets_reference.full_hull_facets(points),
+            facets_reference.full_hull_facets([p[:-1] for p in points]),
+            random.Random(71))
 
 
 class TestPinnedDegenerateCases:
@@ -389,26 +419,37 @@ class TestPlaneBudget:
     """Hyperplanes the kernel builds for one complex, counted at its plane
     helper.  Enumerating k-subsets would face C(56, 4) = 367,290 candidate
     planes on the 56 lifted points below; beneath-beyond builds a few
-    hundred."""
+    hundred, and no lower facet.  The pins guard the insertion order and
+    the missing lower facets: a full hull built in ascending order takes
+    225, 214, 14,053 and 47,017 planes on the four inputs below."""
 
-    def planes(self, monkeypatch, text):
+    def planes(self, monkeypatch, f):
         count = [0]
 
         def counted(points, _plane=tropc.essential._plane):
             count[0] += 1
             return _plane(points)
         monkeypatch.setattr(tropc.essential, "_plane", counted)
-        f = P(text)
         tropc.essential._complex_nd(f)
         return len(f.terms), count[0]
 
     def test_three_variables(self, monkeypatch):
-        assert self.planes(monkeypatch, "(x + 1*y + 3*z + 0)^5") == (56, 225)
+        assert self.planes(monkeypatch, P("(x + 1*y + 3*z + 0)^5")) == \
+            (56, 91)
 
     def test_two_variables(self, monkeypatch):
-        # not flat: the lifted points have two upper facets, and their one
-        # hull gives the Newton walls too
-        assert self.planes(monkeypatch, "(x + y + 1*x*y + 0)^6") == (49, 214)
+        # not flat: the lifted points have two upper facets
+        assert self.planes(monkeypatch, P("(x + y + 1*x*y + 0)^6")) == \
+            (49, 48)
+
+    def test_convex_paraboloid(self, monkeypatch):
+        # one upper facet over 1,600 lower triangles
+        assert self.planes(monkeypatch, _paraboloid(2, 40, 1)) == (861, 114)
+
+    def test_raw_product(self, monkeypatch):
+        # a raw product whose terms mostly lie under its 13 facets
+        f = P("(x + 2*y + -1*z + 3)^10*(z + 1/2*x*y + 0)^6")
+        assert self.planes(monkeypatch, f) == (1453, 1865)
 
 
 def _univariate_case(rng: random.Random, kind: str) -> TropicalPolynomial:
@@ -583,7 +624,7 @@ def _dilated(f: TropicalPolynomial, m: int) -> TropicalPolynomial:
 class TestAffinelyIndependentSupports:
     """A support of k + 1 affinely independent exponents is its own Newton
     simplex with one upper cell, and its complex is read off the support
-    without building a facet; close() builds the planes _facets would.
+    without building a facet; close() builds the start simplex's facets.
     Outputs are the old paths' ones."""
 
     def test_against_the_references(self):
@@ -629,14 +670,14 @@ class TestAffinelyIndependentSupports:
     def test_both_paths_on_the_corpora(self, monkeypatch):
         # the short path is taken exactly on affinely independent
         # supports, and each path often on the seeded corpora above; every
-        # other complex runs beneath-beyond once on its lifted points, and
-        # a flat lift once more on the projected ones, for its Newton walls
+        # other complex, a flat lift included, runs beneath-beyond once on
+        # its lifted points, whose walls are the Newton facts
         calls = [0]
 
-        def counted(points, _facets=tropc.essential._facets):
+        def counted(points, start, _hull=tropc.essential._hull):
             calls[0] += 1
-            return _facets(points)
-        monkeypatch.setattr(tropc.essential, "_facets", counted)
+            return _hull(points, start)
+        monkeypatch.setattr(tropc.essential, "_hull", counted)
         rng = random.Random(61)
         kinds = ["random", "random", "collinear", "coplanar", "flat",
                  "fractional", "single"]
@@ -655,7 +696,7 @@ class TestAffinelyIndependentSupports:
             assert calls[0] == hull_builds(f), format_poly(f)
             seen[f.arity, independent] += 1
             if calls[0]:
-                seen[f.arity, "flat" if calls[0] == 2 else "lifted"] += 1
+                seen[f.arity, "flat" if is_flat_lift(f) else "lifted"] += 1
         assert all(seen[a, short] >= 50 for a in (2, 3, 4)
                    for short in (True, False)), seen
         assert all(seen[a, "lifted"] >= 50 and seen[a, "flat"] >= 5

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-import tropc.essential
 import tropc.sets
 from corner_reference import reference_corner_locus_2d as fraction_corner_locus
 from sets_reference import (reference_components_with_monomials,
@@ -15,7 +14,7 @@ from tropc import (ArityMismatch, ArityUnsupported, Component1D, NEG_INFINITY,
                    comset_leq, comset_meet, corner_locus_2d, format_poly,
                    ghost, parse_poly, red_mul, tangible, zset_contains)
 from tropc.sets import _components_with_monomials
-from util import critical_points_1d, hull_builds, rand_poly
+from util import critical_points_1d, hull_builds, is_flat_lift, rand_poly
 
 P = parse_poly
 
@@ -443,17 +442,20 @@ class TestAgainstCornerReference:
 
 
 class TestOneHullPerLocus:
-    """The tie loci are read off one hull of the lifted points, run twice
-    only on a flat lift (the second run gives the Newton walls): each
-    cell's edges come from the facets it meets, with no hull per cell."""
+    """The tie loci are read off one hull of the lifted points, a flat lift
+    included: each cell's edges come from the upper facets and Newton walls
+    it meets, with no hull per cell and no second run.  The kernel is
+    called once per locus, and runs beneath-beyond (inserts a point after
+    its start simplex) unless the support is affinely independent."""
 
     def test_corpus(self, monkeypatch):
-        calls = [0]
+        calls, runs = [0], [0]
 
-        def counted(points, _facets=tropc.essential._facets):
+        def counted(points, start, _hull=tropc.sets._hull):
             calls[0] += 1
-            return _facets(points)
-        monkeypatch.setattr(tropc.essential, "_facets", counted)
+            runs[0] += len(points) > len(start)
+            return _hull(points, start)
+        monkeypatch.setattr(tropc.sets, "_hull", counted)
         rng = random.Random(347)
         seen = Counter()
         cases = [rand_corner_input(rng, n) for n in range(600)]
@@ -465,14 +467,16 @@ class TestOneHullPerLocus:
                     a + b * e[0] + c * e[1])
                 for e in rand_corner_input(rng, 3)[1].terms})))
         for kind, f in cases:
-            calls[0] = 0
+            calls[0] = runs[0] = 0
             got = corner_locus_2d(f, TestCornerLocus2D.BOX)
+            assert calls[0] == (not got.whole_plane), format_poly(f)
             want = 0 if got.whole_plane else hull_builds(f)
-            assert calls[0] == want, format_poly(f)
+            assert runs[0] == want, format_poly(f)
             seen[want] += 1
+            seen["flat"] += want == 1 and is_flat_lift(f)
             seen["cells"] += want == 1 and \
                 len(classify_monomials(f).subdivision) > 1
-        assert min(seen[0], seen[1], seen[2], seen["cells"]) >= 50, seen
+        assert min(seen[0], seen[1], seen["flat"], seen["cells"]) >= 50, seen
 
 
 class TestCornerBudget:

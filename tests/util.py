@@ -116,17 +116,27 @@ def poly_key(f: TropicalPolynomial):
         (e, c.tag, c.value) for e, c in f.terms.items())))
 
 
-def hull_builds(f: TropicalPolynomial) -> int:
-    """The beneath-beyond runs one hull of f's lifted points takes: none
-    for an affinely independent support (k + 1 exponents spanning k
-    dimensions, a single term included), two for another flat lift
-    (heights affine in the exponent), whose second run gives the Newton
-    walls, and one otherwise.  Ranks are taken over the integer rows."""
+def _ranks(f: TropicalPolynomial):
+    """The number of f's terms, the dimension k of its support and that of
+    its lifted points, ranks taken over the integer rows."""
     rows = sorted(f._rows)
     e0, s0, _ = rows[0]
     support = [[a - b for a, b in zip(e, e0)] for e, _, _ in rows]
-    k = len(_echelon(support))
-    if k == len(rows) - 1:
-        return 0
     lifted = [d + [s - s0] for d, (_, s, _) in zip(support, rows)]
-    return 2 if len(_echelon(lifted)) == k else 1
+    return len(rows), len(_echelon(support)), len(_echelon(lifted))
+
+
+def hull_builds(f: TropicalPolynomial) -> int:
+    """The beneath-beyond runs one hull of f's lifted points takes: none
+    for an affinely independent support (k + 1 exponents spanning k
+    dimensions, a single term included), whose start simplex is its whole
+    hull, and one otherwise, a flat lift included."""
+    m, k, _ = _ranks(f)
+    return 0 if k == m - 1 else 1
+
+
+def is_flat_lift(f: TropicalPolynomial) -> bool:
+    """Heights affine in the exponent over a support that is not affinely
+    independent: the lift's upper hull is one plane."""
+    m, k, lifted = _ranks(f)
+    return k < m - 1 and lifted == k
