@@ -21,28 +21,22 @@ walk.  Higher arities build the facets of the lifted points and everything
 below them once (``_hull``), by beneath-beyond with the downward direction
 as a vertex at infinity, so every facet is an upper facet or a Newton wall
 (a vertical facet over a facet of the Newton polytope), and no lower facet
-is built.  The start simplex is the k + 1 exponents the echelon pass of
-``_lift`` keeps, plus the direction; the other points go in a fixed
-pseudo-random order, and each is tested once against every current
-simplex.  The
-plane through d = 2 or 3 points is written out (the perpendicular in 2-D,
-the cross product in 3-D), other d expand cofactors, and the visibility,
-contact and closure tests take their dot products from ``_dots``, which
-unpacks 1 to 3 coordinates.  Every hull fact, and the plane corner locus in
-``sets``, is read off the points each facet touches.  An affinely
-independent support (k + 1 exponents spanning k dimensions: a single term,
-a binomial, most trinomials, and every dilation of one) is its own Newton
-simplex and its lifted points form one upper cell, so every term is
-essential, and its hull, the start simplex alone, is built only when the
-closure is written.  Both arities give one integer complex (``_complex``):
-the classification, a function that writes the full closure (one row per
-hull lattice point, ascending, at the hull's height there, so
-``classify_monomials`` reads the heights off it), the cells and the
-interior vertices.  Writing it runs the lattice walk (in one dimension,
-``_close_1d``'s edge walk; on a segment, its own lattice points; otherwise
-the box of the pivot coordinates of the exponents' affine hull, lifted to
-the hull), which essential parts (and with them ``equivalent`` and
-``is_ghost_potent``) skip: they read the classification alone.  Everything
+is built; planes and dot products are written out at 1 to 3 coordinates
+(``_plane``, ``_dots``).  Every hull fact, and every plane cell that the
+subdivision and the corner locus in ``sets`` read, comes off the points
+each facet touches (``_index``).  An affinely independent support (k + 1
+exponents spanning k dimensions: a single term, a binomial, most
+trinomials, and every dilation of one) is its own Newton simplex and its
+lifted points form one upper cell, so every term is essential, and its
+hull, the start simplex alone, is built only when the closure is written
+or the cells are read.  Both arities give one integer complex
+(``_complex``): the classification, functions that write the full closure
+(one row per hull lattice point, ascending, at the hull's height there, so
+``classify_monomials`` reads the heights off it) and read the cells, and
+the interior vertices.  Writing the closure runs the lattice walk
+(``_walk_1d``'s edge walk in one dimension, else ``_lattice``), which
+essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
+skip with the cells: they read the classification alone.  Everything
 stays on integer rows; ``Fraction``s are built only for the public
 ``EssentialComplex`` of ``classify_monomials`` and the public
 ``SlopeSequence``.
@@ -57,7 +51,7 @@ from functools import partial
 from itertools import accumulate, product as iter_product
 from math import gcd, lcm
 from operator import itemgetter, mul, sub
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
@@ -82,13 +76,12 @@ class EssentialComplex:
 
 
 # The integer complex of a nonempty f: (classification, close, cells,
-# interior).  The classification is keyed in the order of the public view;
-# close() writes the full closure of f, one row per hull lattice point in
-# ascending exponent order, valued at the hull's height there.  close()
-# runs the lattice walk, so callers that read only the classification skip
-# it.  The cells are the subdivision (None above arity 2).
+# interior), the classification keyed in the order of the public view.  On
+# request, close() writes f's full closure by the lattice walk, one row per
+# hull lattice point, ascending, at the hull's height there; cells() reads
+# the hull edges' exponents at arity 1, ``_index``'s at arity 2 (None above).
 _Complex = Tuple[Dict[Exponent, str], Callable[[], TropicalPolynomial],
-                 Optional[List[List[Exponent]]], List[Exponent]]
+                 Optional[Callable[[], Iterable]], List[Exponent]]
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +163,8 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
         classification[end] = ESSENTIAL
         cell.append(end)
         cells.append(cell)
-    return (classification, lambda: _walk_1d(f, den, hull)[0], cells,
-            [(x,) for x, _ in hull[1:-1]])
+    return (classification, lambda: _walk_1d(f, den, hull)[0],
+            lambda: cells, [(x,) for x, _ in hull[1:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -344,30 +337,15 @@ def _lift(f: TropicalPolynomial) -> tuple:
     return exps, affine, pivots, f._den, points, [0] + [i + 1 for i in kept]
 
 
-def _complex_nd(f: TropicalPolynomial) -> _Complex:
-    """Every hull fact read off the facets of one beneath-beyond run
-    (``_hull``): a point is on the hull iff an upper facet touches it; a
-    hull vertex iff the contact sets of the facets through it, upper
-    facets and walls, meet in it alone; and, being a vertex, an interior
-    vertex iff the walls through it meet in more than one point (the
-    intersection starts from all points, so a term on no wall is interior,
-    unless it is the only one).  close() is ``_close_nd`` on the same
-    facets.
-
-    An affinely independent support (k + 1 exponents spanning k
-    dimensions, so the echelon basis has one pivot fewer than there are
-    terms) is its own Newton simplex, and its lifted points form one upper
-    cell: every term is an essential Newton vertex and no facet is built
-    until close() is called; close() is ``_close_nd``, which writes the
-    rows ascending."""
-    exps, affine, pivots, _, points, start = _lift(f)
-    if len(pivots) == len(exps) - 1:
-        kind = dict.fromkeys(exps, ESSENTIAL)
-        return (kind,
-                lambda: _close_nd(f, kind, exps, affine, pivots,
-                                  _hull(points, start)),
-                [list(exps)] if f.arity == 2 else None, [])
-    facets = _hull(points, start)
+def _index(exps: List[Exponent], pivots: List[int], facets: list) -> tuple:
+    """The contact sets of the upper facets (roofs) and of the walls
+    through each point, and a generator of the arity-2 upper cells read
+    off them, each (normal, points, edges): the facet's normal (n_x, n_y,
+    n_H) in full coordinates, whose dual vertex is (n_x, n_y) / (n_H den),
+    its points' exponents, and the edges where another upper facet or a
+    wall meets two or more of them, keyed by their exponents (all
+    ascending), with the wall's outward normal (w_x, w_y, 0) or None
+    inside.  A collinear support's cells are edges, each its own edge."""
     roofs: List[list] = [[] for _ in exps]
     walls: List[list] = [[] for _ in exps]
     for n, _, c in facets:
@@ -375,6 +353,54 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
         for i in c:
             through[i].append(c)
 
+    def full(n):
+        v = [0, 0, n[-1]]
+        for c, a in zip(pivots, n):
+            v[c] = a
+        return v
+
+    def cells():
+        outward = {c: full(n) for n, _, c in facets if not n[-1]}
+        for n, _, on in facets:
+            if n[-1]:
+                edges = {on: None} if len(pivots) == 1 else {
+                    on & c: outward.get(c) for i in on
+                    for c in roofs[i] + walls[i] if c != on}
+                yield full(n), [exps[i] for i in sorted(on)], {
+                    tuple([exps[i] for i in sorted(e)]): w
+                    for e, w in edges.items() if len(e) >= 2}
+    return roofs, walls, cells
+
+
+def _complex_nd(f: TropicalPolynomial) -> _Complex:
+    """Every hull fact read off the facets of one beneath-beyond run
+    (``_hull``) and their ``_index``: a point is on the hull iff an upper
+    facet touches it; a hull vertex iff the contact sets of the facets
+    through it, upper facets and walls, meet in it alone; and, being a
+    vertex, an interior vertex iff the walls through it meet in more than
+    one point (the intersection starts from all points, so a term on no
+    wall is interior, unless it is the only one).  close() is
+    ``_close_nd`` on the same facets, and cells() reads the index.
+
+    An affinely independent support (k + 1 exponents spanning k
+    dimensions, so the echelon basis has one pivot fewer than there are
+    terms) is its own Newton simplex, and its lifted points form one upper
+    cell: every term is an essential Newton vertex and no facet is built
+    until close() or cells() is called; both read one hull of the start
+    simplex, and ``_close_nd`` writes the rows ascending."""
+    exps, affine, pivots, _, points, start = _lift(f)
+    if len(pivots) == len(exps) - 1:
+        kind = dict.fromkeys(exps, ESSENTIAL)
+        built: dict = {}
+
+        def simplex() -> list:  # the start simplex's facets, built once
+            return built.get(0) or built.setdefault(0, _hull(points, start))
+        return (kind,
+                lambda: _close_nd(f, kind, exps, affine, pivots, simplex()),
+                (lambda: _index(exps, pivots, simplex())[2]())
+                if f.arity == 2 else None, [])
+    facets = _hull(points, start)
+    roofs, walls, cells = _index(exps, pivots, facets)
     everyone = frozenset(range(len(exps)))
     classification = {}
     interior = []
@@ -389,15 +415,10 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
             classification[e] = ESSENTIAL
             if len(newton) > 1:
                 interior.append(e)
-
-    subdivision = None
-    if f.arity == 2:
-        subdivision = sorted(sorted(exps[i] for i in c)
-                             for n, _, c in facets if n[-1])
     return (classification,
             partial(_close_nd, f, classification, exps, affine, pivots,
                     facets),
-            subdivision, interior)
+            cells if f.arity == 2 else None, interior)
 
 
 def _lattice(exps: List[Exponent], affine, pivots: List[int]):
@@ -505,6 +526,9 @@ def classify_monomials(f: TropicalPolynomial,
         raise EmptyPolynomial("no monomials to classify")
     kind, close, cells, interior = _complex(f)
     closed = close()
+    cells = cells and cells()
+    if f.arity == 2:  # the points of each upper cell
+        cells = sorted(points for _, points, _ in cells)
     den = f._den
     values = {e: s for e, s, _ in f._rows}
     return EssentialComplex(

@@ -192,9 +192,9 @@ def parse_poly(text: str, arity: Optional[int] = None,
             f"arity {arity} is above the limit of {_MAX_VARIABLES}")
     tokens = _tokenize(text)
     used = [tok.payload for tok in tokens if tok.kind == "var"]
-    needed = max(used) + 1 if used else 1
+    needed = max(used) + 1 if used else 0
     if arity is None:
-        arity = needed
+        arity = needed or 1
     elif arity < needed:
         raise ArityMismatch(
             f"text uses {needed} variables but arity {arity} was requested")

@@ -6,7 +6,7 @@ on the ghost axis, and possibly the bottom element.  The ghost ray and the
 bottom element only occur when the constant coefficient is tangible, in
 which case they merge with the leftmost tangible interval into a single
 component.  A plane corner locus, where two terms attain the maximum
-together, is read off the upper hull of the lifted Newton points and
+together, is read off the upper cells of the lifted Newton points and
 clipped to its box on integers; ``Fraction``s are built only for the
 coordinates and directions of its output.
 """
@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber, _exact
 from .errors import ArityMismatch, ArityUnsupported
-from .essential import _hull, _hull_1d, _lift
+from .essential import _complex, _hull_1d
 from .polynomial import TropicalPolynomial, _sort_key
 
 # An open interval with exact rational endpoints; None means unbounded.
@@ -157,7 +157,7 @@ class CornerLocus2D:
 
 def _box_range(p, q, d, lo, hi, box):
     """The range of t in [lo, hi] (None is unbounded) with p / q + t d in
-    box, or None when the line misses it.  p are integer numerators over
+    box, or None when it is empty.  p are integer numerators over
     q > 0 and d an integer direction; each side of box is a pair of bounds
     (numerator, positive denominator), and t, lo and hi are such pairs too,
     compared by cross-multiplication."""
@@ -174,7 +174,7 @@ def _box_range(p, q, d, lo, hi, box):
                 hi = tb
         elif an * q > pc * ad or pc * bd > bn * q:
             return None
-    return lo, hi
+    return None if lo[0] * hi[1] > hi[0] * lo[1] else (lo, hi)
 
 
 def _point(p, q, d, t):
@@ -199,16 +199,14 @@ def corner_locus_2d(f: TropicalPolynomial,
     but are not drawn.  A polynomial vanishing identically on the plane
     (all coefficients ghost, or no terms) sets whole_plane instead.
 
-    Two terms tie on more than a point iff they share an edge of the upper
-    hull of the lifted points: from the dual vertex (n_x, n_y) / (n_H s) of
-    a cell n . (x, H) = b (heights times s) along the edge's outward normal,
-    to the other cell's vertex or on as a ray; along a whole line when the
-    support is collinear and the cells are edges.  The clip runs on
-    integers: a dual vertex is its integer numerators over n_H s, a tie
-    direction is integer, and the clip parameter t and the box sides are
-    (numerator, denominator) pairs compared by cross-multiplication.
-    ``Fraction``s are built only for the coordinates and directions that
-    go out.
+    The locus is the dual of the hull complex's upper cells (Maclagan and
+    Sturmfels, *Introduction to Tropical Geometry*, 3.1): two terms tie on
+    more than a point iff they share a cell edge, from the cell's dual
+    vertex (n_x, n_y) / (n_H s) (heights times s) to the other cell's
+    vertex on an inner edge, or on as a ray along the wall's outward normal
+    on the Newton boundary; along a whole line when the support is
+    collinear and the cells are edges.  The clip runs on integers
+    (``_box_range``); ``Fraction``s are built only for what goes out.
     """
     if f.arity != 2:
         raise ArityUnsupported("corner loci are planar")
@@ -219,58 +217,35 @@ def corner_locus_2d(f: TropicalPolynomial,
         return CornerLocus2D(True, [], [])
     box = [((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
            for lo, hi in ((lo_x, hi_x), (lo_y, hi_y))]
-    exps, _, pivots, scale, points, start = _lift(f)
-    facets = _hull(points, start)
-    touching: List[list] = [[] for _ in points]
-    for n, _, on in facets:
-        for i in on:
-            touching[i].append((n, on))
-    # upper edge -> [(dual vertex numerators, their denominator, outward
-    # normal or None) of each cell]
-    ends: Dict[FrozenSet[int], list] = {}
-    for n, _, on in facets:
-        if not n[-1]:
-            continue
-        v = [0, 0]
-        for c, a in zip(pivots, n):
-            v[c] = a
-        q = n[-1] * scale
-        if len(pivots) == 1:  # a collinear support: the cell is an edge
-            ends[on] = [(v, q, None)]
-            continue
-        # an edge is where another upper facet or a wall meets two or more
-        # of the cell's points; on the Newton boundary it is a wall's, and
-        # the wall's normal is the edge's outward normal (an inner edge has
-        # a second cell, and its normal is never read)
-        edges = {on & c: m[:2] for i in on for m, c in touching[i] if c != on}
+    # cell edge -> [(dual vertex numerators, denominator, wall normal), ...]
+    ends: Dict[tuple, list] = {}
+    for n, _, edges in _complex(f)[2]():
+        v, q = n[:2], n[2] * f._den
         for edge, w in edges.items():
-            if len(edge) >= 2:
-                ends.setdefault(edge, []).append((v, q, w))
-    terms = sorted(exps, key=_sort_key, reverse=True)
+            ends.setdefault(edge, []).append((v, q, w))
+    terms = sorted([e for e, _, _ in f._rows], key=_sort_key, reverse=True)
     rank = {e: r for r, e in enumerate(terms)}
-    ties = {tuple(sorted((rank[exps[i]], rank[exps[j]]))): cells
-            for on, cells in ends.items() for i, j in combinations(on, 2)}
+    ties = {tuple(sorted((rank[a], rank[b]))): cells
+            for edge, cells in ends.items() for a, b in combinations(edge, 2)}
     segments, rays = [], []
     for (i, j), ((v, q, w), *other) in sorted(ties.items()):
         ei, ej = terms[i], terms[j]
         d = (ej[1] - ei[1], ei[0] - ej[0])
-        if w is None:
-            lo = hi = None
-        elif other:
+        if other:
             # the other cell's vertex u / r at t = (u_c / r - v_c / q) / d_c
             u, r, _ = other[0]
             c = 0 if d[0] else 1
             t = ((u[c] * q - v[c] * r) * d[c], q * r * d[c] * d[c])
             lo, hi = ((0, 1), t) if t[0] > 0 else (t, (0, 1))
-        else:  # a ray along the outward normal w
-            up = sum(a * d[c] for c, a in zip(pivots, w)) > 0
+        elif w is None:  # a collinear support: the cell is an edge
+            lo = hi = None
+        else:  # a ray along the wall's outward normal w
+            up = w[0] * d[0] + w[1] * d[1] > 0
             lo, hi = ((0, 1), None) if up else (None, (0, 1))
         clipped = _box_range(v, q, d, lo, hi, box)
         if clipped is None:
             continue
         lo_t, hi_t = clipped
-        if lo_t[0] * hi_t[1] > hi_t[0] * lo_t[1]:
-            continue
         # the visible part is a segment, and each unbounded end a ray
         a = _point(v, q, d, lo_t)
         entry = {"indices": [list(ei), list(ej)]}

@@ -288,6 +288,10 @@ class TestPinnedDegenerateCases:
         ("all ghost", P("0v*x^2 + 1v*x*y + 0v*y^2 + 2v*x + 0v")),
         ("paraboloid, d = 12", _paraboloid(2, 12)),
         ("paraboloid in three variables, d = 6", _paraboloid(3, 6)),
+        # 325 terms in three flat cells of 91, 91 and 169 points, whose
+        # inner edges carry 13 points each: 624 tie segments and 468 rays
+        ("three large flat cells",
+         P("(x + 1*y + 0)^12*(x + -2*y + 5)^12")),
     ])
     def test_against_the_references(self, name, f):
         cx = classify_monomials(f)
@@ -701,6 +705,29 @@ class TestAffinelyIndependentSupports:
                    for short in (True, False)), seen
         assert all(seen[a, "lifted"] >= 50 and seen[a, "flat"] >= 5
                    for a in (2, 3, 4)), seen
+
+    def test_one_hull_per_classification(self, monkeypatch):
+        # on the short path close() and, at arity 2, cells() share one hull
+        # of the start simplex; every other complex builds its one hull
+        calls = [0]
+
+        def counted(points, start, _hull=tropc.essential._hull):
+            calls[0] += 1
+            return _hull(points, start)
+        monkeypatch.setattr(tropc.essential, "_hull", counted)
+        rng = random.Random(83)
+        corpus = [p for pair in _hull_cases(160, 89) for p in pair]
+        corpus += [_independent_case(rng, arity, i // 3 % (arity + 1))
+                   for i, arity in enumerate([2, 3, 4] * 40)]
+        seen = Counter()
+        for f in corpus:
+            calls[0] = 0
+            cx = classify_monomials(f)
+            assert calls[0] == 1, format_poly(f)
+            seen[f.arity, hull_builds(f)] += 1
+            seen["cells"] += f.arity == 2 and len(cx.subdivision) > 1
+        assert all(seen[a, b] >= 20 for a in (2, 3) for b in (0, 1)), seen
+        assert seen[4, 0] >= 20 and seen["cells"] >= 20, seen
 
 
 class TestClosureRowsAscend:

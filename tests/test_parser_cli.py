@@ -94,6 +94,20 @@ class TestParser:
             with pytest.raises(ArityMismatch):
                 P("x + 0", arity=arity)
 
+    def test_arity_zero_round_trip(self):
+        # text with no variable parses at arity 0; without a requested
+        # arity it still parses at arity 1
+        for f in (TropicalPolynomial(0, {(): tangible(3)}),
+                  TropicalPolynomial(0, {(): ghost(Fraction(-1, 2))}),
+                  TropicalPolynomial(0, {})):
+            text = format_poly(f)
+            g = P(text, arity=0)
+            assert g == f and format_poly(g) == text, text
+            assert P(text).arity == 1, text
+        for text, arity in (("x", 0), ("3", -1), ("x + 0", -2)):
+            with pytest.raises(ArityMismatch):
+                P(text, arity=arity)
+
     def test_format_pinned(self):
         assert format_poly(P("0*x^2 + 0v*x + 2")) == "x^2 + 0v*x + 2"
         assert format_poly(P("x*y + 3")) == "x*y + 3"

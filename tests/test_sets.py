@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import tropc.essential
 import tropc.sets
 from corner_reference import reference_corner_locus_2d as fraction_corner_locus
 from sets_reference import (reference_components_with_monomials,
@@ -444,18 +445,19 @@ class TestAgainstCornerReference:
 class TestOneHullPerLocus:
     """The tie loci are read off one hull of the lifted points, a flat lift
     included: each cell's edges come from the upper facets and Newton walls
-    it meets, with no hull per cell and no second run.  The kernel is
-    called once per locus, and runs beneath-beyond (inserts a point after
-    its start simplex) unless the support is affinely independent."""
+    it meets, with no hull per cell and no second run.  The kernel
+    (``essential._hull``, which the complex calls) is called once per
+    locus, and runs beneath-beyond (inserts a point after its start
+    simplex) unless the support is affinely independent."""
 
     def test_corpus(self, monkeypatch):
         calls, runs = [0], [0]
 
-        def counted(points, start, _hull=tropc.sets._hull):
+        def counted(points, start, _hull=tropc.essential._hull):
             calls[0] += 1
             runs[0] += len(points) > len(start)
             return _hull(points, start)
-        monkeypatch.setattr(tropc.sets, "_hull", counted)
+        monkeypatch.setattr(tropc.essential, "_hull", counted)
         rng = random.Random(347)
         seen = Counter()
         cases = [rand_corner_input(rng, n) for n in range(600)]
