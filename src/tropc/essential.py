@@ -22,24 +22,24 @@ below them once (``_hull``), by beneath-beyond with the downward direction
 as a vertex at infinity, so every facet is an upper facet or a Newton wall
 (a vertical facet over a facet of the Newton polytope), and no lower facet
 is built; planes and dot products are written out at 1 to 3 coordinates
-(``_plane``, ``_dots``).  Every hull fact, and every plane cell that the
-subdivision and the corner locus in ``sets`` read, comes off the points
-each facet touches (``_index``).  An affinely independent support (k + 1
+(``_plane``, ``_dots``).  Every hull fact comes off the points each
+facet touches (``_index``); the plane subdivision is the upper facets'
+contact sets, and the corner locus in ``sets`` reads the cells' edges off
+a hull of its own (``_cells``).  An affinely independent support (k + 1
 exponents spanning k dimensions: a single term, a binomial, most
 trinomials, and every dilation of one) is its own Newton simplex and its
 lifted points form one upper cell, so every term is essential, and its
-hull, the start simplex alone, is built only when the closure is written
-or the cells are read.  Both arities give one integer complex
-(``_complex``): the classification, functions that write the full closure
-(one row per hull lattice point, ascending, at the hull's height there, so
-``classify_monomials`` reads the heights off it) and read the cells, and
-the interior vertices.  Writing the closure runs the lattice walk
-(``_walk_1d``'s edge walk in one dimension, else ``_lattice``), which
-essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
-skip with the cells: they read the classification alone.  Everything
-stays on integer rows; ``Fraction``s are built only for the public
-``EssentialComplex`` of ``classify_monomials`` and the public
-``SlopeSequence``.
+hull, the start simplex alone, is built only when the closure is written.
+Both arities give one integer complex (``_complex``): the classification,
+a function that writes the full closure (one row per hull lattice point,
+ascending, at the hull's height there, so ``classify_monomials`` reads
+the heights off it), the subdivision and the interior vertices.  Writing
+the closure runs the lattice walk (``_walk_1d``'s edge walk in one
+dimension, else ``_lattice``), which essential parts (and with them
+``equivalent`` and ``is_ghost_potent``) skip: they read the
+classification alone.  Everything stays on integer rows; ``Fraction``s
+are built only for the public ``EssentialComplex`` of
+``classify_monomials`` and the public ``SlopeSequence``.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from functools import partial
 from itertools import accumulate, product as iter_product
 from math import gcd, lcm
 from operator import itemgetter, mul, sub
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
                      InternalInconsistency, MonomialInput)
@@ -75,13 +75,13 @@ class EssentialComplex:
     interior_vertices: List[Exponent]
 
 
-# The integer complex of a nonempty f: (classification, close, cells,
+# The integer complex of a nonempty f: (classification, close, subdivision,
 # interior), the classification keyed in the order of the public view.  On
 # request, close() writes f's full closure by the lattice walk, one row per
-# hull lattice point, ascending, at the hull's height there; cells() reads
-# the hull edges' exponents at arity 1, ``_index``'s at arity 2 (None above).
+# hull lattice point, ascending, at the hull's height there.  The subdivision
+# is the edges' exponents at arity 1, the cells' (unsorted) at 2, else None.
 _Complex = Tuple[Dict[Exponent, str], Callable[[], TropicalPolynomial],
-                 Optional[Callable[[], Iterable]], List[Exponent]]
+                 Optional[List[List[Exponent]]], List[Exponent]]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def _complex_1d(f: TropicalPolynomial) -> _Complex:
         cell.append(end)
         cells.append(cell)
     return (classification, lambda: _walk_1d(f, den, hull)[0],
-            lambda: cells, [(x,) for x, _ in hull[1:-1]])
+            cells, [(x,) for x, _ in hull[1:-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -337,39 +337,16 @@ def _lift(f: TropicalPolynomial) -> tuple:
     return exps, affine, pivots, f._den, points, [0] + [i + 1 for i in kept]
 
 
-def _index(exps: List[Exponent], pivots: List[int], facets: list) -> tuple:
+def _index(size: int, facets: list) -> Tuple[List[list], List[list]]:
     """The contact sets of the upper facets (roofs) and of the walls
-    through each point, and a generator of the arity-2 upper cells read
-    off them, each (normal, points, edges): the facet's normal (n_x, n_y,
-    n_H) in full coordinates, whose dual vertex is (n_x, n_y) / (n_H den),
-    its points' exponents, and the edges where another upper facet or a
-    wall meets two or more of them, keyed by their exponents (all
-    ascending), with the wall's outward normal (w_x, w_y, 0) or None
-    inside.  A collinear support's cells are edges, each its own edge."""
-    roofs: List[list] = [[] for _ in exps]
-    walls: List[list] = [[] for _ in exps]
+    through each of the size points."""
+    roofs: List[list] = [[] for _ in range(size)]
+    walls: List[list] = [[] for _ in range(size)]
     for n, _, c in facets:
         through = roofs if n[-1] else walls
         for i in c:
             through[i].append(c)
-
-    def full(n):
-        v = [0, 0, n[-1]]
-        for c, a in zip(pivots, n):
-            v[c] = a
-        return v
-
-    def cells():
-        outward = {c: full(n) for n, _, c in facets if not n[-1]}
-        for n, _, on in facets:
-            if n[-1]:
-                edges = {on: None} if len(pivots) == 1 else {
-                    on & c: outward.get(c) for i in on
-                    for c in roofs[i] + walls[i] if c != on}
-                yield full(n), [exps[i] for i in sorted(on)], {
-                    tuple([exps[i] for i in sorted(e)]): w
-                    for e, w in edges.items() if len(e) >= 2}
-    return roofs, walls, cells
+    return roofs, walls
 
 
 def _complex_nd(f: TropicalPolynomial) -> _Complex:
@@ -380,27 +357,23 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     vertex, an interior vertex iff the walls through it meet in more than
     one point (the intersection starts from all points, so a term on no
     wall is interior, unless it is the only one).  close() is
-    ``_close_nd`` on the same facets, and cells() reads the index.
+    ``_close_nd`` on the same facets; at arity 2 the subdivision is the
+    upper facets' contact sets, unsorted.
 
     An affinely independent support (k + 1 exponents spanning k
     dimensions, so the echelon basis has one pivot fewer than there are
     terms) is its own Newton simplex, and its lifted points form one upper
-    cell: every term is an essential Newton vertex and no facet is built
-    until close() or cells() is called; both read one hull of the start
-    simplex, and ``_close_nd`` writes the rows ascending."""
+    cell, its exponents: every term is an essential Newton vertex, and no
+    facet is built until close() builds the start simplex's, from which
+    ``_close_nd`` writes the rows ascending."""
     exps, affine, pivots, _, points, start = _lift(f)
     if len(pivots) == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
-        built: dict = {}
-
-        def simplex() -> list:  # the start simplex's facets, built once
-            return built.get(0) or built.setdefault(0, _hull(points, start))
-        return (kind,
-                lambda: _close_nd(f, kind, exps, affine, pivots, simplex()),
-                (lambda: _index(exps, pivots, simplex())[2]())
-                if f.arity == 2 else None, [])
+        return (kind, lambda: _close_nd(f, kind, exps, affine, pivots,
+                                        _hull(points, start)),
+                [exps] if f.arity == 2 else None, [])
     facets = _hull(points, start)
-    roofs, walls, cells = _index(exps, pivots, facets)
+    roofs, walls = _index(len(exps), facets)
     everyone = frozenset(range(len(exps)))
     classification = {}
     interior = []
@@ -418,7 +391,34 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     return (classification,
             partial(_close_nd, f, classification, exps, affine, pivots,
                     facets),
-            cells if f.arity == 2 else None, interior)
+            [[exps[i] for i in on] for n, _, on in facets if n[-1]]
+            if f.arity == 2 else None, interior)
+
+
+def _cells(f: TropicalPolynomial):
+    """The upper cells of a nonempty arity-2 f off one ``_hull`` and its
+    ``_index``, each (normal, edges): the upper facet's normal (n_x, n_y,
+    n_H), whose dual vertex is (n_x, n_y) / (n_H den), and the edges where
+    another upper facet or a wall meets two or more of its points, keyed
+    by their exponents (ascending), with the wall's outward normal (w_x,
+    w_y, 0) or None inside.  A collinear support's cells are edges."""
+    exps, _, pivots, _, points, start = _lift(f)
+    facets = _hull(points, start)
+    roofs, walls = _index(len(exps), facets)
+
+    def full(n):
+        v = [0, 0, n[-1]]
+        for c, a in zip(pivots, n):
+            v[c] = a
+        return v
+    outward = {c: full(n) for n, _, c in facets if not n[-1]}
+    for n, _, on in facets:
+        if n[-1]:
+            edges = {on: None} if len(pivots) == 1 else {
+                on & c: outward.get(c) for i in on
+                for c in roofs[i] + walls[i] if c != on}
+            yield full(n), {tuple([exps[i] for i in sorted(e)]): w
+                            for e, w in edges.items() if len(e) >= 2}
 
 
 def _lattice(exps: List[Exponent], affine, pivots: List[int]):
@@ -526,9 +526,8 @@ def classify_monomials(f: TropicalPolynomial,
         raise EmptyPolynomial("no monomials to classify")
     kind, close, cells, interior = _complex(f)
     closed = close()
-    cells = cells and cells()
-    if f.arity == 2:  # the points of each upper cell
-        cells = sorted(points for _, points, _ in cells)
+    if f.arity == 2:  # each upper cell's points, ascending
+        cells = sorted(map(sorted, cells))
     den = f._den
     values = {e: s for e, s, _ in f._rows}
     return EssentialComplex(

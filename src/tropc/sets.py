@@ -6,9 +6,9 @@ on the ghost axis, and possibly the bottom element.  The ghost ray and the
 bottom element only occur when the constant coefficient is tangible, in
 which case they merge with the leftmost tangible interval into a single
 component.  A plane corner locus, where two terms attain the maximum
-together, is read off the upper cells of the lifted Newton points and
-clipped to its box on integers; ``Fraction``s are built only for the
-coordinates and directions of its output.
+together, is read off the cell edges of one hull of the lifted Newton
+points (``essential._cells``, which classifies no term) and clipped to its
+box on integers; ``Fraction``s are built only for its output.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber, _exact
 from .errors import ArityMismatch, ArityUnsupported
-from .essential import _complex, _hull_1d
+from .essential import _cells, _hull_1d
 from .polynomial import TropicalPolynomial, _sort_key
 
 # An open interval with exact rational endpoints; None means unbounded.
@@ -199,7 +199,7 @@ def corner_locus_2d(f: TropicalPolynomial,
     but are not drawn.  A polynomial vanishing identically on the plane
     (all coefficients ghost, or no terms) sets whole_plane instead.
 
-    The locus is the dual of the hull complex's upper cells (Maclagan and
+    The locus is the dual of the lifted points' upper cells (Maclagan and
     Sturmfels, *Introduction to Tropical Geometry*, 3.1): two terms tie on
     more than a point iff they share a cell edge, from the cell's dual
     vertex (n_x, n_y) / (n_H s) (heights times s) to the other cell's
@@ -219,7 +219,7 @@ def corner_locus_2d(f: TropicalPolynomial,
            for lo, hi in ((lo_x, hi_x), (lo_y, hi_y))]
     # cell edge -> [(dual vertex numerators, denominator, wall normal), ...]
     ends: Dict[tuple, list] = {}
-    for n, _, edges in _complex(f)[2]():
+    for n, edges in _cells(f):
         v, q = n[:2], n[2] * f._den
         for edge, w in edges.items():
             ends.setdefault(edge, []).append((v, q, w))

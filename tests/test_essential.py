@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 import tropc.essential
+import tropc.sets
 import facets_reference
 from closure_reference import (reference_classify, reference_full_closure,
                                reference_red_pow)
@@ -262,6 +263,65 @@ class TestAgainstFacetsReference:
             f, facets_reference.full_hull_facets(points),
             facets_reference.full_hull_facets([p[:-1] for p in points]),
             random.Random(71))
+
+
+class TestSubdivisionAgainstEvaluate:
+    """The arity-2 subdivision of classify_monomials held to evaluate, with
+    no hull: at each cell's dual vertex, solved exactly from three affinely
+    independent points of the cell (or any point of the tie line, for the
+    edge cells of a collinear support), the terms that reach the maximum
+    of the projected values are exactly the cell's points."""
+
+    @staticmethod
+    def vertex(f, cell):
+        """Where the cell's first two points tie, (a, b) . p = r, and, when
+        a third point is off their line, (c, d) . p = s with it."""
+        value = {e: c.value for e, c in f.terms.items()}
+        if len(cell) == 1:  # a single term dominates everywhere
+            return Fraction(0), Fraction(0)
+        (x0, y0), (x1, y1) = cell[:2]
+        a, b, r = x1 - x0, y1 - y0, value[cell[0]] - value[cell[1]]
+        for x2, y2 in cell[2:]:
+            c, d = x2 - x0, y2 - y0
+            if a * d != b * c:
+                s = value[cell[0]] - value[(x2, y2)]
+                return (r * d - b * s) / (a * d - b * c), \
+                    (a * s - r * c) / (a * d - b * c)
+        return r * a / (a * a + b * b), r * b / (a * a + b * b)
+
+    def test_corpora(self):
+        rng = random.Random(211)
+        corpus = [_independent_case(rng, 2, i % 3) for i in range(90)]
+        for i in range(480):
+            kind = ("random", "collinear", "flat", "fractional", "single",
+                    "ghost")[i % 6]
+            f = _reference_case(rng, "random" if kind == "ghost" else kind, 2)
+            while len(f.terms) < {"collinear": 3, "flat": 4}.get(kind, 1):
+                f = _reference_case(rng, kind, 2)  # not independent
+            if kind == "ghost":
+                f = TropicalPolynomial(2, {
+                    e: ghost(c.value) if rng.random() < 0.5 else c
+                    for e, c in f.terms.items()})
+            corpus.append(f)
+        seen = Counter()
+        for f in corpus:
+            cells = classify_monomials(f).subdivision
+            for cell in cells:
+                point = [tangible(x) for x in self.vertex(f, cell)]
+                top = f.evaluate(point).value
+                reach = [e for e, c in f.terms.items() if TropicalPolynomial(
+                    2, {e: c}).evaluate(point).value == top]
+                assert sorted(reach) == cell, (format_poly(f), cell)
+            exps = sorted(f.terms)
+            k = len(tropc.essential._echelon(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+            seen["independent"] += k == len(exps) - 1
+            seen["collinear"] += k == 1 and len(exps) > 2
+            seen["flat"] += is_flat_lift(f)
+            seen["ghost"] += not f.is_tangible_poly()
+            seen["fractional"] += f._den > 1
+            seen["cells > 1"] += len(cells) > 1
+        assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
 
 class TestPinnedDegenerateCases:
@@ -707,8 +767,9 @@ class TestAffinelyIndependentSupports:
                    for a in (2, 3, 4)), seen
 
     def test_one_hull_per_classification(self, monkeypatch):
-        # on the short path close() and, at arity 2, cells() share one hull
-        # of the start simplex; every other complex builds its one hull
+        # on the short path close() builds the one hull, of the start
+        # simplex, and the subdivision needs none; every other complex
+        # builds its one hull
         calls = [0]
 
         def counted(points, start, _hull=tropc.essential._hull):
@@ -728,6 +789,33 @@ class TestAffinelyIndependentSupports:
             seen["cells"] += f.arity == 2 and len(cx.subdivision) > 1
         assert all(seen[a, b] >= 20 for a in (2, 3) for b in (0, 1)), seen
         assert seen[4, 0] >= 20 and seen["cells"] >= 20, seen
+
+
+class TestSubdivisionBuildsNoEdges:
+    """classify_monomials reads its subdivision off the complex's upper
+    facets and never builds the cell edges, dual vertices and wall normals
+    that only the corner locus reads (``essential._cells``)."""
+
+    def test_budget(self, monkeypatch):
+        calls = [0]
+
+        def counted(f, _cells=tropc.essential._cells):
+            calls[0] += 1
+            return _cells(f)
+        for module in (tropc.essential, tropc.sets):
+            monkeypatch.setattr(module, "_cells", counted)
+        rng = random.Random(223)
+        corpus = [_univariate_case(rng, "random") for _ in range(40)]
+        corpus += [p for pair in _hull_cases(120, 227) for p in pair]
+        corpus += [_independent_case(rng, 2, i % 3) for i in range(60)]
+        seen = Counter()
+        for f in corpus:
+            cx = classify_monomials(f)
+            assert calls[0] == 0, format_poly(f)
+            seen[f.arity] += cx.subdivision is not None
+        assert seen[1] >= 40 and seen[2] >= 100, seen
+        corner_locus_2d(P("x + y + 0"), (-1, -1, 1, 1))
+        assert calls[0] == 1  # the counter sees the corner locus's read
 
 
 class TestClosureRowsAscend:

@@ -446,18 +446,28 @@ class TestOneHullPerLocus:
     """The tie loci are read off one hull of the lifted points, a flat lift
     included: each cell's edges come from the upper facets and Newton walls
     it meets, with no hull per cell and no second run.  The kernel
-    (``essential._hull``, which the complex calls) is called once per
-    locus, and runs beneath-beyond (inserts a point after its start
-    simplex) unless the support is affinely independent."""
+    (``essential._hull``, which the cell reader ``essential._cells``
+    calls) is called once per locus, and runs beneath-beyond (inserts a
+    point after its start simplex) unless the support is affinely
+    independent.  No locus builds the hull complex (``essential._complex``),
+    so no term is classified."""
 
     def test_corpus(self, monkeypatch):
-        calls, runs = [0], [0]
+        calls, runs, complexes = [0], [0], [0]
 
         def counted(points, start, _hull=tropc.essential._hull):
             calls[0] += 1
             runs[0] += len(points) > len(start)
             return _hull(points, start)
+
+        def counted_complex(f, _complex=tropc.essential._complex):
+            complexes[0] += 1
+            return _complex(f)
         monkeypatch.setattr(tropc.essential, "_hull", counted)
+        # counted at home and in sets, in case sets binds the name itself
+        monkeypatch.setattr(tropc.essential, "_complex", counted_complex)
+        monkeypatch.setattr(tropc.sets, "_complex", counted_complex,
+                            raising=False)
         rng = random.Random(347)
         seen = Counter()
         cases = [rand_corner_input(rng, n) for n in range(600)]
@@ -469,9 +479,10 @@ class TestOneHullPerLocus:
                     a + b * e[0] + c * e[1])
                 for e in rand_corner_input(rng, 3)[1].terms})))
         for kind, f in cases:
-            calls[0] = runs[0] = 0
+            calls[0] = runs[0] = complexes[0] = 0
             got = corner_locus_2d(f, TestCornerLocus2D.BOX)
             assert calls[0] == (not got.whole_plane), format_poly(f)
+            assert complexes[0] == 0, format_poly(f)
             want = 0 if got.whole_plane else hull_builds(f)
             assert runs[0] == want, format_poly(f)
             seen[want] += 1
