@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 for domain errors (the stable error name goes
 to stderr), 2 for syntax errors (with the offending position).  Output is
-deterministic for a fixed argument vector.
+deterministic for a fixed argument vector.  Each subcommand imports the
+modules it runs, so a ``tropc`` process compiles only those: ``eval`` needs
+no hull code, and only the four ideal commands load ``ideals``.
 """
 from __future__ import annotations
 
@@ -15,15 +17,8 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .core import TropicalNumber
 from .errors import PolySyntaxError, TropicalError
-from .essential import (classify_monomials, equivalent, essential_part,
-                        full_closure)
-from .ideals import (IdealFG, ideal_member_syntactic, is_ghost_potent,
-                     radical_member_1d, weak_nullstellensatz)
 from .parser import format_number, format_poly, parse_poly
 from .polynomial import TropicalPolynomial
-from .sets import comset1d, corner_locus_2d
-from .univariate import (common_root, factor_full, factor_tangible_full,
-                         find_root, roots_with_multiplicity)
 
 SCHEMA = "tropc/1"
 
@@ -41,6 +36,7 @@ def _load_poly(text: str, opts, arity=None) -> TropicalPolynomial:
     f = parse_poly(_read_arg(text, opts), arity=arity,
                    max_degree=opts.max_degree)
     if opts.reduced:
+        from .essential import full_closure
         f = full_closure(f)
     return f
 
@@ -99,18 +95,21 @@ def _cmd_eval(opts) -> int:
 
 
 def _cmd_essential(opts) -> int:
+    from .essential import essential_part
     g = essential_part(_load_poly(opts.poly, opts))
     _emit(opts, [format_poly(g)], {"poly": g.to_json()})
     return 0
 
 
 def _cmd_full(opts) -> int:
+    from .essential import full_closure
     g = full_closure(_load_poly(opts.poly, opts))
     _emit(opts, [format_poly(g)], {"poly": g.to_json()})
     return 0
 
 
 def _cmd_classify(opts) -> int:
+    from .essential import classify_monomials
     f = _load_poly(opts.poly, opts)
     cx = classify_monomials(f)
     lines = [f"{exp}: {cls}" for exp, cls in sorted(cx.classification.items())]
@@ -129,6 +128,7 @@ def _cmd_classify(opts) -> int:
 
 
 def _cmd_equiv(opts) -> int:
+    from .essential import equivalent
     f, g = _load_polys([opts.poly1, opts.poly2], opts)
     same = equivalent(f, g)
     _emit(opts, ["true" if same else "false"], {"equivalent": same})
@@ -154,6 +154,7 @@ def _factorization_text(fact):
 
 
 def _cmd_factor(opts) -> int:
+    from .univariate import factor_full, factor_tangible_full
     f = _load_poly(opts.poly, opts)
     fact = factor_tangible_full(f) if opts.tangible else factor_full(f)
     _emit(opts, _factorization_text(fact), _factorization_json(fact))
@@ -161,6 +162,7 @@ def _cmd_factor(opts) -> int:
 
 
 def _cmd_roots(opts) -> int:
+    from .univariate import find_root, roots_with_multiplicity
     f = _load_poly(opts.poly, opts)
     if opts.single:
         point = find_root(f)
@@ -175,6 +177,7 @@ def _cmd_roots(opts) -> int:
 
 
 def _cmd_common_root(opts) -> int:
+    from .univariate import common_root
     point = common_root(_load_polys(opts.polys, opts))
     text = ",".join(format_number(c) for c in point)
     _emit(opts, [text], {"root": _point_json(point)})
@@ -195,6 +198,7 @@ def _interval_json(iv):
 
 
 def _cmd_comset(opts) -> int:
+    from .sets import comset1d
     comps = comset1d(_load_poly(opts.poly, opts))
     lines = []
     for c in comps:
@@ -216,6 +220,7 @@ def _cmd_comset(opts) -> int:
 
 
 def _cmd_curve2d(opts) -> int:
+    from .sets import corner_locus_2d
     f = _load_poly(opts.poly, opts, arity=2)
     bounds = _parse_point(opts.bbox)
     if len(bounds) != 4 or not all(c.is_tangible() for c in bounds):
@@ -240,6 +245,7 @@ def _cmd_curve2d(opts) -> int:
 
 
 def _cmd_nss(opts) -> int:
+    from .ideals import IdealFG, weak_nullstellensatz
     fs = _load_polys(opts.polys, opts)
     result = weak_nullstellensatz(IdealFG(fs[0].arity, fs))
     if result.nonempty:
@@ -254,6 +260,7 @@ def _cmd_nss(opts) -> int:
 
 
 def _cmd_radical_member(opts) -> int:
+    from .ideals import IdealFG, radical_member_1d
     f, *gens = _load_polys([opts.poly] + opts.generators, opts)
     cert = radical_member_1d(f, IdealFG(f.arity, gens))
     if cert is None:
@@ -268,12 +275,14 @@ def _cmd_radical_member(opts) -> int:
 
 
 def _cmd_ghost_potent(opts) -> int:
+    from .ideals import is_ghost_potent
     result = is_ghost_potent(_load_poly(opts.poly, opts))
     _emit(opts, ["true" if result else "false"], {"ghost_potent": result})
     return 0
 
 
 def _cmd_member(opts) -> int:
+    from .ideals import IdealFG, ideal_member_syntactic
     f, *gens = _load_polys([opts.poly] + opts.generators, opts)
     result = ideal_member_syntactic(f, IdealFG(f.arity, gens))
     _emit(opts,

@@ -21,7 +21,7 @@ walk.  Higher arities build the facets of the lifted points and everything
 below them once (``_hull``), by beneath-beyond with the downward direction
 as a vertex at infinity, so every facet is an upper facet or a Newton wall
 (a vertical facet over a facet of the Newton polytope), and no lower facet
-is built; planes and dot products are written out at 1 to 3 coordinates
+is built; planes and dot products are written out at 1 to 4 coordinates
 (``_plane``, ``_dots``).  Every hull fact comes off the points each
 facet touches (``_index``); the plane subdivision is the upper facets'
 contact sets, and the corner locus in ``sets`` reads the cells' edges off
@@ -176,8 +176,8 @@ def _dot(a, b) -> int:
 
 
 def _dots(v, rows) -> List[int]:
-    """v . r for every r in rows, each as long as v; written out at 1, 2
-    and 3 coordinates."""
+    """v . r for every r in rows, each as long as v; written out at 1 to 4
+    coordinates."""
     k = len(v)
     if k == 1:
         a, = v
@@ -188,6 +188,9 @@ def _dots(v, rows) -> List[int]:
     if k == 3:
         a, b, c = v
         return [a * x + b * y + c * z for x, y, z in rows]
+    if k == 4:
+        a, b, c, e = v
+        return [a * w + b * x + c * y + e * z for w, x, y, z in rows]
     return [_dot(v, r) for r in rows]
 
 
@@ -238,8 +241,9 @@ def _det(m: List[List[int]]) -> int:
 def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     """The hyperplane n . x = b through d affinely independent points of
     Z^d: n is the gcd-reduced vector of cofactors of their differences.
-    For d = 1, 2 and 3 the cofactors are written out: the empty one, the
-    perpendicular of the one difference, the cross product of the two."""
+    For d = 1 to 4 the cofactors are written out: the empty one, the
+    perpendicular of the one difference, the cross product of the two, and
+    the first difference expanded along the 2 x 2 minors of the other two."""
     p0 = pts[0]
     d = len(pts)
     if d == 1:
@@ -252,6 +256,16 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     elif d == 2:
         (x0, y0), (x1, y1) = pts
         n = [y1 - y0, x0 - x1]
+    elif d == 4:
+        a0, a1, a2, a3 = [u - v for u, v in zip(pts[1], p0)]
+        b0, b1, b2, b3 = [u - v for u, v in zip(pts[2], p0)]
+        c0, c1, c2, c3 = [u - v for u, v in zip(pts[3], p0)]
+        m01, m02, m03 = b0 * c1 - b1 * c0, b0 * c2 - b2 * c0, b0 * c3 - b3 * c0
+        m12, m13, m23 = b1 * c2 - b2 * c1, b1 * c3 - b3 * c1, b2 * c3 - b3 * c2
+        n = [a1 * m23 - a2 * m13 + a3 * m12,
+             a2 * m03 - a0 * m23 - a3 * m02,
+             a0 * m13 - a1 * m03 + a3 * m01,
+             a1 * m02 - a0 * m12 - a2 * m01]
     else:
         rows = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
         n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows])
@@ -482,7 +496,7 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
     the least (b - n . x) / n_k over the upper facets compared by
     cross-multiplication, becomes a ghost row ``t * (m / w)`` over
     ``den * m``, m the lcm of those w; an essential term keeps f's own row.
-    The dot products are ``_dots``, written out at 1 to 3 pivot
+    The dot products are ``_dots``, written out at 1 to 4 pivot
     coordinates."""
     # walls first: a point outside one is dropped before the heights
     facets = [fc for fc in facets if not fc[0][-1]] + [

@@ -388,8 +388,9 @@ class TestPinnedDegenerateCases:
 
 
 class TestClosedFormPlanes:
-    """The written-out normals of 2 and 3 points in 2-D and 3-D equal
-    the cofactor expansion that other dimensions run, offsets included."""
+    """The written-out normals of 2, 3 and 4 points in 2-D, 3-D and 4-D
+    equal the cofactor expansion that other dimensions run, offsets
+    included; on affinely dependent points both give the zero normal."""
 
     @staticmethod
     def cofactor_plane(pts):
@@ -398,7 +399,8 @@ class TestClosedFormPlanes:
                                                for r in rows])
              for j in range(len(pts))]
         g = gcd(*n)
-        n = [a // g for a in n]
+        if g:
+            n = [a // g for a in n]
         return n, sum(a * b for a, b in zip(n, pts[0]))
 
     def test_random(self):
@@ -417,6 +419,22 @@ class TestClosedFormPlanes:
                 assert tropc.essential._plane(pts) == \
                     self.cofactor_plane(pts), pts
                 done += 1
+
+    def test_degenerate(self):
+        # one point an integer affine combination of the others (at d = 2
+        # a repeated point), in any position
+        rng = random.Random(74)
+        for d in (2, 3, 4):
+            for _ in range(400):
+                pts = [tuple(rng.randint(-4, 4) for _ in range(d))
+                       for _ in range(d - 1)]
+                ts = [rng.randint(-3, 3) for _ in pts[1:]]
+                pts.append(tuple(
+                    a + sum(t * (b - a) for t, b in zip(ts, col))
+                    for a, *col in zip(*pts)))
+                rng.shuffle(pts)
+                assert tropc.essential._plane(pts) == \
+                    self.cofactor_plane(pts) == ([0] * d, 0), pts
 
 
 def _hull_cases(count: int, seed: int):

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import tropc
+import tropc.cli
 from tropc import (ArityMismatch, MaxDegreeExceeded, PolySyntaxError,
                    TropicalPolynomial, format_poly, ghost, parse_poly,
                    tangible)
@@ -18,6 +19,15 @@ from util import rand_poly
 
 P = parse_poly
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(tropc.__file__)))
+
+
+def _fresh_python(*args, stdin=None):
+    """One new interpreter with this checkout's src/ first on its path:
+    the completed process, stdout and stderr as text."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, *args], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 class TestParser:
@@ -280,12 +290,9 @@ class TestCli:
     def test_over_long_number_exit_2(self):
         # a whole process, so that an escaping exception shows as a
         # traceback on stderr
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         for text in ("1" * 5000, "x^" + "1" * 5000):
-            proc = subprocess.run(
-                [sys.executable, "-m", "tropc.cli", "--json", "eval", text,
-                 "1"], capture_output=True, text=True, env=env, timeout=60)
+            proc = _fresh_python("-m", "tropc.cli", "--json", "eval", text,
+                                 "1")
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error: SyntaxError:")
             assert "Traceback" not in proc.stderr
@@ -293,13 +300,9 @@ class TestCli:
     def test_guardrails_exit_2(self):
         # a huge exponent in a coordinate and a huge variable index are
         # refused before the work, with no traceback
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         for args in (("x + 0", "1e999999999"), ("x" + "1" * 5000, "1"),
                      ("x1001", "1")):
-            proc = subprocess.run(
-                [sys.executable, "-m", "tropc.cli", "--json", "eval", *args],
-                capture_output=True, text=True, env=env, timeout=60)
+            proc = _fresh_python("-m", "tropc.cli", "--json", "eval", *args)
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr.startswith("error: SyntaxError:")
             assert "Traceback" not in proc.stderr
@@ -308,18 +311,15 @@ class TestCli:
         # a bound is read like a coordinate: exponent notation is refused
         # before the work, a ghost, -inf or missing bound is not a box, and
         # "-" is a bad bound, not a read of stdin
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         for box, message in (("1e1000000,0,1e1000001,1", "bad coordinate"),
                              ("0v,0,1,1", "needs xmin,ymin,xmax,ymax"),
                              ("-inf,0,1,1", "needs xmin,ymin,xmax,ymax"),
                              ("1,2,3", "needs xmin,ymin,xmax,ymax"),
                              ("a,0,1,1", "bad coordinate 'a' at position 0"),
                              ("-", "bad coordinate '-' at position 0")):
-            proc = subprocess.run(
-                [sys.executable, "-m", "tropc.cli", "curve2d",
-                 "--bbox=" + box, "x + y + 0"], input="0,0,1,1",
-                capture_output=True, text=True, env=env, timeout=60)
+            proc = _fresh_python("-m", "tropc.cli", "curve2d",
+                                 "--bbox=" + box, "x + y + 0",
+                                 stdin="0,0,1,1")
             assert proc.returncode == 2 and proc.stdout == "", box
             assert proc.stderr.startswith("error: SyntaxError:"), box
             assert message in proc.stderr, (box, proc.stderr)
@@ -383,3 +383,128 @@ class TestCli:
         a = run(capsys, "--json", "classify", "x^2 + x*y + y^2 + 0")
         b = run(capsys, "--json", "classify", "x^2 + x*y + y^2 + 0")
         assert a == b
+
+
+def _tropc_imports(importtime_log: str) -> set:
+    """The tropc modules a ``-X importtime`` log names."""
+    names = set()
+    for line in importtime_log.splitlines():
+        name = line.rpartition("|")[2].strip()
+        if line.startswith("import time:") and \
+                name.split(".")[0] == "tropc":
+            names.add(name)
+    return names
+
+
+# what every subcommand loads: the package, its eager _lp, and the parse,
+# arithmetic and error modules (the cli itself runs as __main__)
+CLI_BASE = {"tropc", "tropc._lp", "tropc.core", "tropc.errors",
+            "tropc.parser", "tropc.polynomial"}
+HULL = {"tropc.essential"}
+IDEALS = {"tropc.essential", "tropc.ideals", "tropc.sets",
+          "tropc.univariate"}
+
+
+class TestFreshProcessImports:
+    """Each subcommand in a process of its own loads exactly the modules it
+    runs and prints what it prints in process.  In-process tests run with
+    every module already loaded, so only a fresh process shows a handler
+    that lacks an import."""
+
+    CASES = [
+        (("eval", "x^2 + 1*x + 0", "1"), set()),
+        (("--reduced", "eval", "x^2 + 0", "0"), HULL),
+        (("essential", "x^2 + -5*x + 0"), HULL),
+        (("full", "x^2 + 0"), HULL),
+        (("classify", "x^2 + x*y + y^2 + 0"), HULL),
+        (("equiv", "(x + 3)^2", "x^2 + 6"), HULL),
+        (("factor", "x^2 + 3*x + 1"), HULL | {"tropc.univariate"}),
+        (("roots", "x^2 + 3*x + 1"), HULL | {"tropc.univariate"}),
+        (("common-root", "x + 1", "x*y + 1"), HULL | {"tropc.univariate"}),
+        (("comset", "x + 2"), HULL | {"tropc.sets"}),
+        (("curve2d", "x + y + 0"), HULL | {"tropc.sets"}),
+        (("nss", "x + 1", "x + 5"), IDEALS),
+        (("radical-member", "x + 0", "(x + 0)^2"), IDEALS),
+        (("ghost-potent", "1v*x + 0v"), IDEALS),
+        (("member", "x*y + y", "x + 0"), IDEALS),
+    ]
+
+    def test_modules_and_output(self, capsys):
+        commands = set()
+        for argv, extra in self.CASES:
+            argv = ["--json", *argv]
+            commands.add(next(a for a in argv if not a.startswith("--")))
+            proc = _fresh_python("-X", "importtime", "-m", "tropc.cli", *argv)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert _tropc_imports(proc.stderr) == CLI_BASE | extra, argv
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and proc.stdout == out, argv
+        subparsers = tropc.cli._build_parser()._subparsers._group_actions[0]
+        assert commands == set(subparsers.choices)
+
+
+class TestNamespace:
+    """The package's public names, loaded on first access."""
+
+    # every name tropc 0.1.0 exports, by the module that defines it
+    PUBLIC = {
+        "core": ["NEG_INFINITY", "TropicalNumber", "compare", "ghost",
+                 "ghost_of", "project", "tangible", "trop_add", "trop_inv",
+                 "trop_mul", "trop_pow", "trop_root"],
+        "errors": ["ArityMismatch", "ArityUnsupported",
+                   "CertificateSearchExceeded", "ConstantTangibleAmongInputs",
+                   "ConstantTangibleInput", "EmptyPolynomial",
+                   "InternalInconsistency", "InversionOfNegInfinity",
+                   "MaxDegreeExceeded", "MonomialInput", "NotFull",
+                   "NotTangibleFull", "PolySyntaxError", "RootOfNegInfinity",
+                   "TropicalError"],
+        "essential": ["EssentialComplex", "SlopeSequence",
+                      "classify_monomials", "divides", "equivalent",
+                      "essential_part", "full_closure", "is_full", "red_add",
+                      "red_mul", "red_pow", "slope_sequence"],
+        "ideals": ["IdealFG", "NssResult", "RadicalCertificate",
+                   "ideal_member_syntactic", "is_ghost_potent", "is_proper",
+                   "radical_member_1d", "verify_radical_certificate",
+                   "weak_nullstellensatz"],
+        "parser": ["format_number", "format_poly", "parse_poly"],
+        "polynomial": ["TropicalPolynomial", "constant", "monomial",
+                       "variable"],
+        "sets": ["Component1D", "CornerLocus2D", "comset1d", "comset_leq",
+                 "comset_meet", "corner_locus_2d", "zset_contains"],
+        "univariate": ["Factorization", "common_root", "factor_full",
+                       "factor_tangible_full", "find_root",
+                       "roots_with_multiplicity"],
+    }
+
+    # run in a fresh process, so that every name is resolved on first access
+    SCRIPT = """if True:
+        import json, sys
+        import tropc
+        bare = sorted(n for n in sys.modules if n.split(".")[0] == "tropc")
+        wrong = [name for home, names in json.loads(sys.argv[1]).items()
+                 for name in names
+                 if getattr(tropc, name) is not
+                 vars(sys.modules["tropc." + home])[name]]
+        star = {}
+        exec("from tropc import *", star)
+        print(json.dumps({"bare": bare, "wrong": wrong,
+                          "star": sorted(set(star) - {"__builtins__"}),
+                          "dir": dir(tropc)}))
+    """
+
+    def test_public_names(self):
+        proc = _fresh_python("-c", self.SCRIPT, json.dumps(self.PUBLIC))
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        public = {name for names in self.PUBLIC.values() for name in names}
+        assert got["bare"] == ["tropc", "tropc._lp"]
+        assert got["wrong"] == []
+        assert set(got["star"]) == public
+        assert public <= set(got["dir"])
+        assert set(tropc.__all__) == public
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="nope"):
+            tropc.nope
+        assert not hasattr(tropc, "nope")
+        assert "nope" not in dir(tropc)
