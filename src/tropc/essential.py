@@ -22,15 +22,20 @@ below them once (``_hull``), by beneath-beyond with the downward direction
 as a vertex at infinity, so every facet is an upper facet or a Newton wall
 (a vertical facet over a facet of the Newton polytope), and no lower facet
 is built; planes and dot products are written out at 1 to 4 coordinates
-(``_plane``, ``_dots``).  Every hull fact comes off the points each
-facet touches (``_index``); the plane subdivision is the upper facets'
-contact sets, and the corner locus in ``sets`` reads the cells' edges off
-a hull of its own (``_cells``).  An affinely independent support (k + 1
-exponents spanning k dimensions: a single term, a binomial, most
-trinomials, and every dilation of one) is its own Newton simplex and its
-lifted points form one upper cell, so every term is essential, and its
-hull, the start simplex alone, is built only when the closure is written.
-Both arities give one integer complex (``_complex``): the classification,
+(``_plane``, ``_dots``); planes above that take their cofactors by
+fraction-free elimination (``_det``, O(d^3)).  Every hull fact comes off
+the points each facet touches (``_index``); the plane subdivision is the
+upper facets' contact sets, and the corner locus in ``sets`` reads the
+cells' edges off a hull of its own (``_cells``).  An affinely independent
+support (k + 1 exponents spanning k dimensions: a single term, a
+binomial, most trinomials, and every dilation of one) is its own Newton
+simplex and its lifted points form one upper cell, so every term is
+essential, and its hull, the start simplex alone, is built only when the
+closure is written.  When the simplex is unimodular on its pivot
+coordinates (their k x k determinant is +-1, as for a single term or
+x + y + z + 0), it holds no lattice point but its vertices, and the
+closure is f's own rows: no hull is built and no lattice is walked.  Both
+arities give one integer complex (``_complex``): the classification,
 a function that writes the full closure (one row per hull lattice point,
 ascending, at the hull's height there, so ``classify_monomials`` reads
 the heights off it), the subdivision and the interior vertices.  Writing
@@ -229,13 +234,27 @@ def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
 
 
 def _det(m: List[List[int]]) -> int:
-    """Determinant of a square integer matrix, along the first row."""
-    if len(m) == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, O(d^3): each step brings a row with a nonzero pivot to
+    the top and replaces the rows below it by their 2 x 2 minors with it,
+    divided exactly by the step before's pivot (Bareiss, Math. Comp. 22,
+    1968), down to the last 2 x 2 minor."""
     if len(m) < 2:
         return m[0][0] if m else 1
-    return sum((-1) ** j * a * _det([r[:j] + r[j + 1:] for r in m[1:]])
-               for j, a in enumerate(m[0]) if a)
+    sign, prev = 1, 1
+    while len(m) > 2:
+        if not m[0][0]:
+            j = next((j for j, r in enumerate(m) if r[0]), 0)
+            if not j:
+                return 0
+            m = [m[j]] + m[1:j] + [m[0]] + m[j + 1:]
+            sign = -sign
+        (p, *top), rest = m[0], m[1:]
+        m = [[(p * x - r[0] * y) // prev for x, y in zip(r[1:], top)]
+             for r in rest]
+        prev = p
+    (a, b), (c, d) = m
+    return sign * ((a * d - b * c) // prev)
 
 
 def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
@@ -379,13 +398,28 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     terms) is its own Newton simplex, and its lifted points form one upper
     cell, its exponents: every term is an essential Newton vertex, and no
     facet is built until close() builds the start simplex's, from which
-    ``_close_nd`` writes the rows ascending."""
+    ``_close_nd`` writes the rows ascending.  When the k x k determinant of
+    the lifted points' pivot coordinates less ``points[0]``'s is +-1, the
+    simplex is unimodular in Z^k and holds no point of Z^k but its
+    vertices, so none of the support's affine lattice either (the pivot
+    projection is one-to-one on it): close() writes f's own rows,
+    ascending, over f's den, as ``_close_nd`` would with m = 1, and builds
+    no hull.  The test is sufficient, not exact: (0, 0)-(2, 1) walks."""
     exps, affine, pivots, _, points, start = _lift(f)
-    if len(pivots) == len(exps) - 1:
+    k = len(pivots)
+    if k == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
-        return (kind, lambda: _close_nd(f, kind, exps, affine, pivots,
-                                        _hull(points, start)),
-                [exps] if f.arity == 2 else None, [])
+        p0 = points[0]
+        if abs(_det([[a - b for a, b in zip(p[:k], p0)]
+                     for p in points[1:]])) == 1:  # unimodular: f is closed
+            def close():
+                return TropicalPolynomial._from_rows(f.arity, f._den,
+                                                     sorted(f._rows))
+        else:
+            def close():
+                return _close_nd(f, kind, exps, affine, pivots,
+                                 _hull(points, start))
+        return kind, close, [exps] if f.arity == 2 else None, []
     facets = _hull(points, start)
     roofs, walls = _index(len(exps), facets)
     everyone = frozenset(range(len(exps)))
@@ -442,11 +476,13 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     g the gcd of its direction.  Other supports walk the box of their
     pivot coordinates in ascending coordinate order, which is the
     ascending order of the hull's points (two of them first differ at a
-    pivot), and lift each box point to the hull.  With the basis made
-    diagonal on the pivots (row j is d_j at its own pivot and 0 at the
-    others), a free coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j,
-    on den, the lcm of the d_j; a box point is kept when every free
-    coordinate is an integer."""
+    pivot), and lift each box point to the hull.  A full-dimensional
+    support (k equals the arity) has no free coordinate, and every box
+    point is its own lift.  Otherwise, with the basis made diagonal on the
+    pivots (row j is d_j at its own pivot and 0 at the others), a free
+    coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j, on den, the
+    lcm of the d_j; a box point is kept when every free coordinate is an
+    integer."""
     e0, k = exps[0], len(pivots)
     if not k:
         yield e0, ()
@@ -462,6 +498,11 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     cols = list(zip(*exps))
     order = sorted(pivots)
     box = [range(min(cols[c]), max(cols[c]) + 1) for c in order]
+    get = itemgetter(*[order.index(c) for c in pivots])
+    if k == len(e0):
+        for u in iter_product(*box):
+            yield u, get(u)
+        return
     rows = [b for _, b in affine]
     for j, c in enumerate(pivots):
         rows = [r if i == j or not r[c] else
@@ -474,7 +515,6 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
         if c not in pivots:
             coef = [den // r[p] * r[c] for r, p in zip(rows, pivots)]
             free.append((c, coef, den * e0[c] - _dot(coef, x0)))
-    get = itemgetter(*[order.index(c) for c in pivots])
     for u in iter_product(*box):
         x = get(u)
         v = u

@@ -23,9 +23,10 @@ from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
                    essential_part, format_poly, full_closure, ghost, is_full,
                    is_ghost_potent, parse_poly,
                    red_add, red_mul, red_pow, slope_sequence, tangible)
+from det_reference import fraction_det, laplace_det
 from util import (critical_points_1d, eval_points, hull_builds, is_flat_lift,
                   rand_coeff, rand_fraction, rand_poly, rand_tangible_full,
-                  same_function_1d)
+                  same_function_1d, unimodular)
 
 P = parse_poly
 
@@ -387,16 +388,77 @@ class TestPinnedDegenerateCases:
             assert set(cx.classification.values()) == {"essential"}
 
 
+class TestDeterminant:
+    """``_det``'s fraction-free elimination equals the frozen Laplace
+    expansion it replaced up to 7 x 7, and ``Fraction`` Gaussian
+    elimination up to 12 x 12: on zero pivots (a row swap), singular
+    matrices and entries up to 10^9."""
+
+    @staticmethod
+    def matrix(rng: random.Random, d: int):
+        m = [[rng.choice((0, 0, rng.randint(-3, 3),
+                          rng.randint(-10**9, 10**9))) for _ in range(d)]
+             for _ in range(d)]
+        roll = rng.random()
+        if d and roll < 0.2:  # a zero first column below the top
+            for r in m[1:]:
+                r[0] = 0
+        elif d and roll < 0.4:  # a zero leading entry on top
+            m[0][0] = 0
+        elif d > 1 and roll < 0.6:  # singular: a row combines two others
+            i = rng.randrange(d)
+            j, k = (rng.choice([r for r in range(d) if r != i])
+                    for _ in range(2))
+            t, u = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[i] = [t * a + u * b for a, b in zip(m[j], m[k])]
+        return m
+
+    def test_against_laplace(self):
+        rng = random.Random(211)
+        seen = Counter()
+        for i in range(4000):
+            m = self.matrix(rng, i % 8)
+            before = [r[:] for r in m]
+            det = tropc.essential._det(m)
+            assert det == laplace_det(m), m
+            assert m == before  # the input is left as it was
+            seen["zero"] += det == 0
+            seen["big"] += abs(det) > 10**18
+        assert min(seen.values()) >= 500, seen
+
+    def test_against_fractions(self):
+        rng = random.Random(223)
+        seen = Counter()
+        for i in range(600):
+            m = self.matrix(rng, i % 13)
+            det = tropc.essential._det(m)
+            assert det == fraction_det(m), m
+            seen[i % 13 > 7, det == 0] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_pinned(self):
+        det = tropc.essential._det
+        assert det([]) == 1 and det([[-7]]) == -7
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert det([[0, 2, 1], [0, 4, 2], [3, 1, 1]]) == 0
+        assert det([[10**9, 1], [1, 10**9]]) == 10**18 - 1
+        assert det([[2 if i == j else 1 for j in range(12)]
+                    for i in range(12)]) == 13
+
+
 class TestClosedFormPlanes:
     """The written-out normals of 2, 3 and 4 points in 2-D, 3-D and 4-D
     equal the cofactor expansion that other dimensions run, offsets
-    included; on affinely dependent points both give the zero normal."""
+    included; on affinely dependent points both give the zero normal.
+    The reference expands its cofactors along the first row (the frozen
+    ``laplace_det``), so at 5 and 6 points it also holds the cofactors
+    that ``_det`` eliminates."""
 
     @staticmethod
     def cofactor_plane(pts):
         rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-        n = [(-1) ** j * tropc.essential._det([r[:j] + r[j + 1:]
-                                               for r in rows])
+        n = [(-1) ** j * laplace_det([r[:j] + r[j + 1:] for r in rows])
              for j in range(len(pts))]
         g = gcd(*n)
         if g:
@@ -405,7 +467,7 @@ class TestClosedFormPlanes:
 
     def test_random(self):
         rng = random.Random(73)
-        for d in (1, 2, 3, 4):
+        for d in (1, 2, 3, 4, 5, 6):
             done = 0
             while done < 400:
                 # heights (the last coordinate) are scaled and may be large
@@ -424,7 +486,7 @@ class TestClosedFormPlanes:
         # one point an integer affine combination of the others (at d = 2
         # a repeated point), in any position
         rng = random.Random(74)
-        for d in (2, 3, 4):
+        for d in (2, 3, 4, 5, 6):
             for _ in range(400):
                 pts = [tuple(rng.randint(-4, 4) for _ in range(d))
                        for _ in range(d - 1)]
@@ -457,7 +519,8 @@ class TestEssentialPartsSkipTheLatticeWalk:
     """Above arity 1 an essential part reads only the classification of
     the hull complex: the lattice walk runs for closures and
     classify_monomials, not for essential_part, equivalent or
-    is_ghost_potent."""
+    is_ghost_potent.  A closure of a unimodular simplex walks nothing
+    either: it is f's own rows."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -478,10 +541,14 @@ class TestEssentialPartsSkipTheLatticeWalk:
             is_ghost_potent(f)
             assert walks[0] == 0, format_poly(f)
             full_closure(f)  # the counter sees the walk of a closure
-            assert walks[0] == 1, format_poly(f)
+            short = unimodular(f)
+            assert walks[0] == (0 if short else 1), format_poly(f)
             walks[0] = 0
             seen[f.arity] += 1
+            seen[f.arity, short] += 1
         assert seen[2] >= 300 and seen[3] >= 300, seen
+        assert all(seen[a, short] >= 100 for a in (2, 3)
+                   for short in (True, False)), seen
 
     def test_matches_classification(self):
         seen = Counter()
@@ -706,13 +773,15 @@ def _dilated(f: TropicalPolynomial, m: int) -> TropicalPolynomial:
 class TestAffinelyIndependentSupports:
     """A support of k + 1 affinely independent exponents is its own Newton
     simplex with one upper cell, and its complex is read off the support
-    without building a facet; close() builds the start simplex's facets.
+    without building a facet; close() builds the start simplex's facets,
+    unless the simplex is unimodular on its pivot coordinates, and so
+    holds no lattice point but its vertices: then f is its own closure.
     Outputs are the old paths' ones."""
 
     def test_against_the_references(self):
         rng = random.Random(97)
         seen = Counter()
-        for i in range(360):
+        for i in range(600):
             arity = (2, 3, 4)[i % 3]
             k = i // 3 % (arity + 1)
             m = 1 + i // 15 % 5
@@ -727,6 +796,10 @@ class TestAffinelyIndependentSupports:
             want = reference_full_closure(g)
             assert closed._den == want._den, format_poly(g)
             assert set(closed._rows) == set(want._rows), format_poly(g)
+            short = unimodular(g)
+            if short:
+                assert closed._den == g._den, format_poly(g)
+                assert closed._rows == sorted(g._rows), format_poly(g)
             kind = reference_classify(g).classification
             assert essential_part(g) == TropicalPolynomial(arity, {
                 e: c for e, c in g.terms.items() if kind[e] == "essential"})
@@ -741,11 +814,18 @@ class TestAffinelyIndependentSupports:
             assert _fields(classify_monomials(g)) == _fields(
                 reference_complex_nd(g)), format_poly(g)
             seen[arity, k] += 1
+            path = "unimodular" if short else "walk"
+            seen[arity, path] += 1
+            seen[arity, path, "thin"] += 0 < k < arity
             seen["ghost"] += not g.is_tangible_poly()
             seen["den > 1"] += g._den > 1
             seen["lattice ghost"] += len(closed._rows) > len(g._rows)
         assert all(seen[a, k] >= 20 for a in (2, 3, 4)
                    for k in range(a + 1)), seen
+        # single terms (k = 0) are unimodular; thin supports (0 < k <
+        # arity) take both paths
+        assert all(seen[a, p] >= 50 and seen[a, p, "thin"] >= 5
+                   for a in (2, 3, 4) for p in ("unimodular", "walk")), seen
         assert min(seen["ghost"], seen["den > 1"],
                    seen["lattice ghost"]) >= 100, seen
 
@@ -786,8 +866,9 @@ class TestAffinelyIndependentSupports:
 
     def test_one_hull_per_classification(self, monkeypatch):
         # on the short path close() builds the one hull, of the start
-        # simplex, and the subdivision needs none; every other complex
-        # builds its one hull
+        # simplex, unless the simplex is unimodular and builds none, and
+        # the subdivision needs none; every other complex builds its one
+        # hull
         calls = [0]
 
         def counted(points, start, _hull=tropc.essential._hull):
@@ -802,10 +883,14 @@ class TestAffinelyIndependentSupports:
         for f in corpus:
             calls[0] = 0
             cx = classify_monomials(f)
-            assert calls[0] == 1, format_poly(f)
+            short = unimodular(f)
+            assert calls[0] == (0 if short else 1), format_poly(f)
             seen[f.arity, hull_builds(f)] += 1
+            seen[f.arity, hull_builds(f), short] += 1
             seen["cells"] += f.arity == 2 and len(cx.subdivision) > 1
         assert all(seen[a, b] >= 20 for a in (2, 3) for b in (0, 1)), seen
+        assert all(seen[a, 0, short] >= 20 for a in (2, 3)
+                   for short in (True, False)), seen
         assert seen[4, 0] >= 20 and seen["cells"] >= 20, seen
 
 
@@ -839,14 +924,17 @@ class TestSubdivisionBuildsNoEdges:
 class TestClosureRowsAscend:
     """The complex writes the full closure with one row per hull lattice
     point in ascending exponent order, on every path: the sweep at arity
-    1, an affinely independent support's simplex, and the walk of a
-    segment or of the bounding box.  classify_monomials reads the hull
-    lattice heights off those rows, key order included."""
+    1, a unimodular simplex's own rows, another affinely independent
+    support's simplex, and the walk of a segment or of the bounding box.
+    classify_monomials reads the hull lattice heights off those rows, key
+    order included."""
 
     @staticmethod
     def path(f: TropicalPolynomial) -> str:
         if f.arity == 1:
             return "sweep"
+        if unimodular(f):
+            return "unimodular"
         exps = sorted(f.terms)
         k = len(tropc.essential._echelon(
             [[a - b for a, b in zip(e, exps[0])] for e in exps]))
@@ -874,8 +962,8 @@ class TestClosureRowsAscend:
                 == [(e, c.value) for e, c in closed.terms.items()], \
                 format_poly(f)
             seen[self.path(f)] += 1
-        assert all(seen[p] >= 50
-                   for p in ("sweep", "simplex", "segment", "box")), seen
+        assert all(seen[p] >= 50 for p in ("sweep", "unimodular", "simplex",
+                                           "segment", "box")), seen
 
 
 class TestComplexIsShared:

@@ -10,6 +10,8 @@ from tropc import (NEG_INFINITY, TropicalNumber, TropicalPolynomial, ghost,
                    red_mul, tangible)
 from tropc.essential import _echelon
 
+from det_reference import fraction_det, fraction_rank
+
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, denominators=(1, 1, 2, 3)):
     return Fraction(rng.randint(lo, hi), rng.choice(denominators))
@@ -133,6 +135,25 @@ def hull_builds(f: TropicalPolynomial) -> int:
     hull, and one otherwise, a flat lift included."""
     m, k, _ = _ranks(f)
     return 0 if k == m - 1 else 1
+
+
+def unimodular(f: TropicalPolynomial) -> bool:
+    """Whether f's support is an affinely independent set (k + 1 exponents
+    spanning k dimensions, a single term included) whose differences from
+    the least exponent have a k x k minor of +-1 on the first k columns
+    that are independent from the left (the pivots of a reduced echelon
+    form): a simplex unimodular on those coordinates, which holds no
+    lattice point but its vertices, so f is its own full closure.  Ranks
+    and the minor are taken over ``Fraction``s."""
+    exps = sorted(f.terms)
+    diffs = [[a - b for a, b in zip(e, exps[0])] for e in exps[1:]]
+    cols: List[int] = []
+    for c in range(f.arity):
+        if fraction_rank([[r[j] for j in cols + [c]] for r in diffs]) > \
+                len(cols):
+            cols.append(c)
+    return len(cols) == len(diffs) and \
+        abs(fraction_det([[r[c] for c in cols] for r in diffs])) == 1
 
 
 def is_flat_lift(f: TropicalPolynomial) -> bool:
