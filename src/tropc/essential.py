@@ -398,8 +398,9 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     terms) is its own Newton simplex, and its lifted points form one upper
     cell, its exponents: every term is an essential Newton vertex, and no
     facet is built until close() builds the start simplex's, from which
-    ``_close_nd`` writes the rows ascending.  When the k x k determinant of
-    the lifted points' pivot coordinates less ``points[0]``'s is +-1, the
+    ``_close_nd`` writes the rows ascending.  close() first takes the k x k
+    determinant of the lifted points' pivot coordinates less
+    ``points[0]``'s (paths that never close skip it); when it is +-1, the
     simplex is unimodular in Z^k and holds no point of Z^k but its
     vertices, so none of the support's affine lattice either (the pivot
     projection is one-to-one on it): close() writes f's own rows,
@@ -409,16 +410,15 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     k = len(pivots)
     if k == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
-        p0 = points[0]
-        if abs(_det([[a - b for a, b in zip(p[:k], p0)]
-                     for p in points[1:]])) == 1:  # unimodular: f is closed
-            def close():
+
+        def close():
+            p0 = points[0]
+            if abs(_det([[a - b for a, b in zip(p[:k], p0)]
+                         for p in points[1:]])) == 1:  # unimodular
                 return TropicalPolynomial._from_rows(f.arity, f._den,
                                                      sorted(f._rows))
-        else:
-            def close():
-                return _close_nd(f, kind, exps, affine, pivots,
-                                 _hull(points, start))
+            return _close_nd(f, kind, exps, affine, pivots,
+                             _hull(points, start))
         return kind, close, [exps] if f.arity == 2 else None, []
     facets = _hull(points, start)
     roofs, walls = _index(len(exps), facets)
@@ -476,13 +476,11 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     g the gcd of its direction.  Other supports walk the box of their
     pivot coordinates in ascending coordinate order, which is the
     ascending order of the hull's points (two of them first differ at a
-    pivot), and lift each box point to the hull.  A full-dimensional
-    support (k equals the arity) has no free coordinate, and every box
-    point is its own lift.  Otherwise, with the basis made diagonal on the
-    pivots (row j is d_j at its own pivot and 0 at the others), a free
-    coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j, on den, the
-    lcm of the d_j; a box point is kept when every free coordinate is an
-    integer."""
+    pivot), and lift each box point to the hull.  With the basis made
+    diagonal on the pivots (row j is d_j at its own pivot and 0 at the
+    others), a free coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j,
+    on den, the lcm of the d_j; a box point is kept when every free
+    coordinate is an integer."""
     e0, k = exps[0], len(pivots)
     if not k:
         yield e0, ()
@@ -498,11 +496,6 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
     cols = list(zip(*exps))
     order = sorted(pivots)
     box = [range(min(cols[c]), max(cols[c]) + 1) for c in order]
-    get = itemgetter(*[order.index(c) for c in pivots])
-    if k == len(e0):
-        for u in iter_product(*box):
-            yield u, get(u)
-        return
     rows = [b for _, b in affine]
     for j, c in enumerate(pivots):
         rows = [r if i == j or not r[c] else
@@ -515,6 +508,7 @@ def _lattice(exps: List[Exponent], affine, pivots: List[int]):
         if c not in pivots:
             coef = [den // r[p] * r[c] for r, p in zip(rows, pivots)]
             free.append((c, coef, den * e0[c] - _dot(coef, x0)))
+    get = itemgetter(*[order.index(c) for c in pivots])
     for u in iter_product(*box):
         x = get(u)
         v = u
