@@ -26,25 +26,27 @@ is built; planes and dot products are written out at 1 to 4 coordinates
 fraction-free elimination (``_det``, O(d^3)).  Every hull fact comes off
 the points each facet touches (``_index``); the plane subdivision is the
 upper facets' contact sets, and the corner locus in ``sets`` reads the
-cells' edges off a hull of its own (``_cells``).  An affinely independent
-support (k + 1 exponents spanning k dimensions: a single term, a
-binomial, most trinomials, and every dilation of one) is its own Newton
-simplex and its lifted points form one upper cell, so every term is
-essential, and its hull, the start simplex alone, is built only when the
-closure is written.  When the simplex is unimodular on its pivot
-coordinates (their k x k determinant is +-1, as for a single term or
-x + y + z + 0), it holds no lattice point but its vertices, and the
-closure is f's own rows: no hull is built and no lattice is walked.  Both
-arities give one integer complex (``_complex``): the classification,
-a function that writes the full closure (one row per hull lattice point,
-ascending, at the hull's height there, so ``classify_monomials`` reads
-the heights off it), the subdivision and the interior vertices.  Writing
-the closure runs the lattice walk (``_walk_1d``'s edge walk in one
-dimension, else ``_lattice``), which essential parts (and with them
-``equivalent`` and ``is_ghost_potent``) skip: they read the
-classification alone.  Everything stays on integer rows; ``Fraction``s
-are built only for the public ``EssentialComplex`` of
-``classify_monomials`` and the public ``SlopeSequence``.
+cells' edges off a hull of its own (``_cells``).  The same run leaves a
+triangulation of the upper hull, its upper simplices, and the closure is
+written one simplex at a time (``_close_nd``): each simplex's lattice
+points are its vertices and the residues of its fundamental
+parallelepiped that land in it, |det| classes enumerated off a Hermite
+basis, so a unimodular simplex adds only its vertices.  An affinely
+independent support (k + 1 exponents spanning k dimensions: a single
+term, a binomial, most trinomials, and every dilation of one) is its own
+Newton simplex and its lifted points form one upper cell, so every term is
+essential, the start simplex is the one upper simplex, and no hull is
+built.  Both arities give one integer complex (``_complex``): the
+classification, a function that writes the full closure (one row per hull
+lattice point, ascending, at the hull's height there, so
+``classify_monomials`` reads the heights off it), the subdivision and the
+interior vertices.  Writing the closure (``_walk_1d``'s edge walk in one
+dimension, else ``_close_nd``) is left to the callers that read it, and
+essential parts (and with them ``equivalent`` and ``is_ghost_potent``)
+skip it: they read the classification alone.  Everything stays on
+integer rows; ``Fraction``s are built only for the public
+``EssentialComplex`` of ``classify_monomials`` and the public
+``SlopeSequence``.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, product as iter_product
 from math import gcd, lcm
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
@@ -82,9 +84,9 @@ class EssentialComplex:
 
 # The integer complex of a nonempty f: (classification, close, subdivision,
 # interior), the classification keyed in the order of the public view.  On
-# request, close() writes f's full closure by the lattice walk, one row per
-# hull lattice point, ascending, at the hull's height there.  The subdivision
-# is the edges' exponents at arity 1, the cells' (unsorted) at 2, else None.
+# request, close() writes f's full closure, one row per hull lattice point,
+# ascending, at the hull's height there.  The subdivision is the edges'
+# exponents at arity 1, the cells' (unsorted) at 2, else None.
 _Complex = Tuple[Dict[Exponent, str], Callable[[], TropicalPolynomial],
                  Optional[List[List[Exponent]]], List[Exponent]]
 
@@ -228,11 +230,6 @@ def _kept(rows: List[List[int]]
     return kept, basis
 
 
-def _echelon(rows: List[List[int]]) -> List[Tuple[int, List[int]]]:
-    """Integer echelon basis of the span of rows, as (pivot, row) pairs."""
-    return _kept(rows)[1]
-
-
 def _det(m: List[List[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss)
     elimination, O(d^3): each step brings a row with a nonzero pivot to
@@ -295,13 +292,16 @@ def _plane(pts: List[Tuple[int, ...]]) -> Tuple[List[int], int]:
     return n, _dot(n, p0)
 
 
-def _hull(points: List[Tuple[int, ...]], start: List[int]) -> list:
+def _hull(points: List[Tuple[int, ...]], start: List[int]
+          ) -> Tuple[list, List[tuple]]:
     """The facets of P = conv(points) + cone(-e_h), the lifted points and
     everything below them, as (outward normal, offset, contact set): the
     upper facets (last normal component > 0) and the Newton walls (0), with
-    normal . x <= offset on P.  The projections of the points (all
-    coordinates but the last) span Z^k, and the k + 1 points at start,
-    ascending, are affinely independent there.
+    normal . x <= offset on P; and the upper simplices of the final
+    triangulation, as tuples of k + 1 point indices, which triangulate the
+    upper facets.  The projections of the points (all coordinates but the
+    last) span Z^k, and the k + 1 points at start, ascending, are affinely
+    independent there.
 
     Beneath-beyond runs on the points and the downward direction, held as
     a vertex at infinity, index -1.  A simplex through it is a wall: the
@@ -315,7 +315,8 @@ def _hull(points: List[Tuple[int, ...]], start: List[int]) -> list:
     change nothing) are replaced by the cones from it over their horizon
     ridges.  Simplices on one plane merge into one facet, whose contact set
     (real points only) is read off all points with ``_dots``; when nothing
-    was left to insert, each start facet touches its own vertices."""
+    was left to insert, each start facet touches its own vertices, and the
+    start is the one upper simplex."""
     k = len(points[0]) - 1
     z = [sum(col) for col in zip(*(points[i] for i in start))]
     z[-1] -= 1
@@ -336,7 +337,7 @@ def _hull(points: List[Tuple[int, ...]], start: List[int]) -> list:
                   key=lambda i: (i * 2654435761) & 0xffffffff)
     if not rest:
         return [(tuple(n), b, frozenset(v for v in verts if v >= 0))
-                for n, b, verts in hull]
+                for n, b, verts in hull], [tuple(start)]
     normals = [n for n, _, _ in hull]
     for i in rest:
         over = [s > b for s, (_, b, _) in
@@ -354,12 +355,13 @@ def _hull(points: List[Tuple[int, ...]], start: List[int]) -> list:
         normals = [n for n, _, _ in hull]
     planes = {(tuple(n), b) for n, b, _ in hull}
     return [(n, b, frozenset([i for i, s in enumerate(_dots(n, points))
-                              if s == b])) for n, b in planes]
+                              if s == b])) for n, b in planes], [
+        verts for n, _, verts in hull if n[-1]]
 
 
 def _lift(f: TropicalPolynomial) -> tuple:
-    """Ascending exponents, the echelon basis of their affine hull (k rows)
-    and its pivots, f's den, the lifted points (pivot coordinates, then
+    """Ascending exponents, the pivots of an echelon basis of their affine
+    hull (k of them), f's den, the lifted points (pivot coordinates, then
     height times den) and the k + 1 exponents the echelon pass kept, the
     start simplex of ``_hull``."""
     rows = sorted(f._rows)
@@ -367,7 +369,7 @@ def _lift(f: TropicalPolynomial) -> tuple:
     kept, affine = _kept([list(map(sub, e, exps[0])) for e in exps[1:]])
     pivots = [c for c, _ in affine]
     points = [tuple(e[c] for c in pivots) + (s,) for e, s, _ in rows]
-    return exps, affine, pivots, f._den, points, [0] + [i + 1 for i in kept]
+    return exps, pivots, f._den, points, [0] + [i + 1 for i in kept]
 
 
 def _index(size: int, facets: list) -> Tuple[List[list], List[list]]:
@@ -390,37 +392,20 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     vertex, an interior vertex iff the walls through it meet in more than
     one point (the intersection starts from all points, so a term on no
     wall is interior, unless it is the only one).  close() is
-    ``_close_nd`` on the same facets; at arity 2 the subdivision is the
-    upper facets' contact sets, unsorted.
+    ``_close_nd`` on the upper simplices of the same run; at arity 2 the
+    subdivision is the upper facets' contact sets, unsorted.
 
     An affinely independent support (k + 1 exponents spanning k
     dimensions, so the echelon basis has one pivot fewer than there are
     terms) is its own Newton simplex, and its lifted points form one upper
-    cell, its exponents: every term is an essential Newton vertex, and no
-    facet is built until close() builds the start simplex's, from which
-    ``_close_nd`` writes the rows ascending.  close() first takes the k x k
-    determinant of the lifted points' pivot coordinates less
-    ``points[0]``'s (paths that never close skip it); when it is +-1, the
-    simplex is unimodular in Z^k and holds no point of Z^k but its
-    vertices, so none of the support's affine lattice either (the pivot
-    projection is one-to-one on it): close() writes f's own rows,
-    ascending, over f's den, as ``_close_nd`` would with m = 1, and builds
-    no hull.  The test is sufficient, not exact: (0, 0)-(2, 1) walks."""
-    exps, affine, pivots, _, points, start = _lift(f)
-    k = len(pivots)
-    if k == len(exps) - 1:
+    cell, its exponents: every term is an essential Newton vertex, the
+    start simplex is the one upper simplex, and no hull is built."""
+    exps, pivots, _, points, start = _lift(f)
+    if len(pivots) == len(exps) - 1:
         kind = dict.fromkeys(exps, ESSENTIAL)
-
-        def close():
-            p0 = points[0]
-            if abs(_det([[a - b for a, b in zip(p[:k], p0)]
-                         for p in points[1:]])) == 1:  # unimodular
-                return TropicalPolynomial._from_rows(f.arity, f._den,
-                                                     sorted(f._rows))
-            return _close_nd(f, kind, exps, affine, pivots,
-                             _hull(points, start))
-        return kind, close, [exps] if f.arity == 2 else None, []
-    facets = _hull(points, start)
+        return (kind, partial(_close_nd, f, kind, exps, points, [start]),
+                [exps] if f.arity == 2 else None, [])
+    facets, simplices = _hull(points, start)
     roofs, walls = _index(len(exps), facets)
     everyone = frozenset(range(len(exps)))
     classification = {}
@@ -437,8 +422,7 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
             if len(newton) > 1:
                 interior.append(e)
     return (classification,
-            partial(_close_nd, f, classification, exps, affine, pivots,
-                    facets),
+            partial(_close_nd, f, classification, exps, points, simplices),
             [[exps[i] for i in on] for n, _, on in facets if n[-1]]
             if f.arity == 2 else None, interior)
 
@@ -450,8 +434,8 @@ def _cells(f: TropicalPolynomial):
     another upper facet or a wall meets two or more of its points, keyed
     by their exponents (ascending), with the wall's outward normal (w_x,
     w_y, 0) or None inside.  A collinear support's cells are edges."""
-    exps, _, pivots, _, points, start = _lift(f)
-    facets = _hull(points, start)
+    exps, pivots, _, points, start = _lift(f)
+    facets, _ = _hull(points, start)
     roofs, walls = _index(len(exps), facets)
 
     def full(n):
@@ -469,92 +453,89 @@ def _cells(f: TropicalPolynomial):
                             for e, w in edges.items() if len(e) >= 2}
 
 
-def _lattice(exps: List[Exponent], affine, pivots: List[int]):
-    """The lattice points v of the exponents' affine hull whose pivot
-    coordinates lie in the exponents' box, ascending, each with its pivot
-    coordinates x.  A segment (k = 1) walks its own g + 1 lattice points,
-    g the gcd of its direction.  Other supports walk the box of their
-    pivot coordinates in ascending coordinate order, which is the
-    ascending order of the hull's points (two of them first differ at a
-    pivot), and lift each box point to the hull.  With the basis made
-    diagonal on the pivots (row j is d_j at its own pivot and 0 at the
-    others), a free coordinate c is e0_c + sum_j (x_j - e0_pj) r_j[c] / d_j,
-    on den, the lcm of the d_j; a box point is kept when every free
-    coordinate is an integer."""
-    e0, k = exps[0], len(pivots)
-    if not k:
-        yield e0, ()
-        return
-    if k == 1:  # exps[0] and exps[-1] are the segment's ends
-        g = gcd(*map(sub, exps[-1], e0))
-        steps = [(b - a) // g for a, b in zip(e0, exps[-1])]
-        c = pivots[0]
-        for v in zip(*[[a + j * s for j in range(g + 1)]
-                       for a, s in zip(e0, steps)]):
-            yield v, (v[c],)
-        return
-    cols = list(zip(*exps))
-    order = sorted(pivots)
-    box = [range(min(cols[c]), max(cols[c]) + 1) for c in order]
-    rows = [b for _, b in affine]
-    for j, c in enumerate(pivots):
-        rows = [r if i == j or not r[c] else
-                [rows[j][c] * a - r[c] * b for a, b in zip(r, rows[j])]
-                for i, r in enumerate(rows)]
-    den = lcm(*[r[c] for r, c in zip(rows, pivots)])
-    x0 = [e0[c] for c in pivots]
-    free = []
-    for c in range(len(e0)):
-        if c not in pivots:
-            coef = [den // r[p] * r[c] for r, p in zip(rows, pivots)]
-            free.append((c, coef, den * e0[c] - _dot(coef, x0)))
-    get = itemgetter(*[order.index(c) for c in pivots])
-    for u in iter_product(*box):
-        x = get(u)
-        v = u
-        for c, coef, base in free:  # ascending c: v[:c] is in place
-            s = base + _dot(coef, x)
-            if s % den:
-                break
-            v = v[:c] + (s // den,) + v[c:]
-        else:
-            yield v, x
+def _hermite(m: List[List[int]]) -> List[int]:
+    """The diagonal of an upper-triangular (Hermite) basis of the lattice
+    spanned by the rows of a nonsingular square integer matrix: column by
+    column, Euclid's algorithm on the rows left brings one row alone to a
+    nonzero entry there, and that row leaves the basis with it."""
+    rows = [list(r) for r in m]
+    diag = []
+    for j in range(len(rows)):
+        live = [r for r in rows if r[j]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not p:
+                    q = r[j] // p[j]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [r for r in live if r[j]]
+        p, = live
+        rows = [r for r in rows if r is not p]
+        diag.append(abs(p[j]))
+    return diag
 
 
 def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
-              exps: List[Exponent], affine, pivots: List[int],
-              facets: list) -> TropicalPolynomial:
+              exps: List[Exponent], points: list,
+              simplices: List[tuple]) -> TropicalPolynomial:
     """The full closure of f, one row per lattice point of the exponents'
-    affine hull (``_lattice``) inside the Newton polytope, ascending: a
-    point is kept iff every wall holds there.  Its hull height t / (w * den),
-    the least (b - n . x) / n_k over the upper facets compared by
-    cross-multiplication, becomes a ghost row ``t * (m / w)`` over
-    ``den * m``, m the lcm of those w; an essential term keeps f's own row.
-    The dot products are ``_dots``, written out at 1 to 4 pivot
-    coordinates."""
-    # walls first: a point outside one is dropped before the heights
-    facets = [fc for fc in facets if not fc[0][-1]] + [
-        fc for fc in facets if fc[0][-1]]
-    normals = [n[:-1] for n, _, _ in facets]
-    offsets = [b for _, b, _ in facets]
-    lasts = [n[-1] for n, _, _ in facets]
-    heights = []
-    for v, x in _lattice(exps, affine, pivots):
-        t = None
-        for s, b, h in zip(_dots(x, normals), offsets, lasts):
-            s = b - s
-            if h:
-                if t is None or s * w < t * h:
-                    t, w = s, h
-            elif s < 0:  # outside a wall
-                break
-        else:
-            heights.append((v, t, w))
-    m = lcm(*[w for v, _, w in heights if kind.get(v) != ESSENTIAL])
+    affine hull inside the Newton polytope, ascending, written one upper
+    simplex of the hull's triangulation at a time.  A simplex's vertices
+    are points of f, at their own heights.  Its other lattice points are
+    the residues of Z^(k+1) modulo its homogenized vertex rows (1, x_i)
+    that land at height 1 in the fundamental parallelepiped, which holds
+    one point of each residue class (Beck-Robins, *Computing the
+    Continuous Discretely*, ch. 3).  With v_i = x_i - x_0, the residues
+    are (0, y) for y in the box of the Hermite diagonal of the v_i
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
+    and the point's barycentric coordinates past the first are mu / D,
+    mu_i = y . w_i mod D for D = |det v| and w_i the normal (``_plane``)
+    through 0 and the other v_j, scaled to w_i . v_i = D; the point lands
+    at height 1 iff 0 < sum(mu) <= D.  The box is walked with its longest
+    axis innermost, along which each mu_i steps by one entry of w_i.  The
+    same mu gives the point's full exponent, e_0 + sum mu_i (e_i - e_0) /
+    D, dropped unless integral (its lift off the pivot coordinates), and
+    its height s_0 + sum mu_i (s_i - s_0) / D.  Heights agree on shared
+    faces, so a point is written once; an essential term keeps f's own
+    row and any other point is a ghost, over ``den * m``, m the lcm of the
+    heights' denominators.  A unimodular simplex (D = 1) holds only its
+    vertices."""
+    heights: Dict[Exponent, Tuple[int, int]] = {}
+    for simplex in simplices:
+        for i in simplex:
+            heights[exps[i]] = (points[i][-1], 1)
+        (*x0, s0), e0 = points[simplex[0]], exps[simplex[0]]
+        v = [list(map(sub, points[i][:-1], x0)) for i in simplex[1:]]
+        det = _det(v)
+        if abs(det) == 1:
+            continue
+        k, det = len(v), abs(det)
+        dual = []
+        for i, vi in enumerate(v):
+            w, _ = _plane([(0,) * k] + v[:i] + v[i + 1:])
+            dual.append([a * (det // _dot(w, vi)) for a in w])
+        cols = [*zip(*[map(sub, exps[i], e0) for i in simplex[1:]]),
+                [points[i][-1] - s0 for i in simplex[1:]]]
+        diag = _hermite(v)
+        inner = diag.index(max(diag))
+        outer = [j for j in range(k) if j != inner]
+        n = range(diag[inner])
+        for y in iter_product(*[range(diag[j]) for j in outer]):
+            base = [sum([t * w[j] for t, j in zip(y, outer)]) for w in dual]
+            for mu in zip(*[[(b + t * w[inner]) % det for t in n]
+                            for b, w in zip(base, dual)]):
+                if 0 < sum(mu) <= det:
+                    *e, t = _dots(mu, cols)
+                    if not any([c % det for c in e]):
+                        e = tuple([a + c // det for a, c in zip(e0, e)])
+                        if e not in heights:
+                            g = gcd(t + s0 * det, det)
+                            heights[e] = ((t + s0 * det) // g, det // g)
+    m = lcm(*[w for e, (_, w) in heights.items() if kind.get(e) != ESSENTIAL])
     own = {e: (e, s * m, g) for e, s, g in f._rows if kind[e] == ESSENTIAL}
     return TropicalPolynomial._from_rows(f.arity, f._den * m, [
-        own[v] if v in own else (v, t * (m // w), True)
-        for v, t, w in heights])
+        own[e] if e in own else (e, t * (m // w), True)
+        for e, (t, w) in sorted(heights.items())])
 
 
 def _complex(f: TropicalPolynomial) -> _Complex:

@@ -27,8 +27,10 @@ from .errors import (ArityMismatch, ArityUnsupported,
                      NotTangibleFull)
 from .essential import _close_1d, essential_part, full_closure, red_pow
 from .polynomial import TropicalPolynomial
+# eager, unlike univariate's common_root: the benchmark's tracer
+# (bench/layers.py) looks tropc.sets up in sys.modules once tropc.ideals
+# is loaded
 from .sets import _components_with_monomials
-from .univariate import common_root
 
 MAX_CERTIFICATE_EXPONENT = 64
 
@@ -76,6 +78,7 @@ class NssResult:
 
 def weak_nullstellensatz(ideal: IdealFG) -> NssResult:
     """Either a common root of the generators or a unit generator."""
+    from .univariate import common_root
     unit = _unit_generator(ideal)
     if unit is not None:
         return NssResult(None, unit)

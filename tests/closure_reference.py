@@ -31,7 +31,7 @@ from tropc import (NEG_INFINITY, ArityMismatch, ArityUnsupported,
                    TropicalPolynomial, equivalent, ghost, tangible)
 from facets_reference import full_hull_facets as _facets
 from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
-                             _dot, _hull_1d, _lift, _reduce)
+                             _dot, _hull_1d, _kept, _lift, _reduce)
 from tropc.ideals import IdealFG
 from tropc.polynomial import Exponent, variable
 from tropc.univariate import Factorization
@@ -80,7 +80,8 @@ def _complex_1d(f: TropicalPolynomial) -> EssentialComplex:
 
 
 def _complex_nd(f: TropicalPolynomial) -> EssentialComplex:
-    exps, affine, pivots, scale, points, _ = _lift(f)
+    exps, pivots, scale, points, _ = _lift(f)
+    affine = _kept([list(map(sub, e, exps[0])) for e in exps[1:]])[1]
     values = _values(f)
     lifted = {e: values[e] for e in exps}
     k = len(pivots)

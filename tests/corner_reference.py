@@ -56,7 +56,7 @@ def reference_corner_locus_2d(f: TropicalPolynomial,
     if f.is_empty() or f.is_ghost_poly():
         return CornerLocus2D(True, [], [])
     box = [(Fraction(bbox[c]), Fraction(bbox[c + 2])) for c in (0, 1)]
-    exps, _, pivots, scale, points, _ = _lift(f)
+    exps, pivots, scale, points, _ = _lift(f)
     # upper edge -> [(dual vertex, outward normal or None) of each cell]
     ends: Dict[FrozenSet[int], list] = {}
     for n, _, on in _facets(points) if pivots else ():

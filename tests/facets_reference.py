@@ -20,7 +20,7 @@ from math import lcm
 from typing import Dict, FrozenSet, List, Tuple
 
 from tropc.essential import (ESSENTIAL, INESSENTIAL, QUASI, EssentialComplex,
-                             _dot, _dots, _echelon, _plane, _reduce)
+                             _dot, _dots, _kept, _plane, _reduce)
 from tropc.polynomial import TropicalPolynomial
 
 
@@ -156,7 +156,7 @@ def reference_complex_nd(f: TropicalPolynomial) -> EssentialComplex:
     heights = [f.terms[e].value for e in exps]
     lifted = dict(zip(exps, heights))
     base = exps[0]
-    affine = _echelon([[a - b for a, b in zip(e, base)] for e in exps])
+    affine = _kept([[a - b for a, b in zip(e, base)] for e in exps])[1]
     pivots = [c for c, _ in affine]
     k = len(pivots)
     xs = [tuple(e[c] for c in pivots) for e in exps]
@@ -173,11 +173,11 @@ def reference_complex_nd(f: TropicalPolynomial) -> EssentialComplex:
         roofs = [n for n, _, c in upper if i in c]
         if not roofs:
             classification[e] = INESSENTIAL
-        elif len(_echelon(roofs + walls)) <= k:
+        elif len(_kept(roofs + walls)[1]) <= k:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-            if len(_echelon(walls)) < k:
+            if len(_kept(walls)[1]) < k:
                 interior.append(e)
 
     box = [range(min(e[c] for e in exps), max(e[c] for e in exps) + 1)

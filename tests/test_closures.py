@@ -10,7 +10,7 @@ slope sequences, division and syntactic ideal membership with the old
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -104,12 +104,72 @@ class TestAgainstClosureReference:
         assert min(seen["ghost"], seen["den > 1"], seen["lattice ghost"]) \
             >= 300, seen
 
+    # simplices with lattice points besides their vertices, each with the
+    # points its closure adds: the det-3 triangle with (1, 1) inside; one
+    # whose extra point lies on its boundary; both with a term below or on
+    # the hull; and a det-2 tetrahedron with (1, 1, 0) at an edge's
+    # midpoint
+    SIMPLICES = [
+        ([(0, 0), (2, 1), (1, 2)], {(1, 1)}),
+        ([(0, 0), (2, 0), (0, 1)], {(1, 0)}),
+        ([(0, 0), (2, 1), (1, 2), (1, 1)], {(1, 1)}),
+        ([(0, 0), (2, 0), (0, 1), (1, 0)], {(1, 0)}),
+        ([(0, 0, 0), (2, 2, 0), (0, 0, 1), (0, 1, 1)], {(1, 1, 0)}),
+    ]
+
+    def test_simplices_with_lattice_points(self):
+        rng = random.Random(107)
+        seen = Counter()
+        for n in range(240):
+            support, extra = self.SIMPLICES[n % len(self.SIMPLICES)]
+            heights = ("zero", "ghost", "fractional", "random")[n // 5 % 4]
+            terms = {}
+            for e in support:
+                v = Fraction(0) if heights == "zero" else \
+                    value(rng, range(2, 8)) if heights == "fractional" else \
+                    value(rng)
+                terms[e] = ghost(v) if heights == "ghost" else coeff(rng, v)
+            f = TropicalPolynomial(len(support[0]), terms)
+            F = full_closure(f)
+            assert set(F.terms) == set(support) | extra, f
+            assert same_rows(F, reference_full_closure(f)), f
+            for k in (2, 3):
+                assert same_rows(red_pow(f, k), reference_red_pow(f, k)), \
+                    (f, k)
+            got = classify_monomials(f).hull_lattice_points
+            want = reference_classify(f).hull_lattice_points
+            assert list(got.items()) == list(want.items()), f
+            seen[heights] += 1
+            seen["den > 1"] += F._den > 1
+            seen["ghost row"] += not F.is_tangible_poly()
+        assert min(seen.values()) >= 50, seen
+
 
 class TestCoplanarSupports:
     """A support spanning a plane inside three or four variables walks the
-    box of its two pivot coordinates and lifts each point to the plane,
-    keeping the integral ones: the closures and powers are the old box
-    walk's rows over the same den."""
+    residues of its upper simplices in its two pivot coordinates and lifts
+    each point to the plane, keeping the integral ones: the closures and
+    powers are the old box walk's rows over the same den."""
+
+    def test_pinned(self):
+        # (1, 0) and (0, 1) lie in the pivot triangle of (0, 0, 0),
+        # (2, 0, 1) and (0, 2, 1) but lift to z = 1/2: only (1, 1, 1) is
+        # a lattice point of the plane besides the vertices
+        for text in ("0 + 1*x^2*z + 2*y^2*z", "0v + 1*x^2*z + 2v*y^2*z",
+                     "1/2 + -1/3v*x^2*z + 2/7*y^2*z",
+                     "0 + 1*x^2*z + 2*y^2*z + 3/2*x*y*z",
+                     "0 + 1*x^2*z + 2*y^2*z + -5v*x*y*z",
+                     "0v + 1*x1^2*x3*x4 + 2*x2^2*x3*x4 + 3/2*x1*x2*x3*x4"):
+            f = P(text)
+            want = {(0, 0, 0), (2, 0, 1), (0, 2, 1), (1, 1, 1)}
+            if f.arity == 4:
+                want = {e + (e[2],) for e in want}
+            F = full_closure(f)
+            assert set(F.terms) == want, text
+            assert same_rows(F, reference_full_closure(f)), text
+            for k in (2, 3):
+                assert same_rows(red_pow(f, k), reference_red_pow(f, k)), \
+                    (text, k)
 
     def test_random(self):
         rng = random.Random(103)
@@ -132,8 +192,8 @@ class TestCoplanarSupports:
             assert same_rows(full_closure(f), reference_full_closure(f)), f
             assert same_rows(red_pow(f, k), reference_red_pow(f, k)), (f, k)
             exps = sorted(f.terms)
-            dim = len(tropc.essential._echelon(
-                [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+            dim = len(tropc.essential._kept(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])[1])
             seen[arity, dim] += 1
         assert seen[3, 2] >= 40 and seen[4, 2] >= 40, seen
 
@@ -196,6 +256,62 @@ class TestFrobeniusPowers:
             assert len(red_pow(f, k)._rows) == size, (f, k)
 
 
+def pick_count(exps):
+    """The lattice points of the Newton polygon of an arity-2 support by
+    Pick's theorem, A + B/2 + 1, or None for a collinear support: the
+    polygon by Andrew's monotone chain, A its area by the shoelace formula
+    and B the gcds of its edges.  No hull or closure of the library is
+    used."""
+    def chain(pts):
+        out = []
+        for x, y in pts:
+            while len(out) >= 2 and (out[-1][0] - out[-2][0]) * (
+                    y - out[-2][1]) - (out[-1][1] - out[-2][1]) * (
+                    x - out[-2][0]) <= 0:
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+    pts = sorted(exps)
+    hull = chain(pts) + chain(pts[::-1])
+    if len(hull) < 3:
+        return None
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    twice_area = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges)
+    boundary = sum(gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    return (twice_area + boundary) // 2 + 1
+
+
+class TestPickCount:
+    """A full closure in two variables has one row per lattice point of
+    the Newton polygon, which Pick's theorem counts off the polygon
+    alone: on seeded supports, flat lifts and red_pow dilations."""
+
+    def test_random(self):
+        rng = random.Random(113)
+        seen = Counter()
+        for n in range(400):
+            kind = ("random", "fractional", "flat", "gaps")[n % 4]
+            f = rand_case(rng, kind, 2, 5)
+            want = pick_count(f.terms)
+            if want is None:
+                continue
+            k = 2 + n % 5
+            assert len(full_closure(f)._rows) == want, f
+            assert len(red_pow(f, k)._rows) == pick_count(
+                [(k * x, k * y) for x, y in f.terms]), (f, k)
+            seen[kind] += 1
+            seen["lattice ghost"] += want > len(f.terms)
+        assert min(seen.values()) >= 50, seen
+
+    def test_pinned(self):
+        assert pick_count([(0, 0), (2, 1), (1, 2)]) == 4
+        assert pick_count([(0, 0), (2, 0), (0, 1)]) == 4
+        assert pick_count([(0, 0), (1, 1), (3, 3)]) is None
+        f = P("(x+y+0)^6 + 3*x^2*y^2 + 1v*x*y")
+        assert len(red_pow(f, 32)._rows) == pick_count(
+            [(32 * x, 32 * y) for x, y in f.terms]) == 18721
+
+
 def rand_segment(rng, arity):
     """2-4 exponents on one line, with gaps and steps whose gcd may exceed
     1, so the segment has lattice points outside the support; values with
@@ -220,19 +336,35 @@ def rand_segment(rng, arity):
 
 class TestSegmentWalk:
     """A support on one line walks the lattice points of its own segment,
-    not its bounding box; the closures, powers and lattice heights are
-    those of the old box walk, in the same order."""
+    not its bounding box: the residues its pieces visit are no more than
+    the longest side of the box.  The closures, powers and lattice heights
+    are those of the old box walk, in the same order."""
 
     @pytest.fixture
     def no_box(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a segment walked its bounding box")
-        monkeypatch.setattr(tropc.essential, "iter_product", refuse)
+        """Returns fn(*args) after checking that the residues visited on
+        the way, the product of each walk's Hermite diagonal, are no more
+        than the longest side of the output's bounding box."""
+        visited = [0]
+
+        def counted(m, _hermite=tropc.essential._hermite):
+            diag = _hermite(m)
+            visited[0] += prod(diag)
+            return diag
+        monkeypatch.setattr(tropc.essential, "_hermite", counted)
+
+        def closed(fn, *args):
+            visited[0] = 0
+            out = fn(*args)
+            side = max(max(c) - min(c) for c in zip(*out.terms))
+            assert visited[0] <= side, "a segment walked its bounding box"
+            return out
+        return closed
 
     def test_pinned(self, no_box):
         f = P("x*y*z + 0")
-        assert same_rows(red_pow(f, 16), reference_red_pow(f, 16))
-        assert len(red_pow(f, 4096)._rows) == 4097
+        assert same_rows(no_box(red_pow, f, 16), reference_red_pow(f, 16))
+        assert len(no_box(red_pow, f, 4096)._rows) == 4097
 
     def test_random(self, no_box):
         rng = random.Random(101)
@@ -241,8 +373,10 @@ class TestSegmentWalk:
             arity = 2 + n % 3
             f = rand_segment(rng, arity)
             k = 1 + n // 3 % (4, 3, 2)[arity - 2]
-            assert same_rows(full_closure(f), reference_full_closure(f)), f
-            assert same_rows(red_pow(f, k), reference_red_pow(f, k)), (f, k)
+            assert same_rows(no_box(full_closure, f),
+                             reference_full_closure(f)), f
+            assert same_rows(no_box(red_pow, f, k),
+                             reference_red_pow(f, k)), (f, k)
             got = classify_monomials(f).hull_lattice_points
             want = reference_classify(f).hull_lattice_points
             assert list(got.items()) == list(want.items()), f

@@ -135,9 +135,9 @@ class TestAgainstLpReference:
         for i in range(1050):
             f = _reference_case(rng, kinds[i % len(kinds)])
             self.assert_same(f)
-            seen[(f.arity, len(tropc.essential._echelon(
+            seen[(f.arity, len(tropc.essential._kept(
                 [[a - b for a, b in zip(e, min(f.terms))]
-                 for e in f.terms])))] += 1
+                 for e in f.terms])[1]))] += 1
         # every dimension of support occurs in both arities
         assert all(seen[(a, k)] for a in (2, 3) for k in range(a + 1))
 
@@ -161,7 +161,16 @@ class TestAgainstFacetsReference:
     Supports of hundreds of terms, where the enumeration is too slow, are
     held to the full-hull beneath-beyond kernel instead."""
 
-    kernel = staticmethod(tropc.essential._hull)
+    @staticmethod
+    def kernel(points, start):
+        """The kernel's facets, once each of its upper simplices is seen to
+        lie in an upper facet; the closures written off those simplices are
+        held to the references elsewhere."""
+        facets, simplices = tropc.essential._hull(points, start)
+        upper = [c for n, _, c in facets if n[-1]]
+        assert all(any(c.issuperset(s) for c in upper)
+                   for s in simplices), points
+        return facets
 
     @pytest.fixture
     def hulls(self, monkeypatch):
@@ -193,7 +202,7 @@ class TestAgainstFacetsReference:
         lifted and the facets newton of the projections, each with a 0
         appended, in the given and in a random order, in which a point may
         come after a facet has covered it."""
-        _, _, _, _, points, start = tropc.essential._lift(f)
+        _, _, _, points, start = tropc.essential._lift(f)
         want = self.facet_set([fc for fc in lifted if fc[0][-1] > 0])
         want |= self.facet_set([((*n, 0), b, c) for n, b, c in newton])
         assert self.facet_set(self.kernel(points, start)) == want, points
@@ -231,9 +240,9 @@ class TestAgainstFacetsReference:
             else:
                 f = _reference_case(rng, kind, arity)
             self.assert_same(f, hulls, rng)
-            seen[(f.arity, len(tropc.essential._echelon(
+            seen[(f.arity, len(tropc.essential._kept(
                 [[a - b for a, b in zip(e, min(f.terms))]
-                 for e in f.terms])))] += 1
+                 for e in f.terms])[1]))] += 1
         # every dimension of support occurs in every arity
         assert all(seen[(a, k)]
                    for a in (2, 3, 4) for k in range(a + 1)), seen
@@ -259,7 +268,7 @@ class TestAgainstFacetsReference:
     ])
     def test_against_the_full_hull_kernel(self, f, terms):
         assert len(f.terms) == terms
-        points = tropc.essential._lift(f)[4]
+        points = tropc.essential._lift(f)[3]
         self.assert_kernel(
             f, facets_reference.full_hull_facets(points),
             facets_reference.full_hull_facets([p[:-1] for p in points]),
@@ -314,8 +323,8 @@ class TestSubdivisionAgainstEvaluate:
                     2, {e: c}).evaluate(point).value == top]
                 assert sorted(reach) == cell, (format_poly(f), cell)
             exps = sorted(f.terms)
-            k = len(tropc.essential._echelon(
-                [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+            k = len(tropc.essential._kept(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])[1])
             seen["independent"] += k == len(exps) - 1
             seen["collinear"] += k == 1 and len(exps) > 2
             seen["flat"] += is_flat_lift(f)
@@ -476,7 +485,7 @@ class TestClosedFormPlanes:
                                       rng.randint(-10**9, 10**9))),)
                        for _ in range(d)]
                 diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts]
-                if len(tropc.essential._echelon(diffs)) < d - 1:
+                if len(tropc.essential._kept(diffs)[1]) < d - 1:
                     continue
                 assert tropc.essential._plane(pts) == \
                     self.cofactor_plane(pts), pts
@@ -517,19 +526,25 @@ def _hull_cases(count: int, seed: int):
 
 class TestEssentialPartsSkipTheLatticeWalk:
     """Above arity 1 an essential part reads only the classification of
-    the hull complex: the lattice walk runs for closures and
+    the hull complex: the closure writer runs for closures and
     classify_monomials, not for essential_part, equivalent or
-    is_ghost_potent.  A closure of a unimodular simplex walks nothing
+    is_ghost_potent.  A closure of a unimodular simplex walks no residue
     either: it is f's own rows."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
-        count = [0]
+        """Calls of the closure writer and of the residue walks in it."""
+        count = Counter()
 
         def counted(*args, _walk=tropc.essential._close_nd):
-            count[0] += 1
+            count["writer"] += 1
             return _walk(*args)
+
+        def walked(m, _hermite=tropc.essential._hermite):
+            count["residues"] += 1
+            return _hermite(m)
         monkeypatch.setattr(tropc.essential, "_close_nd", counted)
+        monkeypatch.setattr(tropc.essential, "_hermite", walked)
         return count
 
     def test_no_walk(self, walks):
@@ -539,11 +554,13 @@ class TestEssentialPartsSkipTheLatticeWalk:
             equivalent(f, g)
             equivalent(f, f + g)
             is_ghost_potent(f)
-            assert walks[0] == 0, format_poly(f)
-            full_closure(f)  # the counter sees the walk of a closure
+            assert not walks, format_poly(f)
+            full_closure(f)  # the counter sees the writer of a closure
             short = unimodular(f)
-            assert walks[0] == (0 if short else 1), format_poly(f)
-            walks[0] = 0
+            assert walks["writer"] == 1, format_poly(f)
+            if short:
+                assert not walks["residues"], format_poly(f)
+            walks.clear()
             seen[f.arity] += 1
             seen[f.arity, short] += 1
         assert seen[2] >= 300 and seen[3] >= 300, seen
@@ -755,8 +772,8 @@ def _independent_case(rng: random.Random, arity: int,
     while True:
         exps = [tuple(rng.randint(0, side) for _ in range(arity))
                 for _ in range(k + 1)]
-        if len(tropc.essential._echelon(
-                [[a - b for a, b in zip(e, exps[0])] for e in exps])) == k:
+        if len(tropc.essential._kept(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])[1]) == k:
             break
     return TropicalPolynomial(arity, {
         e: (ghost if rng.random() < 0.35 else tangible)(
@@ -773,9 +790,9 @@ def _dilated(f: TropicalPolynomial, m: int) -> TropicalPolynomial:
 class TestAffinelyIndependentSupports:
     """A support of k + 1 affinely independent exponents is its own Newton
     simplex with one upper cell, and its complex is read off the support
-    without building a facet; close() builds the start simplex's facets,
-    unless the simplex is unimodular on its pivot coordinates, and so
-    holds no lattice point but its vertices: then f is its own closure.
+    without building a facet; close() writes the closure off that one
+    simplex, and when it is unimodular on its pivot coordinates it holds
+    no lattice point but its vertices: then f is its own closure.
     Outputs are the old paths' ones."""
 
     def test_against_the_references(self):
@@ -849,8 +866,8 @@ class TestAffinelyIndependentSupports:
         seen = Counter()
         for f in corpus:
             exps = sorted(f.terms)
-            independent = len(tropc.essential._echelon(
-                [[a - b for a, b in zip(e, exps[0])] for e in exps])) == \
+            independent = len(tropc.essential._kept(
+                [[a - b for a, b in zip(e, exps[0])] for e in exps])[1]) == \
                 len(exps) - 1
             calls[0] = 0
             tropc.essential._complex_nd(f)
@@ -865,10 +882,9 @@ class TestAffinelyIndependentSupports:
                    for a in (2, 3, 4)), seen
 
     def test_one_hull_per_classification(self, monkeypatch):
-        # on the short path close() builds the one hull, of the start
-        # simplex, unless the simplex is unimodular and builds none, and
-        # the subdivision needs none; every other complex builds its one
-        # hull
+        # on the short path neither close() nor the subdivision builds a
+        # hull, the start simplex being the one upper simplex; every
+        # other complex builds its one hull
         calls = [0]
 
         def counted(points, start, _hull=tropc.essential._hull):
@@ -884,7 +900,7 @@ class TestAffinelyIndependentSupports:
             calls[0] = 0
             cx = classify_monomials(f)
             short = unimodular(f)
-            assert calls[0] == (0 if short else 1), format_poly(f)
+            assert calls[0] == hull_builds(f), format_poly(f)
             seen[f.arity, hull_builds(f)] += 1
             seen[f.arity, hull_builds(f), short] += 1
             seen["cells"] += f.arity == 2 and len(cx.subdivision) > 1
@@ -925,7 +941,8 @@ class TestClosureRowsAscend:
     """The complex writes the full closure with one row per hull lattice
     point in ascending exponent order, on every path: the sweep at arity
     1, a unimodular simplex's own rows, another affinely independent
-    support's simplex, and the walk of a segment or of the bounding box.
+    support's simplex, and the upper simplices of a segment's or a larger
+    support's hull.
     classify_monomials reads the hull lattice heights off those rows, key
     order included."""
 
@@ -936,8 +953,8 @@ class TestClosureRowsAscend:
         if unimodular(f):
             return "unimodular"
         exps = sorted(f.terms)
-        k = len(tropc.essential._echelon(
-            [[a - b for a, b in zip(e, exps[0])] for e in exps]))
+        k = len(tropc.essential._kept(
+            [[a - b for a, b in zip(e, exps[0])] for e in exps])[1])
         return "simplex" if k == len(exps) - 1 else \
             "segment" if k == 1 else "box"
 

@@ -8,7 +8,7 @@ from typing import List, Optional
 
 from tropc import (NEG_INFINITY, TropicalNumber, TropicalPolynomial, ghost,
                    red_mul, tangible)
-from tropc.essential import _echelon
+from tropc.essential import _kept
 
 from det_reference import fraction_det, fraction_rank
 
@@ -125,7 +125,7 @@ def _ranks(f: TropicalPolynomial):
     e0, s0, _ = rows[0]
     support = [[a - b for a, b in zip(e, e0)] for e, _, _ in rows]
     lifted = [d + [s - s0] for d, (_, s, _) in zip(support, rows)]
-    return len(rows), len(_echelon(support)), len(_echelon(lifted))
+    return len(rows), len(_kept(support)[1]), len(_kept(lifted)[1])
 
 
 def hull_builds(f: TropicalPolynomial) -> int:
