@@ -499,7 +499,8 @@ def _close_nd(f: TropicalPolynomial, kind: Dict[Exponent, str],
     faces, so a point is written once; an essential term keeps f's own
     row and any other point is a ghost, over ``den * m``, m the lcm of the
     heights' denominators.  A unimodular simplex (D = 1) holds only its
-    vertices."""
+    vertices; a thin simplex's bounding box holds far more points than its
+    D residues."""
     heights: Dict[Exponent, Tuple[int, int]] = {}
     for simplex in simplices:
         for i in simplex:

@@ -4,20 +4,18 @@ Generators are stored fully closed.  The weak procedure either produces a
 common root of the generators or points at a tangible constant generator as
 a proof of emptiness.  The univariate radical membership procedure decides
 containment of complement components and, on success, returns an exponent m
-with monomial combiners h_j such that f^m agrees with the combination
-sum h_j g_j as a function.  The combination is the raw sum closed once;
-f^m is the reduced power, the closure of f's dilation by m by the
-Frobenius property (a + b)^m = a^m + b^m, never an expansion.  Full
-closures are canonical, so the two agree as functions exactly when they
-are equal.  Everything here computes on the integer rows of polynomials;
-nothing reads ``terms`` or does ``TropicalNumber`` arithmetic.
+with monomial combiners h_j such that f^m agrees with the combination sum
+h_j g_j as a function.  The combination, one merge of the products h_j g_j,
+is closed once; f^m is the reduced power, the closure of f's dilation by m
+by the Frobenius property (a + b)^m = a^m + b^m, never an expansion.  Full
+closures are canonical, so the two agree as functions exactly when they are
+equal.  Everything here computes on the integer rows of polynomials; nothing
+reads ``terms`` or does ``TropicalNumber`` arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product as iter_product
-from math import lcm
 from operator import add
 from typing import List, Optional, Sequence, Tuple
 
@@ -26,7 +24,7 @@ from .errors import (ArityMismatch, ArityUnsupported,
                      CertificateSearchExceeded, EmptyPolynomial,
                      NotTangibleFull)
 from .essential import _close_1d, essential_part, full_closure, red_pow
-from .polynomial import TropicalPolynomial
+from .polynomial import TropicalPolynomial, _over, _sum
 # eager, unlike univariate's common_root: the benchmark's tracer
 # (bench/layers.py) looks tropc.sets up in sys.modules once tropc.ideals
 # is loaded
@@ -104,7 +102,7 @@ class RadicalCertificate:
 
     def combination(self) -> TropicalPolynomial:
         """The sum of the products h * g, closed once at the end."""
-        return full_closure(reduce(add, (h * g for h, g in self.combiners)))
+        return full_closure(_sum([h * g for h, g in self.combiners]))
 
 
 def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
@@ -142,10 +140,8 @@ def radical_member_1d(f: TropicalPolynomial, ideal: IdealFG
     # com-sets emit tangible vertices only, so every combiner is tangible;
     # its value m * f_i - g_r is an integer over one den of f and the gens
     gens = ideal.generators
-    den = lcm(f._den, *[g._den for g in gens])
-    f_values = {e: s * (den // f._den) for (e,), s, _ in f._rows}
-    g_values = [{e: s * (den // g._den) for (e,), s, _ in g._rows}
-                for g in gens]
+    den, rows = _over([f, *gens])
+    f_values, *g_values = [{e: s for (e,), s, _ in r} for r in rows]
 
     # m >= ceil(r / i) when i > 0 and r = 0 when i = 0, so m * i >= r
     for m in range(m_lower, MAX_CERTIFICATE_EXPONENT + 1):
@@ -194,16 +190,9 @@ def ideal_member_syntactic(f: TropicalPolynomial, ideal: IdealFG) -> bool:
     f_closed = full_closure(f)
     if f_closed in ideal.generators:  # full closures are canonical
         return True
-    combo = None
-    for g in ideal.generators:
-        h = _residuation(f_closed, g)
-        if h is None:
-            continue
-        part = h * g
-        combo = part if combo is None else combo + part
-    if combo is None or combo.is_empty():
-        return False
-    return full_closure(combo) == f_closed  # f_closed is canonical
+    parts = [h * g for g in ideal.generators
+             if (h := _residuation(f_closed, g)) is not None]
+    return bool(parts) and full_closure(_sum(parts)) == f_closed
 
 
 def _residuation(f: TropicalPolynomial, g: TropicalPolynomial
@@ -218,14 +207,13 @@ def _residuation(f: TropicalPolynomial, g: TropicalPolynomial
            for k in range(f.arity)]
     if not all(box):  # g has a higher degree in some variable
         return None
-    den = lcm(f._den, g._den)
-    f_values = {e: s * (den // f._den) for e, s, _ in f._rows}
-    g_rows = [(d, s * (den // g._den)) for d, s, _ in g._rows]
+    den, (f_rows, g_rows) = _over([f, g])
+    f_values = {e: s for e, s, _ in f_rows}
     rows = []
     for e in iter_product(*box):
         try:
             rows.append((e, min(f_values[tuple(map(add, e, d))] - b
-                                for d, b in g_rows), False))
+                                for d, b, _ in g_rows), False))
         except KeyError:  # some f[e + d] is -inf
             pass
     return TropicalPolynomial._from_rows(f.arity, den, rows) if rows else None

@@ -6,7 +6,8 @@ optionally raised to a nonnegative integer power with '^'.  Numbers are
 exact rationals like 3, -5/2; a trailing 'v' marks a ghost coefficient and
 '-inf' is the bottom element.  Variables are x, y, z or x1, x2, ..., x1000;
 a larger index is refused before it is converted.
-Parenthesized products and powers are evaluated in the raw semiring.
+Parenthesized products and powers are evaluated in the raw semiring, and a
+sum's summands are merged once over one lcm (``polynomial._sum``).
 
 With ``max_degree`` set, a factor, power or product above that total degree
 is refused before it is computed.  Degrees add under '*' and multiply
@@ -22,7 +23,7 @@ from typing import List, Optional, Tuple
 
 from .core import NEG_INFINITY, TropicalNumber, ghost, tangible
 from .errors import ArityMismatch, MaxDegreeExceeded, PolySyntaxError
-from .polynomial import TropicalPolynomial, constant, variable
+from .polynomial import TropicalPolynomial, _sum, constant, variable
 
 _TOKEN_RE = re.compile(
     r"(?P<ninf>-inf)"
@@ -131,11 +132,11 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> TropicalPolynomial:
-        acc = self.parse_term()
+        terms = [self.parse_term()]
         while self.peek().kind == "+":
             self.advance()
-            acc = acc + self.parse_term()
-        return acc
+            terms.append(self.parse_term())
+        return _sum(terms)
 
     def parse_term(self) -> TropicalPolynomial:
         acc = self.parse_factor()

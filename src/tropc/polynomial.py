@@ -6,13 +6,15 @@ flag)``, one per exponent and none for ``-inf``; so polynomials are equal
 exactly when their read-only arities, dens and row sets are.  Every kernel
 reads and writes that form, and so do the hulls in ``essential``.
 Products, sums and substitution merge rows with ``_merge``: the sum in the
-semiring is the maximum, ghost on a tie.  A power f ** k is multiplied out
-one factor at a time, each step pairing the rows of f^i with f's; a
-monomial's power is one row.  ``evaluate`` and ``is_root``
+semiring is the maximum, ghost on a tie, associative and commutative, so a
+sum of any number of polynomials (``_sum``; ``+`` is its case of two) is one
+merge of all their rows over the lcm of their dens (``_over``).  A power
+f ** k is multiplied out one factor at a time, each step pairing the rows of
+f^i with f's; a monomial's power is one row.  ``evaluate`` and ``is_root``
 read the point once and take the maximum over the rows in one pass
-(``_top``), so ``is_root`` builds no value.  At one, two and three
-variables evaluation and products write out their row loops, unpacking
-each exponent, so a row makes no builtin call (no dot product, no
+(``_top``), so ``is_root`` builds no value.  At one, two and three variables
+evaluation and products write out their row loops, unpacking each exponent,
+so a row makes no builtin call (no dot product, no
 ``tuple(map(add, ...))``); other arities keep the general loops.
 
 The rows are the only source of truth.  The public constructor validates
@@ -29,10 +31,11 @@ undefined for it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (NEG_INFINITY, TAG_GHOST, TAG_NEG_INF, TAG_TANGIBLE,
                    TropicalNumber, tangible, trop_add)
@@ -58,15 +61,11 @@ def _rescale(rows: List[Row], m: int) -> List[Row]:
     return rows if m == 1 else [(e, s * m, g) for e, s, g in rows]
 
 
-def _common(f: "TropicalPolynomial", g: "TropicalPolynomial"
-            ) -> Tuple[int, List[Row], List[Row]]:
-    """The rows of f and g over one denominator."""
-    d1, r1 = f._den, f._rows
-    d2, r2 = g._den, g._rows
-    if d1 == d2:
-        return d1, r1, r2
-    den = lcm(d1, d2)
-    return den, _rescale(r1, den // d1), _rescale(r2, den // d2)
+def _over(polys: Sequence["TropicalPolynomial"]
+          ) -> Tuple[int, List[List[Row]]]:
+    """The lcm of the polynomials' dens and each one's rows over it."""
+    den = lcm(*[p._den for p in polys])
+    return den, [_rescale(p._rows, den // p._den) for p in polys]
 
 
 def _merge(arity: int, den: int, rows: Iterable[Row]
@@ -86,6 +85,18 @@ def _merge(arity: int, den: int, rows: Iterable[Row]
         elif s == old[1]:
             best[key] = (key, s, True)
     return TropicalPolynomial._from_rows(arity, den, list(best.values()))
+
+
+def _sum(polys: Sequence["TropicalPolynomial"]) -> "TropicalPolynomial":
+    """The sum of one or more polynomials of one arity: one ``_merge`` of
+    their rows over ``_over``'s den, in first-seen order like a fold."""
+    first = polys[0]
+    for p in polys[1:]:
+        first._check_arity(p)
+    if len(polys) == 1:
+        return first
+    den, rows = _over(polys)
+    return _merge(first._arity, den, chain.from_iterable(rows))
 
 
 def _sort_key(exp: Exponent):
@@ -217,9 +228,7 @@ class TropicalPolynomial:
                 f"arity {self._arity} vs {other._arity}")
 
     def __add__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
-        self._check_arity(other)
-        den, r1, r2 = _common(self, other)
-        return _merge(self._arity, den, r1 + r2)
+        return _sum([self, other])
 
     def __mul__(self, other: "TropicalPolynomial") -> "TropicalPolynomial":
         """The product: every pair of rows, merged.  At one, two and three
@@ -227,7 +236,7 @@ class TropicalPolynomial:
         is ``tuple(map(add, e1, e2))``."""
         self._check_arity(other)
         arity = self._arity
-        den, r1, r2 = _common(self, other)
+        den, (r1, r2) = _over([self, other])
         if arity == 1:
             pairs = (((a1 + a2,), s1 + s2, g1 or g2)
                      for (a1,), s1, g1 in r1 for (a2,), s2, g2 in r2)

@@ -4,10 +4,13 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tropc.polynomial
 from fold_reference import (reference_add, reference_evaluate,
@@ -16,6 +19,7 @@ from power_reference import reference_pow
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, constant, essential_part, full_closure,
                    ghost, parse_poly, tangible, variable)
+from tropc.polynomial import _sum
 from util import eval_points, rand_poly
 
 
@@ -175,7 +179,7 @@ class TestEvaluation:
 
         def refuse(*args):
             raise AssertionError("not on the evaluation path")
-        for name in ("_merge", "_common", "_rescale"):
+        for name in ("_merge", "_over", "_rescale"):
             monkeypatch.setattr(tropc.polynomial, name, refuse)
         assert f.evaluate(point) == ghost(Fraction(3, 2))
         assert fg.evaluate(point) == ghost(Fraction(7, 2))
@@ -663,3 +667,118 @@ class TestPowerOneFactorAtATime:
             2, {(k, 2 * k): ghost(Fraction(-k, 3))})
         assert TropicalPolynomial(2, {}) ** k == TropicalPolynomial(2, {})
         assert not products
+
+
+def _summands(rng):
+    """1-8 polynomials of one arity 1-4 over dens 1-11, a few of them
+    empty; most exponents come from a pool of four and many values are 0
+    or 1, so rows tie across members and across dens."""
+    arity = rng.randint(1, 4)
+    pool = [tuple(rng.randint(0, 2) for _ in range(arity)) for _ in range(4)]
+    polys = []
+    for _ in range(rng.randint(1, 8)):
+        terms = {}
+        den = rng.choice((1, 2, 3, 5, 7, 11))
+        for _ in range(0 if rng.random() < 0.15 else rng.randint(1, 4)):
+            exp = rng.choice(pool) if rng.random() < 0.7 else \
+                tuple(rng.randint(0, 3) for _ in range(arity))
+            v = Fraction(rng.randint(-3, 3), den) if rng.random() < 0.6 \
+                else Fraction(rng.randint(0, 1))
+            terms[exp] = ghost(v) if rng.random() < 0.3 else tangible(v)
+        polys.append(TropicalPolynomial(arity, terms))
+    return polys
+
+
+def _nested(rng, depth):
+    """A sum in x and y whose summands are monomials, -inf, or
+    parenthesized sums under a power or a factor."""
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if depth and roll < 0.3:
+            tail = rng.choice(("", "^2", "*x", "*1/3v"))
+            parts.append(f"({_nested(rng, depth - 1)}){tail}")
+        elif roll < 0.35:
+            parts.append("-inf")
+        else:
+            c = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+            mono = "".join(f"*{v}^{rng.randint(0, 2)}" for v in "xy")
+            parts.append(f"{c}{'v' if rng.random() < 0.3 else ''}{mono}")
+    return " + ".join(parts)
+
+
+@st.composite
+def _permuted_summands(draw):
+    arity = draw(st.integers(1, 3))
+    coeffs = st.builds(
+        lambda v, g: ghost(v) if g else tangible(v),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.booleans())
+    polys = draw(st.lists(st.builds(
+        lambda terms: TropicalPolynomial(arity, terms),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * arity), coeffs,
+                        max_size=4)), min_size=1, max_size=6))
+    return polys, draw(st.permutations(polys))
+
+
+class TestSumOfMany:
+    """A sum of many polynomials is one merge of all their rows over one
+    lcm of the dens: equal, den for den and row for row, to the left fold
+    of the old ``+``, whatever the order of the summands."""
+
+    def test_against_the_left_fold(self):
+        rng = random.Random(83)
+        seen = Counter()
+        for _ in range(1500):
+            polys = _summands(rng)
+            got, want = _sum(polys), reduce(reference_add, polys)
+            assert got._den == want._den, polys
+            assert got._rows == want._rows, polys
+            seen["arity", polys[0].arity] += 1
+            seen["members", len(polys)] += 1
+            seen["dens"] += len({p._den for p in polys}) > 1
+            seen["empty member"] += any(p.is_empty() for p in polys)
+            seen["ghost tie"] += any(
+                g and not any(r[2] for p in polys for r in p._rows
+                              if r[0] == e)
+                for e, _, g in got._rows)
+        assert min(seen.values()) >= 100, seen
+        with pytest.raises(ArityMismatch):
+            _sum([P("x"), P("x + 0"), P("x*y")])
+
+    def test_parse_is_the_fold_of_its_summands(self):
+        rng = random.Random(89)
+        seen = Counter()
+        for _ in range(400):
+            summands = [_nested(rng, 2) for _ in range(rng.randint(1, 6))]
+            got = parse_poly(" + ".join(summands), arity=2)
+            want = reduce(reference_add,
+                          [parse_poly(s, arity=2) for s in summands])
+            assert got._den == want._den and got._rows == want._rows
+            seen["nested"] += any("(" in s for s in summands)
+            seen["ghost"] += not got.is_tangible_poly()
+            seen["den > 1"] += got._den > 1
+        assert min(seen.values()) >= 100, seen
+
+    @given(_permuted_summands())
+    def test_any_order(self, case):
+        polys, permuted = case
+        assert _sum(permuted) == _sum(polys) == reduce(reference_add, polys)
+
+    def test_one_merge_of_n_rows(self, monkeypatch):
+        # the left fold of + fed its merges 2 + 3 + ... + n rows
+        fed = []
+
+        def counted(arity, den, rows, _merge=tropc.polynomial._merge):
+            rows = list(rows)
+            fed.append(len(rows))
+            return _merge(arity, den, rows)
+        monkeypatch.setattr(tropc.polynomial, "_merge", counted)
+        n = 400
+        f = P(" + ".join(f"x^{i}" for i in range(1, n + 1)))
+        assert fed == [n] and len(f._rows) == n
+        fed.clear()
+        primes = [p for p in range(2, 3000)
+                  if all(p % d for d in range(2, int(p ** 0.5) + 1))][:n]
+        f = P(" + ".join(f"1/{p}" for p in primes))
+        assert fed == [n] and f == constant(tangible(Fraction(1, 2)))
