@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import __version__
@@ -64,10 +63,6 @@ def _parse_point(text: str) -> List[TropicalNumber]:
     return out
 
 
-def _frac(v: Fraction) -> str:
-    return str(v)
-
-
 def _point_json(point) -> list:
     return [c.to_json() for c in point]
 
@@ -118,7 +113,7 @@ def _cmd_classify(opts) -> int:
             {"exp": list(e), "class": cls}
             for e, cls in sorted(cx.classification.items())],
         "hull_lattice_points": [
-            {"exp": list(e), "height": _frac(h)}
+            {"exp": list(e), "height": str(h)}
             for e, h in sorted(cx.hull_lattice_points.items())],
         "subdivision": None if cx.subdivision is None else
             [[list(e) for e in cell] for cell in cx.subdivision],
@@ -193,8 +188,8 @@ def _interval_text(iv) -> str:
 def _interval_json(iv):
     if iv is None:
         return None
-    return [None if iv[0] is None else _frac(iv[0]),
-            None if iv[1] is None else _frac(iv[1])]
+    return [None if iv[0] is None else str(iv[0]),
+            None if iv[1] is None else str(iv[1])]
 
 
 def _cmd_comset(opts) -> int:
@@ -232,12 +227,12 @@ def _cmd_curve2d(opts) -> int:
     obj = {
         "whole_plane": locus.whole_plane,
         "segments": [
-            {"from": [_frac(s["from"][0]), _frac(s["from"][1])],
-             "to": [_frac(s["to"][0]), _frac(s["to"][1])],
+            {"from": [str(s["from"][0]), str(s["from"][1])],
+             "to": [str(s["to"][0]), str(s["to"][1])],
              "indices": s["indices"]} for s in locus.segments],
         "rays": [
-            {"from": [_frac(r["from"][0]), _frac(r["from"][1])],
-             "dir": [_frac(r["dir"][0]), _frac(r["dir"][1])],
+            {"from": [str(r["from"][0]), str(r["from"][1])],
+             "dir": [str(r["dir"][0]), str(r["dir"][1])],
              "indices": r["indices"]} for r in locus.rays],
     }
     print(json.dumps({"schema": SCHEMA, **obj}, sort_keys=True))

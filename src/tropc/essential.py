@@ -314,9 +314,7 @@ def _hull(points: List[Tuple[int, ...]], start: List[int]
     simplices it sees strictly (n . p > b, so points on a facet's plane
     change nothing) are replaced by the cones from it over their horizon
     ridges.  Simplices on one plane merge into one facet, whose contact set
-    (real points only) is read off all points with ``_dots``; when nothing
-    was left to insert, each start facet touches its own vertices, and the
-    start is the one upper simplex."""
+    (real points only) is read off all points with ``_dots``."""
     k = len(points[0]) - 1
     z = [sum(col) for col in zip(*(points[i] for i in start))]
     z[-1] -= 1
@@ -335,9 +333,6 @@ def _hull(points: List[Tuple[int, ...]], start: List[int]
             for j in range(k + 2 if k else 1)]  # a single point has no wall
     rest = sorted(set(range(len(points))) - set(start),
                   key=lambda i: (i * 2654435761) & 0xffffffff)
-    if not rest:
-        return [(tuple(n), b, frozenset(v for v in verts if v >= 0))
-                for n, b, verts in hull], [tuple(start)]
     normals = [n for n, _, _ in hull]
     for i in rest:
         over = [s > b for s, (_, b, _) in
@@ -388,12 +383,14 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
     """Every hull fact read off the facets of one beneath-beyond run
     (``_hull``) and their ``_index``: a point is on the hull iff an upper
     facet touches it; a hull vertex iff the contact sets of the facets
-    through it, upper facets and walls, meet in it alone; and, being a
-    vertex, an interior vertex iff the walls through it meet in more than
-    one point (the intersection starts from all points, so a term on no
-    wall is interior, unless it is the only one).  close() is
-    ``_close_nd`` on the upper simplices of the same run; at arity 2 the
-    subdivision is the upper facets' contact sets, unsorted.
+    through it, upper facets and walls, meet in it alone, which needs at
+    least k + 1 of them, since a vertex of the (k + 1)-dimensional hull
+    lies on that many facets (Ziegler, *Lectures on Polytopes*, 2.1), so a
+    point on fewer is quasi-essential with no intersection taken; and,
+    being a vertex, an interior vertex iff it is on no wall or the walls
+    through it meet in more than one point.  close() is ``_close_nd`` on
+    the upper simplices of the same run; at arity 2 the subdivision is the
+    upper facets' contact sets, unsorted.
 
     An affinely independent support (k + 1 exponents spanning k
     dimensions, so the echelon basis has one pivot fewer than there are
@@ -407,19 +404,18 @@ def _complex_nd(f: TropicalPolynomial) -> _Complex:
                 [exps] if f.arity == 2 else None, [])
     facets, simplices = _hull(points, start)
     roofs, walls = _index(len(exps), facets)
-    everyone = frozenset(range(len(exps)))
+    k = len(pivots)
     classification = {}
     interior = []
     for i, e in enumerate(exps):
         if not roofs[i]:
             classification[e] = INESSENTIAL
-            continue
-        newton = everyone.intersection(*walls[i])
-        if len(newton.intersection(*roofs[i])) > 1:
+        elif len(roofs[i]) + len(walls[i]) <= k or \
+                len(frozenset.intersection(*roofs[i], *walls[i])) > 1:
             classification[e] = QUASI
         else:
             classification[e] = ESSENTIAL
-            if len(newton) > 1:
+            if not walls[i] or len(frozenset.intersection(*walls[i])) > 1:
                 interior.append(e)
     return (classification,
             partial(_close_nd, f, classification, exps, points, simplices),

@@ -334,6 +334,20 @@ class TestSubdivisionAgainstEvaluate:
         assert min(seen.values()) >= 50 and len(seen) == 6, seen
 
 
+_APEX = "0 + x^2 + y^2 + x^2*y^2 + 5*x*y"
+_OCTAHEDRON = ("5*x*y + 5*x*y*z^2 + 5*x*y*z + y*z + x^2*y*z + x*z"
+               " + x*y^2*z")
+
+
+def _facets_through(f: TropicalPolynomial, e) -> tuple:
+    """The numbers of upper facets and of walls of f's hull through e."""
+    exps, _, _, points, start = tropc.essential._lift(f)
+    facets, _ = tropc.essential._hull(points, start)
+    roofs, walls = tropc.essential._index(len(exps), facets)
+    i = exps.index(e)
+    return len(roofs[i]), len(walls[i])
+
+
 class TestPinnedDegenerateCases:
     """Hulls whose facts sit on degenerate facets, pinned against the
     frozen paths: every field of classify_monomials against the two-hull
@@ -362,6 +376,15 @@ class TestPinnedDegenerateCases:
         # inner edges carry 13 points each: 624 tie segments and 468 rays
         ("three large flat cells",
          P("(x + 1*y + 0)^12*(x + -2*y + 5)^12")),
+        # the apex (1, 1) is on four upper facets, more than k + 1, and on
+        # no wall: an interior vertex
+        ("apex on four facets", P(_APEX)),
+        # (1, 1, 1) is on exactly k + 1 = 4 upper facets and on no wall,
+        # yet their contact sets meet in more than it: quasi-essential
+        ("quasi-essential on k + 1 facets", P(_OCTAHEDRON)),
+        # one flat cell of 455 points: only its 4 Newton vertices are on
+        # k + 1 facets
+        ("flat power in three variables", P("(x + y + z + 0)^12")),
     ])
     def test_against_the_references(self, name, f):
         cx = classify_monomials(f)
@@ -395,6 +418,18 @@ class TestPinnedDegenerateCases:
         for arity, d in ((2, 12), (3, 6)):
             cx = classify_monomials(_paraboloid(arity, d))
             assert set(cx.classification.values()) == {"essential"}
+        apex = classify_monomials(P(_APEX))
+        assert apex.classification[(1, 1)] == "essential"
+        assert apex.interior_vertices == [(1, 1)]
+        assert _facets_through(P(_APEX), (1, 1)) == (4, 0)
+        octahedron = classify_monomials(P(_OCTAHEDRON))
+        assert octahedron.classification[(1, 1, 1)] == "quasi-essential"
+        assert _facets_through(P(_OCTAHEDRON), (1, 1, 1)) == (4, 0)
+        flat = classify_monomials(P("(x + y + z + 0)^12"))
+        assert sorted(e for e, c in flat.classification.items()
+                      if c == "essential") == [(0, 0, 0), (0, 0, 12),
+                                               (0, 12, 0), (12, 0, 0)]
+        assert flat.interior_vertices == []
 
 
 class TestDeterminant:
