@@ -15,8 +15,7 @@ reads ``terms`` or does ``TropicalNumber`` arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iter_product
-from operator import add
+from operator import add, sub
 from typing import List, Optional, Sequence, Tuple
 
 from .core import TropicalNumber, tangible
@@ -198,19 +197,19 @@ def ideal_member_syntactic(f: TropicalPolynomial, ideal: IdealFG) -> bool:
 def _residuation(f: TropicalPolynomial, g: TropicalPolynomial
                  ) -> Optional[TropicalPolynomial]:
     """Largest tangible h with the projection of h*g below that of f: at
-    each e of the exponent box, min over g's rows of f[e + d] - g[d], an
-    integer over the lcm of the two dens (Cuninghame-Green residuation)."""
-    if f.is_empty() or g.is_empty():
-        return None
-    box = [range(max(e[k] for e, _, _ in f._rows)
-                 - max(d[k] for d, _, _ in g._rows) + 1)
-           for k in range(f.arity)]
-    if not all(box):  # g has a higher degree in some variable
-        return None
+    each e, min over g's rows of f[e + d] - g[d], an integer over the lcm
+    of the two dens (Cuninghame-Green residuation).  Such an e has f terms
+    at e + d for every d of g, so the e tried are f's exponents less d0,
+    g's lex-largest exponent and a Newton vertex; e >= 0 is required, and
+    fails before any lookup for each f term below g's degree in x1."""
     den, (f_rows, g_rows) = _over([f, g])
     f_values = {e: s for e, s, _ in f_rows}
+    top = max(d for d, _, _ in g_rows)
     rows = []
-    for e in iter_product(*box):
+    for e_f, _, _ in f_rows:
+        e = tuple(map(sub, e_f, top))
+        if any(k < 0 for k in e):
+            continue
         try:
             rows.append((e, min(f_values[tuple(map(add, e, d))] - b
                                 for d, b, _ in g_rows), False))

@@ -15,6 +15,7 @@ from math import gcd, prod
 import pytest
 
 import tropc.essential
+import tropc.ideals
 import tropc.polynomial
 from closure_reference import (reference_classify, reference_divides,
                                reference_factor_full,
@@ -545,6 +546,70 @@ class TestResiduationAgainstReference:
                    ), seen
         assert min(seen["None"], seen["rows"], seen["den > 1"],
                    seen["ghost"]) >= 300, seen
+
+    def test_sparse_shifted_and_constant(self):
+        # sparse supports in four to six variables; g shifted up by x_k^s,
+        # so e = e_f - d0 falls below 0 in coordinate k while every e + d
+        # can still be a term of f; and constants at arity 0
+        rng = random.Random(89)
+        seen = Counter()
+
+        def sparse(arity):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                e = [0] * arity
+                for _ in range(rng.randint(0, 6)):
+                    e[rng.randrange(arity)] += 1
+                terms[tuple(e)] = coeff(rng, value(rng))
+            return TropicalPolynomial(arity, terms)
+
+        cases = [("shifted", P("x + x^2"), P("x^2 + x^3"))]
+        for n in range(600):
+            kind = ("sparse", "shifted", "constant")[n % 3]
+            if kind == "sparse":
+                arity = rng.randint(4, 6)
+                g = sparse(arity)
+                f = sparse(arity) * g if n % 2 else sparse(arity)
+            elif kind == "shifted":
+                arity = rng.randint(1, 3)
+                g = rand_case(rng, rng.choice(KINDS), arity, 2)
+                f = rand_case(rng, "fractional", arity, 2).projection() * g
+                k, s = rng.randrange(arity), rng.randint(1, 3)
+                g = g * TropicalPolynomial(arity, {
+                    tuple(s * (j == k) for j in range(arity)):
+                        coeff(rng, value(rng))})
+            else:
+                f, g = (TropicalPolynomial(0, {(): coeff(rng, value(rng))})
+                        for _ in range(2))
+            cases.append((kind, f, g))
+        for kind, f, g in cases:
+            for F in (f, full_closure(f)):
+                got, want = _residuation(F, g), reference_residuation(F, g)
+                assert (got is None) == (want is None), (F, g)
+                if got is not None:
+                    assert got._den == want._den, (F, g)
+                    assert set(got._rows) == set(want._rows), (F, g)
+                seen[kind, got is None] += 1
+        assert _residuation(P("x + x^2"), P("x^2 + x^3")) is None
+        assert seen["constant", True] == 0
+        assert all(seen[k, none] >= 50 for k in ("sparse", "shifted")
+                   for none in (True, False)), seen
+
+
+class TestResiduationBudget:
+    def test_one_candidate_per_term_of_f(self, monkeypatch):
+        # the candidates are f's 7 terms, not its 6 * 7^4 exponent box;
+        # add runs once per coordinate of each e + d looked up
+        f = full_closure(P("(x1*x2*x3*x4*x5 + 0)^6"))
+        g = P("x1 + 0", arity=5)
+        calls = Counter()
+
+        def counted(a, b):
+            calls["add"] += 1
+            return a + b
+        monkeypatch.setattr(tropc.ideals, "add", counted)
+        assert _residuation(f, g) is None
+        assert calls["add"] <= len(f.terms) * len(g.terms) * f.arity == 70
 
 
 class TestClosuresBuildNoFraction:

@@ -177,6 +177,12 @@ class TestExactValues:
             g = TropicalPolynomial.from_json(obj)
             assert g == f and g.to_json() == f.to_json()
 
+    def test_bad_tags_refused(self):
+        with pytest.raises(ValueError, match="-inf carries no value"):
+            TropicalNumber("ninf", Fraction(1))
+        with pytest.raises(ValueError, match="unknown tag 'q'"):
+            TropicalNumber("q", 1)
+
     def test_frozen_with_slots(self):
         a = tangible(1)
         with pytest.raises(dataclasses.FrozenInstanceError):

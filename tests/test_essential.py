@@ -17,8 +17,9 @@ from corner_reference import reference_corner_locus_2d
 from facets_reference import reference_complex_nd
 from hull1d_reference import reference_complex_1d, reference_envelope_vertices
 from lp_reference import reference_complex
-from tropc import (EmptyPolynomial, EssentialComplex, InternalInconsistency,
-                   MonomialInput, NEG_INFINITY, TropicalPolynomial,
+from tropc import (ArityMismatch, ArityUnsupported, EmptyPolynomial,
+                   EssentialComplex, InternalInconsistency, MonomialInput,
+                   NEG_INFINITY, TropicalPolynomial,
                    classify_monomials, corner_locus_2d, divides, equivalent,
                    essential_part, format_poly, full_closure, ghost, is_full,
                    is_ghost_potent, parse_poly,
@@ -1083,6 +1084,13 @@ class TestEquivalence:
         assert not equivalent(P("x + 2"), P("x + 2v"))
         assert equivalent(P("x + 0v + 0"), P("x + 0v"))
 
+    def test_guards(self):
+        with pytest.raises(ArityMismatch):
+            equivalent(P("x"), P("x + y"))
+        empty = TropicalPolynomial(1, {})
+        assert (equivalent(empty, empty), equivalent(empty, P("x"))) == (
+            True, False)
+
     def test_matches_evaluation_oracle(self):
         rng = random.Random(31)
         agree = disagree = 0
@@ -1175,6 +1183,12 @@ class TestSlopeSequence:
         with pytest.raises(MonomialInput):
             slope_sequence(P("3*x^2"))
 
+    def test_guards(self):
+        with pytest.raises(ArityUnsupported):
+            slope_sequence(P("x + y"))
+        with pytest.raises(EmptyPolynomial):
+            slope_sequence(TropicalPolynomial(1, {}))
+
     def test_ascending_slopes_raise(self, monkeypatch):
         # a closure with ascending slopes is a broken invariant, not an
         # assert that -O strips
@@ -1201,6 +1215,14 @@ class TestDivides:
     def test_non_divisor(self):
         f = red_mul(P("x + 0"), P("x + 1"))
         assert divides(f, P("x + 5")) is None
+
+    def test_guards(self):
+        with pytest.raises(ArityUnsupported):
+            divides(P("x + y"), P("x + y"))
+        for f, g in ((TropicalPolynomial(1, {}), P("x + 0")),
+                     (P("x + 0"), TropicalPolynomial(1, {}))):
+            with pytest.raises(EmptyPolynomial):
+                divides(f, g)
 
     def test_random_products(self):
         rng = random.Random(47)

@@ -7,7 +7,8 @@ import pytest
 
 import tropc.ideals
 from sets_reference import reference_radical_member_1d
-from tropc import (ArityMismatch, IdealFG, NotTangibleFull, TropicalNumber,
+from tropc import (ArityMismatch, CertificateSearchExceeded, EmptyPolynomial,
+                   IdealFG, NotTangibleFull, TropicalNumber,
                    TropicalPolynomial, full_closure, ghost,
                    ideal_member_syntactic, is_ghost_potent, is_proper,
                    parse_poly, radical_member_1d, red_mul, red_pow,
@@ -39,6 +40,11 @@ class TestWeakNullstellensatz:
         res = weak_nullstellensatz(IdealFG(1, [P("x + 1"), P("x + 5")]))
         assert res.nonempty
         assert res.witness == (ghost(5),)
+
+    def test_no_generators(self):
+        res = weak_nullstellensatz(IdealFG(2, []))
+        assert res.witness == (tangible(0), tangible(0))
+        assert res.proof_of_emptiness is None
 
     def test_emptiness_proof(self):
         res = weak_nullstellensatz(IdealFG(1, [P("x + 1"), P("3")]))
@@ -96,6 +102,16 @@ class TestRadicalMembership:
     def test_candidate_must_be_tangible_full(self):
         with pytest.raises(NotTangibleFull):
             radical_member_1d(P("0v*x + 1"), IdealFG(1, [P("x + 1")]))
+
+    def test_empty_candidate(self):
+        with pytest.raises(EmptyPolynomial):
+            radical_member_1d(TropicalPolynomial(1, {}),
+                              IdealFG(1, [P("x + 0")]))
+
+    def test_search_cap(self, monkeypatch):
+        monkeypatch.setattr(tropc.ideals, "MAX_CERTIFICATE_EXPONENT", 0)
+        with pytest.raises(CertificateSearchExceeded):
+            radical_member_1d(P("x + 0"), IdealFG(1, [P("x^2 + 0")]))
 
     def test_random_powers(self):
         rng = random.Random(113)
@@ -198,6 +214,13 @@ class TestSyntacticMembership:
         ideal = IdealFG(1, [P("x + 0")])
         assert not ideal_member_syntactic(P("x + 5"), ideal)
         assert not ideal_member_syntactic(P("0"), ideal)
+
+    def test_guards(self):
+        with pytest.raises(ArityMismatch):
+            ideal_member_syntactic(P("x"), IdealFG(2, [P("x + y")]))
+        assert ideal_member_syntactic(TropicalPolynomial(1, {}),
+                                      IdealFG(1, [P("x + 0")]))
+        assert not ideal_member_syntactic(P("x + 0"), IdealFG(1, []))
 
 
 class TestRowsOnly:

@@ -11,6 +11,7 @@ import pytest
 
 import tropc
 import tropc.cli
+import tropc.errors
 from tropc import (ArityMismatch, MaxDegreeExceeded, PolySyntaxError,
                    TropicalPolynomial, format_poly, ghost, parse_poly,
                    tangible)
@@ -132,6 +133,34 @@ class TestParser:
             g = P(text, arity=f.arity)
             assert g == f
             assert format_poly(g) == text
+
+
+class TestErrorNames:
+    # the stable names scripts match on stderr; a renamed class or name
+    # string fails here
+    NAMES = {
+        "TropicalError": "TropicalError",
+        "ArityMismatch": "ArityMismatch",
+        "ArityUnsupported": "ArityUnsupported",
+        "InversionOfNegInfinity": "InversionOfNegInfinity",
+        "RootOfNegInfinity": "RootOfNegInfinity",
+        "EmptyPolynomial": "EmptyPolynomial",
+        "MonomialInput": "MonomialInput",
+        "NotFull": "NotFull",
+        "NotTangibleFull": "NotTangibleFull",
+        "InternalInconsistency": "InternalInconsistency",
+        "ConstantTangibleInput": "ConstantTangibleInput",
+        "ConstantTangibleAmongInputs": "ConstantTangibleAmongInputs",
+        "CertificateSearchExceeded": "CertificateSearchExceeded",
+        "MaxDegreeExceeded": "MaxDegreeExceeded",
+        "PolySyntaxError": "SyntaxError",
+    }
+
+    def test_every_error_is_pinned(self):
+        errors = {name: cls for name, cls in vars(tropc.errors).items()
+                  if isinstance(cls, type)
+                  and issubclass(cls, tropc.errors.TropicalError)}
+        assert {name: cls.name for name, cls in errors.items()} == self.NAMES
 
 
 def run(capsys, *argv):
@@ -324,6 +353,19 @@ class TestCli:
             assert proc.stderr.startswith("error: SyntaxError:"), box
             assert message in proc.stderr, (box, proc.stderr)
             assert "Traceback" not in proc.stderr, box
+
+    def test_guards_in_process(self, capsys):
+        # an empty coordinate, an empty complement and an input that
+        # overflows the parser's recursion
+        code, out, err = run(capsys, "eval", "x", "")
+        assert (code, out) == (2, "")
+        assert "bad coordinate '' at position 0" in err
+        code, out, _ = run(capsys, "comset", "0v")
+        assert (code, out) == (0, "(empty complement)\n")
+        deep = "(" * 1000 + "x" + ")" * 1000
+        code, out, err = run(capsys, "eval", deep, "1")
+        assert (code, out) == (1, "")
+        assert err == "error: InternalError: input too deeply nested\n"
 
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "roots", "--single", "3")

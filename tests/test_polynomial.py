@@ -18,7 +18,7 @@ from fold_reference import (reference_add, reference_evaluate,
 from power_reference import reference_pow
 from tropc import (ArityMismatch, EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, constant, essential_part, full_closure,
-                   ghost, parse_poly, tangible, variable)
+                   ghost, monomial, parse_poly, tangible, variable)
 from tropc.polynomial import _sum
 from util import eval_points, rand_poly
 
@@ -95,6 +95,17 @@ class TestStructure:
         assert f.degree_bounds() == (1, 3)
         with pytest.raises(EmptyPolynomial):
             TropicalPolynomial(1, {}).total_degree()
+        with pytest.raises(EmptyPolynomial):
+            TropicalPolynomial(1, {}).lower_degree()
+
+    def test_eq_repr_and_monomial(self):
+        assert (P("x") == 3) is False
+        assert repr(P("x + 1/2v")) == (
+            "TropicalPolynomial(arity=1, terms={"
+            "(1,): TropicalNumber(tag='t', value=Fraction(0, 1)), "
+            "(0,): TropicalNumber(tag='g', value=Fraction(1, 2))})")
+        assert monomial(ghost(2), (1, 0, 3)) == TropicalPolynomial(
+            3, {(1, 0, 3): ghost(2)})
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):

@@ -116,6 +116,15 @@ class TestComsetAlgebra:
         with pytest.raises(ArityUnsupported):
             comset1d(P("x + y"))
 
+    def test_meet_sorts_ghost_only_components(self):
+        # no tangible part: sorted by the ghost interval's lower end, an
+        # unbounded one first
+        a = [Component1D(None, (Fraction(5), Fraction(9)), False),
+             Component1D(None, (Fraction(1), Fraction(4)), False),
+             Component1D(None, (None, Fraction(0)), False)]
+        meet = comset_meet(a, [Component1D(None, (None, None), False)])
+        assert meet == a[::-1]
+
 
 class TestCornerLocus2D:
     BOX = (Fraction(-5), Fraction(-5), Fraction(5), Fraction(5))
@@ -129,6 +138,10 @@ class TestCornerLocus2D:
             assert (Fraction(0), Fraction(0)) in (seg["from"], seg["to"])
         dirs = sorted(tuple(r["dir"]) for r in locus.rays)
         assert dirs == [(-1, 0), (0, -1), (1, 1)]
+
+    def test_arity_guard(self):
+        with pytest.raises(ArityUnsupported):
+            corner_locus_2d(P("x + 0"), self.BOX)
 
     def test_ghost_poly_whole_plane(self):
         assert corner_locus_2d(P("1v*x + 0v*y"), self.BOX).whole_plane

@@ -7,8 +7,9 @@ import pytest
 
 from factor_reference import (reference_factor_full,
                               reference_factor_tangible_full)
-from tropc import (ArityUnsupported, ConstantTangibleAmongInputs,
-                   ConstantTangibleInput, EmptyPolynomial, NEG_INFINITY,
+from tropc import (ArityMismatch, ArityUnsupported,
+                   ConstantTangibleAmongInputs, ConstantTangibleInput,
+                   EmptyPolynomial, NEG_INFINITY,
                    TropicalPolynomial, common_root, factor_full,
                    factor_tangible_full, find_root, full_closure, ghost,
                    parse_poly, red_mul, roots_with_multiplicity, tangible,
@@ -36,6 +37,9 @@ class TestFindRoot:
         with pytest.raises(ConstantTangibleInput):
             find_root(P("3"))
 
+    def test_empty_polynomial(self):
+        assert find_root(TropicalPolynomial(2, {})) == (tangible(0),) * 2
+
     def test_random_roots_verify(self):
         rng = random.Random(53)
         for _ in range(200):
@@ -54,6 +58,14 @@ class TestCommonRoot:
     def test_tangible_constant_raises(self):
         with pytest.raises(ConstantTangibleAmongInputs):
             common_root([P("x + 1"), P("3")])
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="no polynomials given"):
+            common_root([])
+        with pytest.raises(ArityMismatch):
+            common_root([P("x"), P("x + y")])
+        assert common_root([TropicalPolynomial(1, {}), P("x + 1"),
+                            P("x + 5")]) == (ghost(5),)
 
     def test_random_simultaneous(self):
         rng = random.Random(59)
@@ -111,6 +123,12 @@ class TestFactorTangibleFull:
 
 
 class TestFactorFull:
+    def test_guards(self):
+        with pytest.raises(ArityUnsupported):
+            factor_full(P("x + y"))
+        with pytest.raises(EmptyPolynomial):
+            factor_full(TropicalPolynomial(1, {}))
+
     def test_ghost_leading_pair(self):
         f = red_mul(P("0v*x + 2"), P("0v*x + 1"))
         fact = factor_full(f)
